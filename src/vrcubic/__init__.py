@@ -8,7 +8,8 @@ can.  Rough map:
 * objectives   -- logistic regression (binary/multiclass) and synthetic tasks.
 * cubic        -- cubic-model subproblem solvers (exact and matvec-only).
 * estimators   -- recursive variance-reduced gradient/Hessian estimators.
-* drivers      -- outer loops: run_srvrc, run_srvrc_free, run_cr, run_scr.
+* drivers      -- one outer loop behind run_srvrc and run_srvrc_free;
+                  run_cr and run_scr are batch-rule wrappers over run_srvrc.
 * diagnostics  -- second-order stationarity certification.
 * cli          -- JSON-config experiment runner (`vrcubic run|check|compare`).
 """

@@ -23,6 +23,8 @@ import gzip
 import json
 import os
 import sys
+import typing
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +36,15 @@ from .drivers import (
     RunResult,
     SolverConfig,
     TheoreticalPenalty,
+    TraceRow,
+    _theoretical_rule,
     budget_from_gap,
     run_cr,
     run_scr,
     run_srvrc,
     run_srvrc_free,
 )
-from .estimators import PracticalBatchRule, TheoreticalBatchRule, default_epochs
+from .estimators import PracticalBatchRule
 from .finite_sum import (
     FiniteSumProblem,
     OracleCounter,
@@ -67,25 +71,28 @@ __all__ = [
     "main",
 ]
 
-TRACE_COLUMNS = (
-    "t",
-    "f",
-    "h_norm",
-    "m_value",
-    "Bg",
-    "Bh",
-    "Mt",
-    "grad_calls",
-    "hess_calls",
-    "hvp_calls",
-    "wall_ms",
-)
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 _ALGORITHMS = ("srvrc", "srvrc_free", "cr", "scr")
+
+# Every solver key but budget_gap names a SolverConfig field, and every
+# penalty key names a field of its mode's policy, so the dataclasses hold the
+# only list of keys and the only defaults.
+_SOLVER_TYPES = typing.get_type_hints(SolverConfig)
+_PENALTIES = {"fixed": FixedPenalty, "theoretical": TheoreticalPenalty, "adaptive": AdaptivePenalty}
+_PENALTY_KEYS = {mode: {"mode"} | {f.name for f in fields(cls)} for mode, cls in _PENALTIES.items()}
+_BATCH_KEYS = {
+    "theoretical": {"mode", "S_g", "S_h"},  # overrides of the derived epoch lengths
+    "practical": {"mode"} | {f.name for f in fields(PracticalBatchRule)},
+}
 
 
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
+
+
+def _required(cls) -> set[str]:
+    return {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
 
 
 def _check_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -154,66 +161,35 @@ def validate_config(cfg: dict, where: str = "config") -> None:
             raise ConfigError(f"{where}.problem.dataset: multiclass_logreg needs num_classes")
 
     solver = cfg["solver"]
-    _check_keys(
-        solver,
-        {
-            "eps",
-            "rho",
-            "L",
-            "M",
-            "xi",
-            "T",
-            "budget_gap",
-            "seed",
-            "x0",
-            "penalty",
-            "batch",
-            "subsolver_eta",
-            "subsolver_quality",
-            "subsolver_fail_prob",
-            "subsolver_max_iters",
-            "finalsolver_eps_g",
-            "finalsolver_max_iters",
-            "gradient_recursion",
-            "dense_limit",
-            "exact_tol",
-        },
-        {"eps"},
-        f"{where}.solver",
-    )
+    _check_keys(solver, set(_SOLVER_TYPES) | {"budget_gap"}, _required(SolverConfig),
+                f"{where}.solver")
     if "T" in solver and "budget_gap" in solver:
         raise ConfigError(f"{where}.solver: give at most one of 'T' and 'budget_gap'")
     if "penalty" in solver:
         pen = solver["penalty"]
-        _check_keys(pen, {"mode", "value", "factor", "m0", "gamma_inc", "gamma_dec",
-                          "eta1", "eta2", "floor", "cap"}, {"mode"}, f"{where}.solver.penalty")
+        _check_keys(pen, set().union(*_PENALTY_KEYS.values()), {"mode"},
+                    f"{where}.solver.penalty")
         mode = pen["mode"]
-        allowed_by_mode = {
-            "fixed": {"mode", "value"},
-            "theoretical": {"mode", "factor"},
-            "adaptive": {"mode", "m0", "gamma_inc", "gamma_dec", "eta1", "eta2", "floor", "cap"},
-        }
-        if mode not in allowed_by_mode:
+        if mode not in _PENALTIES:
             raise ConfigError(f"{where}.solver.penalty.mode: must be one of "
-                              f"{sorted(allowed_by_mode)}")
-        extra = sorted(set(pen) - allowed_by_mode[mode])
+                              f"{sorted(_PENALTIES)}")
+        extra = sorted(set(pen) - _PENALTY_KEYS[mode])
         if extra:
             raise ConfigError(f"{where}.solver.penalty: key(s) {extra} not valid for "
                               f"mode '{mode}'")
-        if mode == "fixed" and "value" not in pen:
-            raise ConfigError(f"{where}.solver.penalty: fixed mode needs 'value'")
+        missing = sorted(_required(_PENALTIES[mode]) - set(pen))
+        if missing:
+            raise ConfigError(f"{where}.solver.penalty: {mode} mode needs "
+                              + ", ".join(repr(k) for k in missing))
     if "batch" in solver:
         batch = solver["batch"]
-        _check_keys(batch, {"mode", "S_g", "S_h", "B_g", "B_h", "S"}, {"mode"},
+        _check_keys(batch, set().union(*_BATCH_KEYS.values()), {"mode"},
                     f"{where}.solver.batch")
-        if batch["mode"] == "theoretical":
-            extra = sorted(set(batch) - {"mode", "S_g", "S_h"})
-        elif batch["mode"] == "practical":
-            extra = sorted(set(batch) - {"mode", "B_g", "B_h", "S"})
-            if not {"B_g", "B_h", "S"} <= set(batch):
-                raise ConfigError(f"{where}.solver.batch: practical mode needs B_g, B_h, S")
-        else:
+        if batch["mode"] not in _BATCH_KEYS:
             raise ConfigError(f"{where}.solver.batch.mode: must be 'theoretical' or 'practical'")
+        if batch["mode"] == "practical" and not _BATCH_KEYS["practical"] <= set(batch):
+            raise ConfigError(f"{where}.solver.batch: practical mode needs B_g, B_h, S")
+        extra = sorted(set(batch) - _BATCH_KEYS[batch["mode"]])
         if extra:
             raise ConfigError(f"{where}.solver.batch: key(s) {extra} not valid for mode "
                               f"'{batch['mode']}'")
@@ -260,80 +236,38 @@ def build_problem(prob_cfg: dict) -> FiniteSumProblem:
     )
 
 
-def _build_penalty(pen_cfg: dict | None):
-    if pen_cfg is None:
-        return TheoreticalPenalty()
-    mode = pen_cfg["mode"]
-    if mode == "fixed":
-        return FixedPenalty(value=float(pen_cfg["value"]))
-    if mode == "theoretical":
-        return TheoreticalPenalty(factor=float(pen_cfg.get("factor", 4.0)))
-    return AdaptivePenalty(
-        m0=float(pen_cfg.get("m0", 1.0)),
-        gamma_inc=float(pen_cfg.get("gamma_inc", 2.0)),
-        gamma_dec=float(pen_cfg.get("gamma_dec", 0.5)),
-        eta1=float(pen_cfg.get("eta1", 0.1)),
-        eta2=float(pen_cfg.get("eta2", 0.9)),
-        floor=float(pen_cfg.get("floor", 1e-8)),
-        cap=float(pen_cfg.get("cap", 1e12)),
-    )
+def _solver_field(name: str, value):
+    """A JSON value converted to the type the SolverConfig field declares."""
+    kinds = typing.get_args(_SOLVER_TYPES[name]) or (_SOLVER_TYPES[name],)
+    if value is None and type(None) in kinds:
+        return None
+    if kinds[0] is np.ndarray:
+        return np.asarray(value, dtype=float)
+    return kinds[0](value)
 
 
 def build_solver_config(solver_cfg: dict, algorithm: str, problem: FiniteSumProblem) -> SolverConfig:
-    eps = float(solver_cfg["eps"])
-    rho = solver_cfg.get("rho")
-    rho_eff = float(rho) if rho is not None else problem.lipschitz_hess
+    """A SolverConfig from the keys present; absent keys take the dataclass defaults."""
+    sc = SolverConfig(**{
+        name: _solver_field(name, value)
+        for name, value in solver_cfg.items()
+        if name not in ("budget_gap", "penalty", "batch")
+    })
     if "budget_gap" in solver_cfg:
-        T = budget_from_gap(float(solver_cfg["budget_gap"]), eps, rho_eff, algorithm)
-    else:
-        T = int(solver_cfg.get("T", 100))
-    x0 = solver_cfg.get("x0")
-    sc = SolverConfig(
-        eps=eps,
-        rho=None if rho is None else float(rho),
-        L=None if solver_cfg.get("L") is None else float(solver_cfg["L"]),
-        M=None if solver_cfg.get("M") is None else float(solver_cfg["M"]),
-        xi=float(solver_cfg.get("xi", 0.1)),
-        T=T,
-        penalty=_build_penalty(solver_cfg.get("penalty")),
-        seed=int(solver_cfg.get("seed", 0)),
-        x0=None if x0 is None else np.asarray(x0, dtype=float),
-        subsolver_eta=solver_cfg.get("subsolver_eta"),
-        subsolver_quality=float(solver_cfg.get("subsolver_quality", 0.5)),
-        subsolver_fail_prob=solver_cfg.get("subsolver_fail_prob"),
-        subsolver_max_iters=solver_cfg.get("subsolver_max_iters"),
-        finalsolver_eps_g=solver_cfg.get("finalsolver_eps_g"),
-        finalsolver_max_iters=int(solver_cfg.get("finalsolver_max_iters", 10**6)),
-        gradient_recursion=bool(solver_cfg.get("gradient_recursion", True)),
-        dense_limit=int(solver_cfg.get("dense_limit", 2000)),
-        exact_tol=float(solver_cfg.get("exact_tol", 1e-12)),
-    )
+        rho = sc.rho if sc.rho is not None else problem.lipschitz_hess
+        sc.T = budget_from_gap(float(solver_cfg["budget_gap"]), sc.eps, rho, algorithm)
+    pen_cfg = solver_cfg.get("penalty")
+    if pen_cfg is not None:
+        params = {k: float(v) for k, v in pen_cfg.items() if k != "mode"}
+        sc.penalty = _PENALTIES[pen_cfg["mode"]](**params)
     batch_cfg = solver_cfg.get("batch")
     if batch_cfg is not None:
+        sizes = {k: int(v) for k, v in batch_cfg.items() if k != "mode"}
         if batch_cfg["mode"] == "practical":
-            sc.batch = PracticalBatchRule(
-                B_g=int(batch_cfg["B_g"]), B_h=int(batch_cfg["B_h"]), S=int(batch_cfg["S"])
-            )
+            sc.batch = PracticalBatchRule(**sizes)
         else:
-            L_eff = sc.L if sc.L is not None else problem.lipschitz_grad
-            M_eff = sc.M if sc.M is not None else problem.grad_bound
-            S_g, S_h = default_epochs(problem.n, eps, L_eff, rho_eff, M_eff)
             variant = "srvrc_free" if algorithm == "srvrc_free" else "srvrc"
-            if variant == "srvrc_free":
-                S_h = 1
-            sc.batch = TheoreticalBatchRule(
-                n=problem.n,
-                dim=problem.dim,
-                eps=eps,
-                xi=sc.xi,
-                T=max(T, 1),
-                lipschitz_grad=L_eff,
-                lipschitz_hess=rho_eff,
-                grad_bound=M_eff,
-                S_g=int(batch_cfg.get("S_g", S_g)),
-                S_h=int(batch_cfg.get("S_h", S_h)),
-                variant=variant,
-            )
+            sc.batch = replace(_theoretical_rule(problem, sc, variant), **sizes)
     return sc
 
 
@@ -362,15 +296,6 @@ def write_trace_csv(path: Path, trace) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _counter_dict(c: OracleCounter) -> dict:
-    return {
-        "grad_calls": c.grad_calls,
-        "hess_calls": c.hess_calls,
-        "hvp_calls": c.hvp_calls,
-        "value_calls": c.value_calls,
-    }
-
-
 def certify_constant(algorithm: str) -> float:
     return 1300.0 if algorithm == "srvrc_free" else 600.0
 
@@ -396,8 +321,8 @@ def execute_config(cfg: dict) -> tuple[RunResult, dict]:
         "rho": rho_eff,
         "certify_c": c,
         "certified": bool(mu <= c * sc.eps**1.5),
-        "counters": _counter_dict(result.counters),
-        "diag_counters": _counter_dict(result.diag_counters),
+        "counters": asdict(result.counters),
+        "diag_counters": asdict(result.diag_counters),
         "wall_ms_total": result.wall_ms_total,
     }
     return result, summary

@@ -1,13 +1,14 @@
 """Outer optimization loops built on the cubic-subproblem solvers.
 
-Four drivers share one step-acceptance/trace skeleton:
+All four drivers run one outer loop, ``_run``.  Its variant picks how the
+curvature of the cubic model is formed and how the step is solved:
 
 * run_srvrc      -- recursive gradient and Hessian estimators, exact solve.
 * run_srvrc_free -- recursive gradient, per-step subsampled Hessian-vector
                     closure, budgeted approximate solve; terminates through a
                     model-decrease branch plus a polishing gradient run.
-* run_cr         -- full gradient and Hessian every step (deterministic).
-* run_scr        -- fresh fixed-size subsamples every step, no recursion.
+* run_cr         -- run_srvrc with full batches, reset every step.
+* run_scr        -- run_srvrc with fixed-size batches, reset every step.
 
 The cubic penalty is governed by a policy: fixed, a constant multiple of the
 Hessian-Lipschitz constant (default 4*rho), or an ARC-style adaptive rule
@@ -18,9 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,8 +38,6 @@ from .estimators import (
 from .finite_sum import (
     FiniteSumProblem,
     OracleCounter,
-    batch_gradient,
-    batch_hessian,
     batch_hvp,
     batch_value,
     full_index,
@@ -267,189 +264,49 @@ def _theoretical_rule(
     )
 
 
-def _run_exact_loop(
-    problem: FiniteSumProblem,
-    config: SolverConfig,
-    callback,
-    compute: Callable[[int, SimpleNamespace], tuple[np.ndarray, np.ndarray, int, int]],
-) -> RunResult:
-    """Shared skeleton for the drivers that solve the subproblem exactly."""
-    eps, rho, L, _, _, T = _resolve(problem, config)
-    policy = config.penalty
-    penalty = _initial_penalty(policy, rho)
-    adaptive = isinstance(policy, AdaptivePenalty)
-    stop_radius = math.sqrt(eps / rho)
-    full = full_index(problem)
-    oracle = OracleCounter()
-    diag = OracleCounter()
-    ctx = SimpleNamespace(
-        x=_initial_point(problem, config), x_prev=None, disp_norm=None, oracle=oracle
-    )
-    trace: list[TraceRow] = []
-    exit_status = "budget-exhausted"
-    start = time.perf_counter()
+def _batch_sizes(rule, t: int, disp_norm: float | None, free: bool) -> tuple[int, int]:
+    """(gradient, Hessian) sample sizes at step t, before clamping to n.
 
-    for t in range(T):
-        v, U, Bg, Bh = compute(t, ctx)
-        f_t = batch_value(problem, ctx.x, full, diag)
-        if not math.isfinite(f_t):
-            raise FloatingPointError(f"objective is not finite at iteration {t}")
-        model = CubicModel(b=v, A=U, penalty=penalty, hess_norm_bound=L)
-        sol = solve_exact(model, tol=config.exact_tol, dense_limit=config.dense_limit)
-        h_norm = float(np.linalg.norm(sol.h))
-        terminal = h_norm <= stop_radius
-        accepted = True
-        penalty_next = penalty
-        if not terminal and adaptive:
-            f_trial = batch_value(problem, ctx.x + sol.h, full, diag)
-            pred = -sol.m_value
-            ratio = (f_t - f_trial) / pred if pred > 0 else -math.inf
-            penalty_next, accepted = adaptive_penalty_update(penalty, ratio, policy)
-        trace.append(
-            TraceRow(
-                t=t,
-                f=f_t,
-                h_norm=h_norm,
-                m_value=sol.m_value,
-                Bg=Bg,
-                Bh=Bh,
-                Mt=penalty,
-                grad_calls=oracle.grad_calls,
-                hess_calls=oracle.hess_calls,
-                hvp_calls=oracle.hvp_calls,
-                wall_ms=(time.perf_counter() - start) * 1000.0,
-            )
-        )
-        if callback is not None:
-            callback(
-                IterationSnapshot(
-                    t=t,
-                    x=ctx.x.copy(),
-                    v=v,
-                    U=U,
-                    h=sol.h,
-                    m_value=sol.m_value,
-                    penalty=penalty,
-                    accepted=accepted or terminal,
-                )
-            )
-        ctx.x_prev = ctx.x
-        if terminal:
-            ctx.x = ctx.x + sol.h
-            exit_status = "converged"
-            break
-        if accepted:
-            ctx.x = ctx.x + sol.h
-            ctx.disp_norm = h_norm
-        else:
-            ctx.disp_norm = 0.0
-        penalty = penalty_next
-
-    f_out = batch_value(problem, ctx.x, full, diag)
-    return RunResult(
-        x_out=ctx.x,
-        exit=exit_status,
-        iterations=len(trace),
-        trace=trace,
-        counters=oracle,
-        diag_counters=diag,
-        f_out=f_out,
-        wall_ms_total=(time.perf_counter() - start) * 1000.0,
-    )
-
-
-def run_srvrc(
-    problem: FiniteSumProblem,
-    config: SolverConfig,
-    rng: np.random.Generator | None = None,
-    callback=None,
-) -> RunResult:
-    """Recursive gradient/Hessian estimators + exact cubic steps.
-
-    Stops with "converged" at the first step shorter than sqrt(eps/rho)
-    (taking that step), "budget-exhausted" after T iterations otherwise.
+    The Hessian-vector sample of the free variant has the same size at every
+    step, so it never depends on the previous step length.
     """
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    rule = config.batch or _theoretical_rule(problem, config, "srvrc")
     if isinstance(rule, TheoreticalBatchRule):
-        state = EstimatorState(S_g=rule.S_g, S_h=rule.S_h)
-    else:
-        state = EstimatorState(S_g=rule.S, S_h=rule.S)
-
-    def compute(t, ctx):
-        state.t = t
-        if isinstance(rule, TheoreticalBatchRule):
-            Bg = theoretical_batch_g(rule, t, ctx.disp_norm)
-            Bh = theoretical_batch_h(rule, t, ctx.disp_norm)
-        else:
-            Bg, Bh = practical_batch(rule, t)
-        Bg, Bh = min(Bg, problem.n), min(Bh, problem.n)
-        v = update_gradient_estimator(state, problem, ctx.x, ctx.x_prev, Bg, rng, ctx.oracle)
-        U = update_hessian_estimator(state, problem, ctx.x, ctx.x_prev, Bh, rng, ctx.oracle)
-        return v, U, Bg, Bh
-
-    return _run_exact_loop(problem, config, callback, compute)
+        Bg = theoretical_batch_g(rule, t, disp_norm)
+        return Bg, theoretical_batch_h(rule, t, None if free else disp_norm)
+    Bg, Bh = practical_batch(rule, t)
+    return Bg, rule.B_h if free else Bh
 
 
-def run_cr(problem: FiniteSumProblem, config: SolverConfig, callback=None) -> RunResult:
-    """Deterministic cubic regularization: full gradient and Hessian each step."""
-    full = full_index(problem)
-
-    def compute(t, ctx):
-        v = batch_gradient(problem, ctx.x, full, ctx.oracle)
-        U = batch_hessian(problem, ctx.x, full, ctx.oracle)
-        return v, U, problem.n, problem.n
-
-    return _run_exact_loop(problem, config, callback, compute)
-
-
-def run_scr(
+def _run(
     problem: FiniteSumProblem,
     config: SolverConfig,
-    rng: np.random.Generator | None = None,
-    callback=None,
+    rng: np.random.Generator | None,
+    callback,
+    variant: str,
 ) -> RunResult:
-    """Fresh fixed-size gradient/Hessian subsamples each step, no recursion."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    rule = config.batch
-    if not isinstance(rule, PracticalBatchRule):
-        raise ValueError("this driver needs a practical batch rule with fixed sizes")
+    """The outer loop of every driver; ``variant`` is "srvrc" or "srvrc_free".
 
-    def compute(t, ctx):
-        J = sample_multiset(rng, problem.n, rule.B_g)
-        I = sample_multiset(rng, problem.n, rule.B_h)
-        v = batch_gradient(problem, ctx.x, J, ctx.oracle)
-        U = batch_hessian(problem, ctx.x, I, ctx.oracle)
-        return v, U, J.size, I.size
-
-    return _run_exact_loop(problem, config, callback, compute)
-
-
-def run_srvrc_free(
-    problem: FiniteSumProblem,
-    config: SolverConfig,
-    rng: np.random.Generator | None = None,
-    callback=None,
-) -> RunResult:
-    """Recursive gradient + per-step Hessian-vector closures, matvec-only solve.
-
-    Each iteration draws a fresh Hessian subsample whose averaged product
-    closure backs the budgeted subsolver.  While the model decrease beats
-    -4 eps^{3/2} / sqrt(rho) the step is taken and the loop continues; the
-    first time it does not, the polishing solver drives the model gradient
-    below eps, that last step is taken, and the run reports converged.
+    "srvrc" forms the curvature by the recursive dense Hessian estimator and
+    solves exactly (radius test); "srvrc_free" forms it as a Hessian-vector
+    closure over a fresh sample and solves with the subsolver, falling back
+    to the finalsolver on its last step (decrease test).
     """
+    free = variant == "srvrc_free"
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     eps, rho, L, _, xi, T = _resolve(problem, config)
+    rule = config.batch or _theoretical_rule(problem, config, variant)
+    if isinstance(rule, TheoreticalBatchRule):
+        S_g, S_h = rule.S_g, rule.S_h
+    else:
+        S_g = S_h = rule.S
+    if free and not config.gradient_recursion:
+        S_g = 1  # a fresh gradient every step is a recursion that resets every step
+    state = EstimatorState(S_g=S_g, S_h=S_h)
     policy = config.penalty
     penalty = _initial_penalty(policy, rho)
     adaptive = isinstance(policy, AdaptivePenalty)
-    rule = config.batch or _theoretical_rule(problem, config, "srvrc_free")
-    state = EstimatorState(
-        S_g=rule.S_g if isinstance(rule, TheoreticalBatchRule) else rule.S, S_h=1
-    )
+    radius = math.sqrt(eps / rho)
     eta = config.subsolver_eta if config.subsolver_eta is not None else 1.0 / (16.0 * L)
-    zeta = math.sqrt(eps / rho)
     fail_prob = (
         config.subsolver_fail_prob
         if config.subsolver_fail_prob is not None
@@ -470,42 +327,43 @@ def run_srvrc_free(
 
     for t in range(T):
         state.t = t
-        if isinstance(rule, TheoreticalBatchRule):
-            Bg = theoretical_batch_g(rule, t, disp_norm)
-            Bh = theoretical_batch_h(rule, t, None)
-        else:
-            Bg = practical_batch(rule, t)[0]
-            Bh = rule.B_h  # constant Hessian-sample size in practical mode
+        Bg, Bh = _batch_sizes(rule, t, disp_norm, free)
         Bg, Bh = min(Bg, problem.n), min(Bh, problem.n)
-        if config.gradient_recursion:
-            v = update_gradient_estimator(state, problem, x, x_prev, Bg, rng, oracle)
+        v = update_gradient_estimator(state, problem, x, x_prev, Bg, rng, oracle)
+        if free:
+            U = None
+            I = sample_multiset(rng, problem.n, Bh)
+
+            def A(vec, idx=I, point=x):
+                return batch_hvp(problem, point, idx, vec, oracle)
+
         else:
-            J = sample_multiset(rng, problem.n, Bg)
-            v = batch_gradient(problem, x, J, oracle)
-            state.v = v
-        I = sample_multiset(rng, problem.n, Bh)
-        x_here = x
-
-        def hvp_closure(vec, idx=I, point=x_here):
-            return batch_hvp(problem, point, idx, vec, oracle)
-
+            U = A = update_hessian_estimator(state, problem, x, x_prev, Bh, rng, oracle)
+        for name, estimate in (("gradient", v), ("Hessian", U)):
+            if estimate is not None and not np.isfinite(estimate).all():
+                raise FloatingPointError(f"{name} estimate is not finite at iteration {t}")
         f_t = batch_value(problem, x, full, diag)
         if not math.isfinite(f_t):
             raise FloatingPointError(f"objective is not finite at iteration {t}")
-        model = CubicModel(b=v, A=hvp_closure, penalty=penalty, hess_norm_bound=L)
-        sol = cubic_subsolver(
-            model,
-            eta,
-            zeta,
-            config.subsolver_quality,
-            fail_prob,
-            rng,
-            max_iters=config.subsolver_max_iters,
-        )
-        terminal = not (sol.m_value < decrease_floor)
-        if terminal:
-            sol = cubic_finalsolver(model, eta, eps_g, config.finalsolver_max_iters)
+        model = CubicModel(b=v, A=A, penalty=penalty, hess_norm_bound=L)
+        if free:
+            sol = cubic_subsolver(
+                model,
+                eta,
+                radius,
+                config.subsolver_quality,
+                fail_prob,
+                rng,
+                max_iters=config.subsolver_max_iters,
+            )
+            terminal = not (sol.m_value < decrease_floor)
+            if terminal:
+                sol = cubic_finalsolver(model, eta, eps_g, config.finalsolver_max_iters)
+        else:
+            sol = solve_exact(model, tol=config.exact_tol, dense_limit=config.dense_limit)
         h_norm = float(np.linalg.norm(sol.h))
+        if not free:
+            terminal = h_norm <= radius
         accepted = True
         penalty_next = penalty
         if not terminal and adaptive:
@@ -534,7 +392,7 @@ def run_srvrc_free(
                     t=t,
                     x=x.copy(),
                     v=v,
-                    U=None,
+                    U=U,
                     h=sol.h,
                     m_value=sol.m_value,
                     penalty=penalty,
@@ -564,3 +422,62 @@ def run_srvrc_free(
         f_out=f_out,
         wall_ms_total=(time.perf_counter() - start) * 1000.0,
     )
+
+
+def run_srvrc(
+    problem: FiniteSumProblem,
+    config: SolverConfig,
+    rng: np.random.Generator | None = None,
+    callback=None,
+) -> RunResult:
+    """Recursive gradient/Hessian estimators + exact cubic steps.
+
+    Stops with "converged" at the first step shorter than sqrt(eps/rho)
+    (taking that step), "budget-exhausted" after T iterations otherwise.
+    """
+    return _run(problem, config, rng, callback, "srvrc")
+
+
+def run_srvrc_free(
+    problem: FiniteSumProblem,
+    config: SolverConfig,
+    rng: np.random.Generator | None = None,
+    callback=None,
+) -> RunResult:
+    """Recursive gradient + per-step Hessian-vector closures, matvec-only solve.
+
+    Each iteration draws a fresh Hessian subsample whose averaged product
+    closure backs the budgeted subsolver.  While the model decrease beats
+    -4 eps^{3/2} / sqrt(rho) the step is taken and the loop continues; the
+    first time it does not, the polishing solver drives the model gradient
+    below eps, that last step is taken, and the run reports converged.
+    With ``gradient_recursion=False`` the gradient is re-sampled every step.
+    """
+    return _run(problem, config, rng, callback, "srvrc_free")
+
+
+def run_cr(problem: FiniteSumProblem, config: SolverConfig, callback=None) -> RunResult:
+    """Deterministic cubic regularization: full gradient and Hessian each step.
+
+    This is run_srvrc with the batch rule PracticalBatchRule(n, n, 1); full
+    batches consume no randomness.
+    """
+    rule = PracticalBatchRule(B_g=problem.n, B_h=problem.n, S=1)
+    return run_srvrc(problem, replace(config, batch=rule), callback=callback)
+
+
+def run_scr(
+    problem: FiniteSumProblem,
+    config: SolverConfig,
+    rng: np.random.Generator | None = None,
+    callback=None,
+) -> RunResult:
+    """Fresh fixed-size gradient/Hessian subsamples each step, no recursion.
+
+    This is run_srvrc with the configured practical rule's epoch length set
+    to 1, so every step resets both estimates from (B_g, B_h) samples.
+    """
+    rule = config.batch
+    if not isinstance(rule, PracticalBatchRule):
+        raise ValueError("this driver needs a practical batch rule with fixed sizes")
+    return run_srvrc(problem, replace(config, batch=replace(rule, S=1)), rng, callback)

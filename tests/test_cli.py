@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from vrcubic import cli, drivers
 from vrcubic.cli import (
     TRACE_COLUMNS,
     ConfigError,
     build_problem,
+    build_solver_config,
     certify_constant,
     check_problem,
     load_config,
@@ -401,3 +403,63 @@ class TestCertifyConstant:
         assert certify_constant("cr") == 600.0
         assert certify_constant("scr") == 600.0
         assert certify_constant("srvrc_free") == 1300.0
+
+
+class TestTracedImportSites:
+    """The benchmark traces a run by replacing functions where they are looked
+    up: the drivers as vrcubic.cli globals, the layers below as vrcubic.drivers
+    globals.  A replaced function has to be the one the run calls."""
+
+    SITES = (
+        "update_gradient_estimator",
+        "update_hessian_estimator",
+        "solve_exact",
+        "cubic_subsolver",
+        "cubic_finalsolver",
+        "adaptive_penalty_update",
+        "sample_multiset",
+        "batch_value",
+    )
+    CALLED = {
+        "srvrc": {
+            "run_srvrc",
+            "update_gradient_estimator",
+            "update_hessian_estimator",
+            "solve_exact",
+            "adaptive_penalty_update",
+            "batch_value",
+        },
+        "srvrc_free": {
+            "run_srvrc_free",
+            "update_gradient_estimator",
+            "sample_multiset",
+            "cubic_subsolver",
+            "cubic_finalsolver",
+            "adaptive_penalty_update",
+            "batch_value",
+        },
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(CALLED))
+    def test_every_wrapper_is_called(self, algorithm, monkeypatch):
+        called = set()
+
+        def wrap(module, name):
+            original = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                called.add(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        for name in ("run_srvrc", "run_srvrc_free"):
+            wrap(cli, name)
+        for name in self.SITES:
+            wrap(drivers, name)
+        cfg = base_config()
+        cfg["solver"].update(penalty={"mode": "adaptive"}, subsolver_max_iters=300)
+        problem = build_problem(cfg["problem"])
+        result = cli.run_algorithm(algorithm, problem, build_solver_config(cfg["solver"], algorithm, problem))
+        assert result.exit == "converged"
+        assert called == self.CALLED[algorithm]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,47 @@ def bowl_problem(center, n=3):
         lipschitz_hess=1.0,
         grad_bound=np.inf,
     )
+
+
+def nan_after_first_step_problem(kind):
+    """Bowl around (1, -2) whose gradient or Hessian is NaN away from the origin start."""
+    c = np.array([1.0, -2.0])
+
+    def moved(x):
+        return bool(np.any(x != 0.0))
+
+    def grad(i, x):
+        return np.full(2, np.nan) if kind == "gradient" and moved(x) else x - c
+
+    def hess(i, x):
+        return np.full((2, 2), np.nan) if kind == "Hessian" and moved(x) else np.eye(2)
+
+    return FiniteSumProblem(
+        n=3,
+        dim=2,
+        component_value=lambda i, x: 0.5 * float(np.sum((x - c) ** 2)),
+        component_grad=grad,
+        component_hess=hess,
+        lipschitz_grad=1.0,
+        lipschitz_hess=1.0,
+        grad_bound=np.inf,
+    )
+
+
+def trace_rows(result):
+    """Every trace column but the wall clock."""
+    return [
+        {k: v for k, v in dataclasses.asdict(row).items() if k != "wall_ms"}
+        for row in result.trace
+    ]
+
+
+def assert_same_run(a, b):
+    assert a.exit == b.exit
+    assert np.array_equal(a.x_out, b.x_out)
+    assert trace_rows(a) == trace_rows(b)
+    assert a.counters == b.counters
+    assert a.diag_counters == b.diag_counters
 
 
 def cosine_problem():
@@ -201,6 +243,74 @@ class TestEquivalences:
         for a, b in zip(sub.trace, ref.trace):
             assert_allclose(a.f, b.f, rtol=1e-10, atol=1e-12)
         assert_allclose(sub.x_out, ref.x_out, atol=1e-10)
+
+    @pytest.mark.parametrize("penalty", [TheoreticalPenalty(), AdaptivePenalty()])
+    def test_scr_is_srvrc_with_unit_epochs(self, penalty):
+        problem = make_synthetic(3, 400, 8)
+        base = dict(eps=1e-3, T=30, x0=np.full(8, 0.8), penalty=penalty, seed=4)
+        scr = run_scr(problem, SolverConfig(batch=PracticalBatchRule(120, 60, 3), **base))
+        vr = run_srvrc(problem, SolverConfig(batch=PracticalBatchRule(120, 60, 1), **base))
+        assert_same_run(scr, vr)
+
+    @pytest.mark.parametrize("penalty", [TheoreticalPenalty(), AdaptivePenalty()])
+    def test_cr_is_srvrc_with_full_batches(self, penalty):
+        problem = make_synthetic(3, 400, 8)
+        base = dict(eps=1e-3, T=30, x0=np.full(8, 0.8), penalty=penalty)
+        cr = run_cr(problem, SolverConfig(**base))
+        rule = PracticalBatchRule(problem.n, problem.n, 1)
+        assert_same_run(cr, run_srvrc(problem, SolverConfig(batch=rule, **base)))
+
+
+# (exit, iterations, oracle bill, diagnostic bill) of seeded runs on
+# make_synthetic(3, 400, 8); a bill is (grad, hess, hvp, value) calls.
+GOLDEN_RUNS = {
+    "srvrc-theoretical": (
+        run_srvrc, {},
+        ("converged", 9, (3600, 6800, 0, 0), (0, 0, 0, 4000)),
+    ),
+    "srvrc-practical-adaptive": (
+        run_srvrc, {"batch": PracticalBatchRule(80, 40, 4), "penalty": AdaptivePenalty()},
+        ("converged", 11, (560, 280, 0, 0), (0, 0, 0, 8800)),
+    ),
+    "cr-adaptive": (
+        run_cr, {"penalty": AdaptivePenalty()},
+        ("converged", 4, (1600, 1600, 0, 0), (0, 0, 0, 3200)),
+    ),
+    "scr": (
+        run_scr, {"batch": PracticalBatchRule(120, 60, 2)},
+        ("budget-exhausted", 40, (4800, 2400, 0, 0), (0, 0, 0, 16400)),
+    ),
+    "srvrc_free-theoretical": (
+        run_srvrc_free, {"subsolver_max_iters": 300},
+        ("converged", 9, (3600, 0, 8400, 0), (0, 0, 0, 4000)),
+    ),
+    "srvrc_free-practical": (
+        run_srvrc_free, {"batch": PracticalBatchRule(100, 40, 4), "subsolver_max_iters": 300},
+        ("converged", 11, (700, 0, 1000, 0), (0, 0, 0, 4800)),
+    ),
+    "srvrc_free-fresh-gradient": (
+        run_srvrc_free,
+        {"batch": PracticalBatchRule(100, 40, 4), "subsolver_max_iters": 300,
+         "gradient_recursion": False},
+        ("budget-exhausted", 40, (1750, 0, 3200, 0), (0, 0, 0, 16400)),
+    ),
+}
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_exit_iterations_and_bills(self, name):
+        runner, options, expected = GOLDEN_RUNS[name]
+        problem = make_synthetic(3, 400, 8)
+        config = SolverConfig(eps=1e-3, T=40, x0=np.full(8, 0.8), seed=5, **options)
+        result = runner(problem, config)
+        got = (
+            result.exit,
+            result.iterations,
+            dataclasses.astuple(result.counters),
+            dataclasses.astuple(result.diag_counters),
+        )
+        assert got == expected
 
 
 class TestAccounting:
@@ -420,6 +530,24 @@ class TestValidation:
         config = SolverConfig(eps=1e-3, T=5)
         with pytest.raises(FloatingPointError, match="not finite"):
             run_cr(problem, config)
+
+    @pytest.mark.parametrize(
+        "runner,kind",
+        [
+            (run_srvrc, "gradient"),
+            (run_srvrc, "Hessian"),
+            (run_srvrc_free, "gradient"),
+            (run_cr, "gradient"),
+            (run_cr, "Hessian"),
+            (run_scr, "gradient"),
+            (run_scr, "Hessian"),
+        ],
+    )
+    def test_nonfinite_estimate_names_its_iteration(self, runner, kind):
+        problem = nan_after_first_step_problem(kind)
+        config = SolverConfig(eps=1e-3, T=5, batch=PracticalBatchRule(3, 3, 2))
+        with pytest.raises(FloatingPointError, match=f"{kind} estimate is not finite at iteration 1"):
+            runner(problem, config)
 
 
 class TestCallbacks:
