@@ -4,7 +4,7 @@ The package finds points where both the gradient is small and the Hessian has
 no strongly negative eigenvalue, touching as few component derivatives as it
 can.  Rough map:
 
-* finite_sum   -- problem container, component oracles, evaluation counters.
+* finite_sum   -- problem container, batch oracle kernels, evaluation counters.
 * objectives   -- logistic regression (binary/multiclass) and synthetic tasks.
 * cubic        -- cubic-model subproblem solvers (exact and matvec-only).
 * estimators   -- recursive variance-reduced gradient/Hessian estimators.

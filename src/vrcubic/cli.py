@@ -371,12 +371,10 @@ def check_problem(
     full = full_index(problem)
     max_grad_err = 0.0
     max_hvp_err = 0.0
-    has_hess = problem.component_hess is not None or problem.batch_hess_fn is not None
-    has_hvp = has_hess or problem.component_hvp is not None or problem.batch_hvp_fn is not None
     for _ in range(points):
         x = 0.5 * rng.standard_normal(problem.dim)
         max_grad_err = max(max_grad_err, finite_diff_grad_check(problem, x, step=1e-5))
-        if has_hess and has_hvp:
+        if problem.batch_hess_fn is not None and problem.batch_hvp_fn is not None:
             v = rng.standard_normal(problem.dim)
             H = batch_hessian(problem, x, full, counter)
             hv = batch_hvp(problem, x, full, v, counter)

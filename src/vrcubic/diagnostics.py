@@ -95,10 +95,6 @@ def min_eigenvalue(
     raise EigensolverError(f"power iteration did not converge in {max_iters} steps")
 
 
-def _has_hessian(problem: FiniteSumProblem) -> bool:
-    return problem.component_hess is not None or problem.batch_hess_fn is not None
-
-
 def _lambda_min_via_hvp(
     problem: FiniteSumProblem,
     x: np.ndarray,
@@ -115,8 +111,9 @@ def _lambda_min_via_hvp(
         matvec=lambda v: batch_hvp(problem, x, full, np.asarray(v, dtype=float).ravel(), counter),
         dtype=float,
     )
+    v0 = np.random.default_rng(0).standard_normal(d)  # ARPACK's own start is unseeded
     try:
-        vals = eigsh(op, k=1, which="SA", tol=tol, return_eigenvectors=False)
+        vals = eigsh(op, k=1, which="SA", tol=tol, v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise EigensolverError("Lanczos smallest-eigenvalue solve did not converge") from exc
     return float(vals[0])
@@ -137,7 +134,7 @@ def _mu_parts(
     full = full_index(problem)
     g = batch_gradient(problem, x, full, counter)
     grad_norm = float(np.linalg.norm(g))
-    if _has_hessian(problem) and problem.dim <= dense_limit:
+    if problem.batch_hess_fn is not None and problem.dim <= dense_limit:
         H = batch_hessian(problem, x, full, counter)
         lam = min_eigenvalue(H, tol=eig_tol, dense_limit=dense_limit)
     else:

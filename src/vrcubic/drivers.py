@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cubic import CubicModel, cubic_finalsolver, cubic_subsolver, solve_exact
+from .cubic import CubicModel, SolverDivergenceError, cubic_finalsolver, cubic_subsolver, solve_exact
 from .estimators import (
     EstimatorState,
     PracticalBatchRule,
@@ -347,18 +347,21 @@ def _run(
             raise FloatingPointError(f"objective is not finite at iteration {t}")
         model = CubicModel(b=v, A=A, penalty=penalty, hess_norm_bound=L)
         if free:
-            sol = cubic_subsolver(
-                model,
-                eta,
-                radius,
-                config.subsolver_quality,
-                fail_prob,
-                rng,
-                max_iters=config.subsolver_max_iters,
-            )
-            terminal = not (sol.m_value < decrease_floor)
-            if terminal:
-                sol = cubic_finalsolver(model, eta, eps_g, config.finalsolver_max_iters)
+            try:
+                sol = cubic_subsolver(
+                    model,
+                    eta,
+                    radius,
+                    config.subsolver_quality,
+                    fail_prob,
+                    rng,
+                    max_iters=config.subsolver_max_iters,
+                )
+                terminal = not (sol.m_value < decrease_floor)
+                if terminal:
+                    sol = cubic_finalsolver(model, eta, eps_g, config.finalsolver_max_iters)
+            except SolverDivergenceError as exc:
+                raise SolverDivergenceError(f"iteration {t} (penalty {penalty:g}): {exc}") from exc
         else:
             sol = solve_exact(model, tol=config.exact_tol, dense_limit=config.dense_limit)
         h_norm = float(np.linalg.norm(sol.h))

@@ -180,6 +180,21 @@ def practical_batch(rule: PracticalBatchRule, t: int) -> tuple[int, int]:
     return max(1, rule.B_g // rule.S), max(1, rule.B_h // rule.S)
 
 
+def _recursive_update(state, problem, x_t, x_prev, B, rng, counter, reset_due, previous, oracle):
+    """One step of the recursion shared by both estimators; returns the new estimate.
+
+    Epoch resets rebuild from scratch and never touch x_prev or the previous
+    estimate.  Off-epoch steps evaluate one shared multiset at both points
+    (2B charges).
+    """
+    J = sample_multiset(rng, problem.n, B)
+    if reset_due:
+        return oracle(problem, x_t, J, counter)
+    if previous is None or x_prev is None:
+        raise ValueError(f"step {state.t} continues an epoch but no previous estimate is set")
+    return oracle(problem, x_t, J, counter) - oracle(problem, x_prev, J, counter) + previous
+
+
 def update_gradient_estimator(
     state: EstimatorState,
     problem: FiniteSumProblem,
@@ -189,27 +204,11 @@ def update_gradient_estimator(
     rng: np.random.Generator,
     counter: OracleCounter | None = None,
 ) -> np.ndarray:
-    """Advance the gradient recursion at the current state clock; returns v_t.
-
-    Epoch resets rebuild from scratch and never touch x_prev or the previous
-    estimate.  Off-epoch steps evaluate one shared multiset at both points
-    (2B gradient charges).
-    """
-    J = sample_multiset(rng, problem.n, B)
-    if state.grad_reset_due:
-        v = batch_gradient(problem, x_t, J, counter)
-    else:
-        if state.v is None or x_prev is None:
-            raise ValueError(
-                f"step {state.t} continues an epoch but no previous estimate is set"
-            )
-        v = (
-            batch_gradient(problem, x_t, J, counter)
-            - batch_gradient(problem, x_prev, J, counter)
-            + state.v
-        )
-    state.v = v
-    return v
+    """Advance the gradient recursion at the current state clock; returns v_t."""
+    state.v = _recursive_update(
+        state, problem, x_t, x_prev, B, rng, counter, state.grad_reset_due, state.v, batch_gradient
+    )
+    return state.v
 
 
 def update_hessian_estimator(
@@ -222,18 +221,7 @@ def update_hessian_estimator(
     counter: OracleCounter | None = None,
 ) -> np.ndarray:
     """Advance the Hessian recursion at the current state clock; returns U_t."""
-    I = sample_multiset(rng, problem.n, B)
-    if state.hess_reset_due:
-        U = batch_hessian(problem, x_t, I, counter)
-    else:
-        if state.U is None or x_prev is None:
-            raise ValueError(
-                f"step {state.t} continues an epoch but no previous estimate is set"
-            )
-        U = (
-            batch_hessian(problem, x_t, I, counter)
-            - batch_hessian(problem, x_prev, I, counter)
-            + state.U
-        )
-    state.U = U
-    return U
+    state.U = _recursive_update(
+        state, problem, x_t, x_prev, B, rng, counter, state.hess_reset_due, state.U, batch_hessian
+    )
+    return state.U

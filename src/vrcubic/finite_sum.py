@@ -1,9 +1,10 @@
 """Finite-sum problems F(x) = (1/n) sum_i f_i(x) and their sampled oracles.
 
-A problem bundles per-component value/gradient/Hessian/Hessian-vector
-oracles together with smoothness metadata.  Everything downstream (batch
-estimators, drivers, diagnostics) goes through the batch_* functions in
-this module so that oracle accounting stays in one place.
+A problem bundles batch kernels -- multiset means of the component values,
+gradients, Hessians or Hessian-vector products -- with smoothness metadata.
+Everything downstream (batch estimators, drivers, diagnostics) goes through
+the batch_* functions in this module, which call those kernels only, so
+that oracle accounting stays in one place.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ __all__ = [
     "batch_hvp",
     "full_index",
 ]
+
+
+# oracle kinds: each names a batch_<kind>_fn kernel and an OracleCounter.<kind>_calls
+_ORACLE_NAMES = {"value": "value", "grad": "gradient", "hess": "Hessian", "hvp": "Hessian-vector"}
 
 
 @dataclass
@@ -47,29 +52,34 @@ class OracleCounter:
 
 @dataclass
 class FiniteSumProblem:
-    """F(x) = (1/n) sum_{i<n} f_i(x) with component oracles.
+    """F(x) = (1/n) sum_{i<n} f_i(x), given by batch kernels or component oracles.
 
     Parameters
     ----------
     n, dim : number of components and ambient dimension.
-    component_value / component_grad : required oracles, called as (i, x).
+    component_value / component_grad : per-component oracles, called as (i, x).
     component_hess : optional explicit d x d Hessian oracle.
     component_hvp : optional Hessian-vector oracle, called as (i, x, v).
     lipschitz_grad : L, gradient Lipschitz constant of every f_i.
     lipschitz_hess : rho > 0, Hessian Lipschitz constant of every f_i.
     grad_bound : bound on ||grad f_i(x) - grad F(x)||_2, np.inf if none holds.
-    batch_*_fn : optional vectorized kernels computing the multiset mean in
-        one shot; must agree with the per-component oracles.  Signature is
-        (idx, x) resp. (idx, x, v) with idx an integer array.
+    batch_*_fn : vectorized kernels computing the multiset mean in one shot;
+        must agree with the per-component oracles.  Signature is (idx, x)
+        resp. (idx, x, v) with idx an integer array.
 
-    Component indices are 0-based.  When only ``component_hess`` is given,
-    Hessian-vector products fall back to a dense multiply.
+    Either protocol is accepted, per oracle: a value and a gradient oracle
+    are required (component or kernel), the Hessian and Hessian-vector ones
+    are optional.  The kernels are canonical.  A missing kernel is lifted
+    from its component oracle as the mean over idx, accumulated in index
+    order; a missing component oracle is derived as its kernel on the
+    singleton [i].  When only ``component_hess`` is given, Hessian-vector
+    products are its dense product with v.  Component indices are 0-based.
     """
 
     n: int
     dim: int
-    component_value: Callable[[int, np.ndarray], float]
-    component_grad: Callable[[int, np.ndarray], np.ndarray]
+    component_value: Callable[[int, np.ndarray], float] | None = None
+    component_grad: Callable[[int, np.ndarray], np.ndarray] | None = None
     component_hess: Callable[[int, np.ndarray], np.ndarray] | None = None
     component_hvp: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
     lipschitz_grad: float = 1.0
@@ -91,6 +101,38 @@ class FiniteSumProblem:
             raise ValueError("lipschitz_hess must be positive")
         if not self.lipschitz_grad > 0:
             raise ValueError("lipschitz_grad must be positive")
+        hess = self.component_hess
+        if self.batch_hvp_fn is None and self.component_hvp is None and hess is not None:
+            self.component_hvp = lambda i, x, v: hess(i, x) @ v
+        d = self.dim
+        for kind, shape in (("value", ()), ("grad", (d,)), ("hess", (d, d)), ("hvp", (d,))):
+            component, kernel = getattr(self, f"component_{kind}"), getattr(self, f"batch_{kind}_fn")
+            if kernel is None and component is not None:
+                setattr(self, f"batch_{kind}_fn", _index_order_mean(component, shape))
+            elif component is None and kernel is not None:
+                setattr(self, f"component_{kind}", _singleton(kernel))
+            elif kernel is None and kind in ("value", "grad"):
+                raise ValueError(
+                    f"problem {self.name!r} has no {_ORACLE_NAMES[kind]} oracle: "
+                    f"give component_{kind} or batch_{kind}_fn"
+                )
+
+
+def _index_order_mean(oracle, shape):
+    """Kernel from a component oracle: the mean over idx, summed in index order."""
+
+    def kernel(idx, x, *v):
+        acc = np.zeros(shape)
+        for i in idx:
+            acc += oracle(int(i), x, *v)
+        return acc / idx.size
+
+    return kernel
+
+
+def _singleton(kernel):
+    """Component oracle from a kernel: the kernel on the one-element multiset [i]."""
+    return lambda i, x, *v: kernel(np.array([i]), x, *v)
 
 
 def full_index(problem: FiniteSumProblem) -> np.ndarray:
@@ -116,7 +158,11 @@ def sample_multiset(rng: np.random.Generator, n: int, B: int) -> np.ndarray:
     return idx
 
 
-def _check_idx(problem: FiniteSumProblem, idx: np.ndarray) -> np.ndarray:
+def _charge(problem: FiniteSumProblem, idx: np.ndarray, counter: OracleCounter | None, kind: str):
+    """Validate idx, then charge |idx| ``kind`` calls; returns (kernel, idx).
+
+    A bad index multiset or a missing kernel raises before anything is charged.
+    """
     idx = np.asarray(idx)
     if idx.size == 0:
         raise ValueError("empty index multiset")
@@ -125,7 +171,12 @@ def _check_idx(problem: FiniteSumProblem, idx: np.ndarray) -> np.ndarray:
             f"component index out of range [0, {problem.n}): "
             f"got {int(idx.min())}..{int(idx.max())}"
         )
-    return idx
+    kernel = getattr(problem, f"batch_{kind}_fn")
+    if kernel is None:
+        raise ValueError(f"problem {problem.name!r} has no {_ORACLE_NAMES[kind]} oracle")
+    if counter is not None:
+        setattr(counter, f"{kind}_calls", getattr(counter, f"{kind}_calls") + idx.size)
+    return kernel, idx
 
 
 def batch_value(
@@ -135,15 +186,8 @@ def batch_value(
     counter: OracleCounter | None = None,
 ) -> float:
     """Multiset mean of f_i(x) over idx; charges |idx| value calls."""
-    idx = _check_idx(problem, idx)
-    if counter is not None:
-        counter.value_calls += idx.size
-    if problem.batch_value_fn is not None:
-        return float(problem.batch_value_fn(idx, x))
-    total = 0.0
-    for i in idx:
-        total += problem.component_value(int(i), x)
-    return total / idx.size
+    fn, idx = _charge(problem, idx, counter, "value")
+    return float(fn(idx, x))
 
 
 def batch_gradient(
@@ -153,15 +197,8 @@ def batch_gradient(
     counter: OracleCounter | None = None,
 ) -> np.ndarray:
     """Multiset mean of grad f_i(x) over idx; charges |idx| gradient calls."""
-    idx = _check_idx(problem, idx)
-    if counter is not None:
-        counter.grad_calls += idx.size
-    if problem.batch_grad_fn is not None:
-        return np.asarray(problem.batch_grad_fn(idx, x), dtype=float)
-    acc = np.zeros(problem.dim)
-    for i in idx:
-        acc += problem.component_grad(int(i), x)
-    return acc / idx.size
+    fn, idx = _charge(problem, idx, counter, "grad")
+    return np.asarray(fn(idx, x), dtype=float)
 
 
 def batch_hessian(
@@ -171,17 +208,8 @@ def batch_hessian(
     counter: OracleCounter | None = None,
 ) -> np.ndarray:
     """Multiset mean of the component Hessians; charges |idx| Hessian calls."""
-    idx = _check_idx(problem, idx)
-    if problem.batch_hess_fn is None and problem.component_hess is None:
-        raise ValueError(f"problem {problem.name!r} has no Hessian oracle")
-    if counter is not None:
-        counter.hess_calls += idx.size
-    if problem.batch_hess_fn is not None:
-        return np.asarray(problem.batch_hess_fn(idx, x), dtype=float)
-    acc = np.zeros((problem.dim, problem.dim))
-    for i in idx:
-        acc += problem.component_hess(int(i), x)
-    return acc / idx.size
+    fn, idx = _charge(problem, idx, counter, "hess")
+    return np.asarray(fn(idx, x), dtype=float)
 
 
 def batch_hvp(
@@ -192,19 +220,5 @@ def batch_hvp(
     counter: OracleCounter | None = None,
 ) -> np.ndarray:
     """Multiset mean of grad^2 f_i(x) @ v; charges |idx| product calls."""
-    idx = _check_idx(problem, idx)
-    if counter is not None:
-        counter.hvp_calls += idx.size
-    if problem.batch_hvp_fn is not None:
-        return np.asarray(problem.batch_hvp_fn(idx, x, v), dtype=float)
-    if problem.component_hvp is not None:
-        acc = np.zeros(problem.dim)
-        for i in idx:
-            acc += problem.component_hvp(int(i), x, v)
-        return acc / idx.size
-    if problem.component_hess is not None:
-        acc = np.zeros(problem.dim)
-        for i in idx:
-            acc += problem.component_hess(int(i), x) @ v
-        return acc / idx.size
-    raise ValueError(f"problem {problem.name!r} has no Hessian-vector oracle")
+    fn, idx = _charge(problem, idx, counter, "hvp")
+    return np.asarray(fn(idx, x, v), dtype=float)

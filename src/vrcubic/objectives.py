@@ -32,6 +32,8 @@ _REG_CURV_BOUND = 2.0
 _REG_THIRD_BOUND = 4.67
 # sup_z |sigma''(z)| for the logistic sigmoid
 _SIGMOID_CURV_CHANGE = 1.0 / (6.0 * math.sqrt(3.0))
+# the multiclass dense Hessian kernel is attached only up to this many weights
+_DENSE_HESSIAN_LIMIT = 2000
 
 
 def _reg_value(w: np.ndarray) -> float:
@@ -224,15 +226,9 @@ def binary_logreg_from_arrays(
         s = _sigmoid(Xb @ w)
         return Xb.T @ ((s * (1.0 - s)) * (Xb @ v)) / idx.size + lam * _reg_curv(w) * v
 
-    one = np.array([0])
-
     return FiniteSumProblem(
         n=n,
         dim=d,
-        component_value=lambda i, w: bval(one + i, w),
-        component_grad=lambda i, w: bgrad(one + i, w),
-        component_hess=lambda i, w: bhess(one + i, w),
-        component_hvp=lambda i, w, v: bhvp(one + i, w, v),
         lipschitz_grad=rmax**2 / 4.0 + _REG_CURV_BOUND * lam,
         lipschitz_hess=_SIGMOID_CURV_CHANGE * rmax**3 + _REG_THIRD_BOUND * lam,
         grad_bound=2.0 * rmax,
@@ -265,7 +261,6 @@ def multiclass_logreg_from_arrays(
     num_classes: int,
     lam: float = 1e-3,
     printed_regularizer: bool = False,
-    dense_hessian_limit: int = 2000,
 ) -> FiniteSumProblem:
     """Softmax cross-entropy over a flattened (m*d,) weight vector.
 
@@ -273,7 +268,7 @@ def multiclass_logreg_from_arrays(
     ``printed_regularizer`` switches the penalty from sum w^2/(1+w^2) to
     sum (1+w^2); the latter is an additive-constant-shifted ridge kept for
     reproducing runs configured that way.  The explicit Hessian oracle is
-    only attached when m*d <= dense_hessian_limit.
+    only attached when m*d <= _DENSE_HESSIAN_LIMIT.
     """
     X = np.asarray(X, dtype=float)
     class_id = np.asarray(class_id, dtype=int)
@@ -328,23 +323,18 @@ def multiclass_logreg_from_arrays(
         H[np.diag_indices(m * d)] += lam * rcurv(w)
         return H
 
-    one = np.array([0])
     reg_curv_bound = 2.0  # both penalties
     reg_third_bound = 0.0 if printed_regularizer else _REG_THIRD_BOUND
 
     return FiniteSumProblem(
         n=n,
         dim=m * d,
-        component_value=lambda i, w: bval(one + i, w),
-        component_grad=lambda i, w: bgrad(one + i, w),
-        component_hess=(lambda i, w: bhess(one + i, w)) if m * d <= dense_hessian_limit else None,
-        component_hvp=lambda i, w, v: bhvp(one + i, w, v),
         lipschitz_grad=rmax**2 / 2.0 + reg_curv_bound * lam,
         lipschitz_hess=rmax**3 + reg_third_bound * lam,
         grad_bound=2.0 * math.sqrt(2.0) * rmax,
         batch_value_fn=bval,
         batch_grad_fn=bgrad,
-        batch_hess_fn=bhess if m * d <= dense_hessian_limit else None,
+        batch_hess_fn=bhess if m * d <= _DENSE_HESSIAN_LIMIT else None,
         batch_hvp_fn=bhvp,
         name="multiclass-logreg",
         extra={"lam": lam, "num_classes": m, "printed_regularizer": printed_regularizer},
@@ -414,15 +404,9 @@ def make_synthetic(
             out = out + alpha * _reg_curv(x) * v
         return out
 
-    one = np.array([0])
-
     return FiniteSumProblem(
         n=n,
         dim=d,
-        component_value=lambda i, x: bval(one + i, x),
-        component_grad=lambda i, x: bgrad(one + i, x),
-        component_hess=lambda i, x: bhess(one + i, x),
-        component_hvp=lambda i, x, v: bhvp(one + i, x, v),
         lipschitz_grad=1.0 + _REG_CURV_BOUND * alpha,
         lipschitz_hess=max(_REG_THIRD_BOUND * alpha, 1.0),
         grad_bound=np.inf,

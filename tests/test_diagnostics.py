@@ -198,6 +198,27 @@ class TestMuCriterion:
         assert counter.hvp_calls > 0
         assert counter.hess_calls == 0
 
+    def test_matvec_only_lanczos_is_deterministic(self):
+        # ARPACK's default start vector comes from its own unseeded generator,
+        # which moved the HVP bill (1550 vs 2050) between repeated calls
+        n, d = 50, 30
+        rng = np.random.default_rng(0)
+        G = rng.standard_normal((n, d, d))
+        A = (G + np.transpose(G, (0, 2, 1))) / (2.0 * math.sqrt(d))
+        problem = FiniteSumProblem(
+            n=n,
+            dim=d,
+            component_value=lambda i, x: 0.5 * float(x @ A[i] @ x),
+            component_grad=lambda i, x: A[i] @ x,
+            component_hvp=lambda i, x, v: A[i] @ v,
+        )
+        x = rng.standard_normal(d)
+        outcomes = set()
+        for _ in range(100):
+            counter = OracleCounter()
+            outcomes.add((mu_criterion(problem, x, rho=1.0, counter=counter), counter.hvp_calls))
+        assert len(outcomes) == 1
+
     def test_counter_charges_full_passes(self):
         problem = quadratic_bowl()
         counter = OracleCounter()

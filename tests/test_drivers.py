@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vrcubic.cubic import SolverDivergenceError
 from vrcubic.drivers import (
     AdaptivePenalty,
     FixedPenalty,
@@ -476,6 +477,25 @@ class TestMatvecDriver:
         config = SolverConfig(eps=1e-3, T=10, x0=np.full(4, 1.0), batch=rule)
         result = run_srvrc_free(problem, config)
         assert all(row.Bh == 16 for row in result.trace)
+
+    def test_divergence_names_iteration_and_penalty(self):
+        # rejections grow the adaptive penalty until the fixed subsolver step
+        # 1/(16 L) no longer keeps the gradient iteration stable
+        problem = make_synthetic(3, 400, 8)
+        config = SolverConfig(
+            eps=1e-3,
+            T=40,
+            x0=np.full(8, 0.8),
+            seed=0,
+            batch=PracticalBatchRule(60, 30, 3),
+            penalty=AdaptivePenalty(),
+            gradient_recursion=False,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverDivergenceError, match=r"iteration 26 \(penalty 32768\)") as info:
+                run_srvrc_free(problem, config)
+        assert isinstance(info.value.__cause__, SolverDivergenceError)
+        assert "diverged at gradient step" in str(info.value)
 
 
 class TestDeterminism:

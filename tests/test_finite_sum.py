@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vrcubic.drivers import AdaptivePenalty, SolverConfig, run_srvrc, run_srvrc_free
+from vrcubic.estimators import PracticalBatchRule
 from vrcubic.finite_sum import (
     FiniteSumProblem,
     OracleCounter,
@@ -218,3 +222,151 @@ class TestValidation:
                 lipschitz_grad=1.0,
                 lipschitz_hess=0.0,
             )
+
+
+def penalized_quadratics(n=40, d=4, seed=0):
+    """Data for f_i(x) = 0.5 x.A_i.x + b_i.x + 0.5 sum_j x_j^2 / (1 + x_j^2)."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, d, d))
+    A = 0.45 * (G + np.transpose(G, (0, 2, 1))) / np.sqrt(d)
+    b = rng.standard_normal((n, d)) / np.sqrt(d)
+    return A, b
+
+
+def _pen_value(x):
+    return 0.5 * float(np.sum(x * x / (1.0 + x * x)))
+
+
+def _pen_grad(x):
+    return x / (1.0 + x * x) ** 2
+
+
+def _pen_curv(x):
+    return (1.0 - 3.0 * x * x) / (1.0 + x * x) ** 3
+
+
+def component_problem(hess=True, hvp=True, n=40, d=4):
+    """The penalized quadratics given by per-component oracles only."""
+    A, b = penalized_quadratics(n, d)
+    return FiniteSumProblem(
+        n=n,
+        dim=d,
+        component_value=lambda i, x: 0.5 * float(x @ A[i] @ x) + float(b[i] @ x) + _pen_value(x),
+        component_grad=lambda i, x: A[i] @ x + b[i] + _pen_grad(x),
+        component_hess=(lambda i, x: A[i] + np.diag(_pen_curv(x))) if hess else None,
+        component_hvp=(lambda i, x, v: A[i] @ v + _pen_curv(x) * v) if hvp else None,
+        lipschitz_grad=3.0,
+        lipschitz_hess=2.5,
+    )
+
+
+def kernel_problem(n=40, d=4):
+    """The same penalized quadratics given by batch kernels only."""
+    A, b = penalized_quadratics(n, d)
+
+    def value(idx, x):
+        quad = 0.5 * np.einsum("i,kij,j->k", x, A[idx], x) + b[idx] @ x
+        return float(quad.mean()) + _pen_value(x)
+
+    return FiniteSumProblem(
+        n=n,
+        dim=d,
+        batch_value_fn=value,
+        batch_grad_fn=lambda idx, x: A[idx].mean(axis=0) @ x + b[idx].mean(axis=0) + _pen_grad(x),
+        batch_hess_fn=lambda idx, x: A[idx].mean(axis=0) + np.diag(_pen_curv(x)),
+        batch_hvp_fn=lambda idx, x, v: A[idx].mean(axis=0) @ v + _pen_curv(x) * v,
+        lipschitz_grad=3.0,
+        lipschitz_hess=2.5,
+    )
+
+
+def index_order_mean(oracle, idx, *args):
+    """Hand-written multiset mean: accumulate in index order, divide once."""
+    acc = 0.0
+    for i in idx:
+        acc = acc + oracle(int(i), *args)
+    return acc / len(idx)
+
+
+# (exit, iterations, oracle counters, diagnostic counters) of seeded runs on
+# the component-only, Hessian-only problem, captured before batch kernels
+# became the only oracle path.
+COMPONENT_GOLDEN_RUNS = {
+    "srvrc-adaptive": (
+        run_srvrc,
+        {"penalty": AdaptivePenalty()},
+        ("converged", 14, (208, 104, 0, 0), (0, 0, 0, 1120)),
+    ),
+    "srvrc_free": (run_srvrc_free, {}, ("converged", 36, (528, 0, 950, 0), (0, 0, 0, 1480))),
+}
+
+
+class TestOracleProtocol:
+    def test_kernel_only_problem_runs_both_drivers(self):
+        p = kernel_problem()
+        config = SolverConfig(eps=1e-2, T=60, x0=np.full(4, 0.8), batch=PracticalBatchRule(20, 10, 3))
+        for runner in (run_srvrc, run_srvrc_free):
+            result = runner(p, config)
+            assert result.exit == "converged"
+            assert np.isfinite(result.x_out).all()
+
+    def test_component_views_are_singleton_kernels(self):
+        p = kernel_problem()
+        x = np.array([0.3, -1.2, 0.7, 2.0])
+        v = np.array([1.0, 0.5, -0.25, 2.0])
+        for i in (0, 17, p.n - 1):
+            one = np.array([i])
+            assert p.component_value(i, x) == p.batch_value_fn(one, x)
+            assert np.array_equal(p.component_grad(i, x), p.batch_grad_fn(one, x))
+            assert np.array_equal(p.component_hess(i, x), p.batch_hess_fn(one, x))
+            assert np.array_equal(p.component_hvp(i, x, v), p.batch_hvp_fn(one, x, v))
+
+    @pytest.mark.parametrize("missing", ["value", "grad"])
+    def test_missing_value_or_gradient_oracle_rejected(self, missing):
+        oracles = {
+            "value": {"component_value": lambda i, x: 0.0},
+            "grad": {"batch_grad_fn": lambda idx, x: np.zeros(2)},
+        }
+        with pytest.raises(ValueError, match=missing):
+            FiniteSumProblem(n=1, dim=2, **oracles["grad" if missing == "value" else "value"])
+
+    @pytest.mark.parametrize("hvp", [True, False], ids=["hess+hvp", "hess-only"])
+    def test_component_only_batches_are_index_order_means(self, hvp):
+        p = component_problem(hvp=hvp)
+        q = component_problem()  # its oracles are the hand-written reference
+        x = np.array([0.3, -1.2, 0.7, 2.0])
+        v = np.array([1.0, 0.5, -0.25, 2.0])
+        idx = np.array([0, 3, 3, 9, 21, 39])
+        assert batch_value(p, x, idx) == index_order_mean(q.component_value, idx, x)
+        assert np.array_equal(batch_gradient(p, x, idx), index_order_mean(q.component_grad, idx, x))
+        assert np.array_equal(batch_hessian(p, x, idx), index_order_mean(q.component_hess, idx, x))
+        if hvp:
+            expected = index_order_mean(q.component_hvp, idx, x, v)
+        else:
+            expected = index_order_mean(lambda i, x: q.component_hess(i, x) @ v, idx, x)
+        assert np.array_equal(batch_hvp(p, x, idx, v), expected)
+
+    def test_missing_hvp_oracle_raises_before_charging(self):
+        p = component_problem(hess=False, hvp=False)
+        c = OracleCounter()
+        with pytest.raises(ValueError, match="Hessian-vector"):
+            batch_hvp(p, np.zeros(4), full_index(p), np.ones(4), c)
+        with pytest.raises(ValueError, match="Hessian"):
+            batch_hessian(p, np.zeros(4), full_index(p), c)
+        assert c == OracleCounter()
+
+    @pytest.mark.parametrize("name", sorted(COMPONENT_GOLDEN_RUNS))
+    def test_component_only_golden_bills(self, name):
+        runner, options, expected = COMPONENT_GOLDEN_RUNS[name]
+        p = component_problem(hvp=False)
+        config = SolverConfig(
+            eps=1e-3, T=60, x0=np.full(4, 0.8), seed=3, batch=PracticalBatchRule(20, 10, 3), **options
+        )
+        result = runner(p, config)
+        got = (
+            result.exit,
+            result.iterations,
+            dataclasses.astuple(result.counters),
+            dataclasses.astuple(result.diag_counters),
+        )
+        assert got == expected
