@@ -120,9 +120,7 @@ def _value_from_product(model, b, x, Ax) -> float:
     return float(b @ x + 0.5 * x @ Ax + model.penalty / 6.0 * hn**3)
 
 
-def solve_exact(
-    model: CubicModel, tol: float = 1e-12, dense_limit: int = 2000
-) -> CubicSolution:
+def solve_exact(model: CubicModel, tol: float = 1e-12) -> CubicSolution:
     """Global minimizer via eigendecomposition and secular root finding.
 
     Writing A = Q diag(e) Q^T and c = Q^T b, the minimizer solves
@@ -136,8 +134,6 @@ def solve_exact(
     if not model.is_explicit:
         raise ValueError("exact solver needs an explicit curvature matrix")
     d = model.dim
-    if d > dense_limit:
-        raise ValueError(f"dimension {d} exceeds dense solver limit {dense_limit}")
     tau = model.penalty
     eigvals, Q = np.linalg.eigh(model.A)
     c = Q.T @ model.b

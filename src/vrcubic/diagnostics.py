@@ -50,21 +50,11 @@ class LocalMinCertificate:
     eps_H: float
 
 
-def min_eigenvalue(
-    H: np.ndarray,
-    tol: float = 1e-10,
-    dense_limit: int = 2000,
-    max_iters: int = 200_000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Smallest eigenvalue of a symmetric matrix.
+def min_eigenvalue(H: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix, by dense eigendecomposition.
 
-    Dense eigendecomposition up to dense_limit rows; above that, power
-    iteration on the positive-definite shift c*I - H (c = max absolute column
-    sum, which dominates the spectral radius).  The iterative path stops when
-    the eigenpair residual drops below tol * max|H_ij|; that entrywise max is
-    a certified lower bound on the spectral norm, so the returned value is
-    within tol * ||H||_2 of the true eigenvalue.
+    Only problems within ``DENSE_LIMIT`` dimensions have a Hessian to pass
+    here; larger ones are measured by Lanczos on Hessian-vector products.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -72,27 +62,7 @@ def min_eigenvalue(
     scale = float(np.max(np.abs(H))) if H.size else 0.0
     if not np.allclose(H, H.T, atol=1e-8 * (1.0 + scale)):
         raise ValueError("matrix is not symmetric")
-    H = 0.5 * (H + H.T)
-    d = H.shape[0]
-    if d <= dense_limit:
-        return float(np.linalg.eigvalsh(H)[0])
-    if scale == 0.0:
-        return 0.0
-    c = float(np.max(np.abs(H).sum(axis=0)))
-    rng = rng if rng is not None else np.random.default_rng(0)
-    q = rng.standard_normal(d)
-    q /= np.linalg.norm(q)
-    for k in range(max_iters):
-        z = c * q - H @ q
-        theta = float(q @ z)
-        resid = float(np.linalg.norm(z - theta * q))
-        if resid <= tol * scale:
-            return c - theta
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:  # q is exactly in the nullspace of the shifted matrix
-            return c - theta
-        q = z / nz
-    raise EigensolverError(f"power iteration did not converge in {max_iters} steps")
+    return float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
 
 
 def _lambda_min_via_hvp(
@@ -124,7 +94,6 @@ def _mu_parts(
     x: np.ndarray,
     rho: float,
     counter: OracleCounter,
-    dense_limit: int,
     eig_tol: float,
 ) -> tuple[float, float, float]:
     """(mu, grad_norm, lambda_min) at x, using full-batch oracles."""
@@ -134,9 +103,8 @@ def _mu_parts(
     full = full_index(problem)
     g = batch_gradient(problem, x, full, counter)
     grad_norm = float(np.linalg.norm(g))
-    if problem.batch_hess_fn is not None and problem.dim <= dense_limit:
-        H = batch_hessian(problem, x, full, counter)
-        lam = min_eigenvalue(H, tol=eig_tol, dense_limit=dense_limit)
+    if problem.batch_hess_fn is not None:
+        lam = min_eigenvalue(batch_hessian(problem, x, full, counter))
     else:
         lam = _lambda_min_via_hvp(problem, x, counter, eig_tol)
     mu = max(grad_norm**1.5, max(0.0, -lam) ** 3 / rho**1.5)
@@ -148,17 +116,16 @@ def mu_criterion(
     x: np.ndarray,
     rho: float,
     counter: OracleCounter | None = None,
-    dense_limit: int = 2000,
     eig_tol: float = 1e-10,
 ) -> float:
     """Stationarity measure at x; zero exactly at second-order stationary points.
 
-    Charges one full gradient pass plus one full Hessian (or a run of
-    Hessian-vector products) to counter, which should be a diagnostics
-    counter, not the one used for algorithm accounting.
+    Charges one full gradient pass plus one full Hessian (or, without a
+    Hessian oracle, a run of Hessian-vector products) to counter, which
+    should be a diagnostics counter, not the one used for algorithm accounting.
     """
     counter = counter if counter is not None else OracleCounter()
-    mu, _, _ = _mu_parts(problem, x, rho, counter, dense_limit, eig_tol)
+    mu, _, _ = _mu_parts(problem, x, rho, counter, eig_tol)
     return mu
 
 
@@ -169,7 +136,6 @@ def certify_local_min(
     rho: float,
     c: float = 600.0,
     counter: OracleCounter | None = None,
-    dense_limit: int = 2000,
     eig_tol: float = 1e-10,
 ) -> tuple[bool, LocalMinCertificate]:
     """Check mu(x) <= c * eps^{3/2} and report the measured quantities.
@@ -182,7 +148,7 @@ def certify_local_min(
     if not eps > 0:
         raise ValueError("eps must be positive")
     counter = counter if counter is not None else OracleCounter()
-    mu, grad_norm, lam = _mu_parts(problem, x, rho, counter, dense_limit, eig_tol)
+    mu, grad_norm, lam = _mu_parts(problem, x, rho, counter, eig_tol)
     cert = LocalMinCertificate(
         grad_norm=grad_norm,
         lambda_min=lam,

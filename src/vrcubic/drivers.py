@@ -147,8 +147,6 @@ class SolverConfig:
     finalsolver_eps_g: float | None = None  # None -> eps
     finalsolver_max_iters: int = 10**6
     gradient_recursion: bool = True
-    dense_limit: int = 2000
-    exact_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -363,7 +361,7 @@ def _run(
             except SolverDivergenceError as exc:
                 raise SolverDivergenceError(f"iteration {t} (penalty {penalty:g}): {exc}") from exc
         else:
-            sol = solve_exact(model, tol=config.exact_tol, dense_limit=config.dense_limit)
+            sol = solve_exact(model)
         h_norm = float(np.linalg.norm(sol.h))
         if not free:
             terminal = h_norm <= radius

@@ -161,10 +161,7 @@ def theoretical_batch_h(
     _, ch, tmul = _RULE_CONSTANTS[rule.variant]
     L, rho = rule.lipschitz_grad, rule.lipschitz_hess
     log2 = math.log(tmul * rule.T * rule.dim / rule.xi) ** 2
-    if rule.variant == "srvrc_free":
-        raw = ch * L * L * log2 / (rho * rule.eps)
-        return _clamp_ceil(raw, rule.n)
-    if t % rule.S_h == 0:
+    if rule.variant == "srvrc_free" or t % rule.S_h == 0:
         raw = ch * L * L * log2 / (rho * rule.eps)
         return _clamp_ceil(raw, rule.n)
     if h_prev_norm is None:

@@ -23,8 +23,10 @@ __all__ = [
     "batch_hessian",
     "batch_hvp",
     "full_index",
+    "DENSE_LIMIT",
 ]
 
+DENSE_LIMIT = 2000  # above this dimension no d x d Hessian is ever formed
 
 # oracle kinds: each names a batch_<kind>_fn kernel and an OracleCounter.<kind>_calls
 _ORACLE_NAMES = {"value": "value", "grad": "gradient", "hess": "Hessian", "hvp": "Hessian-vector"}
@@ -74,6 +76,11 @@ class FiniteSumProblem:
     order; a missing component oracle is derived as its kernel on the
     singleton [i].  When only ``component_hess`` is given, Hessian-vector
     products are its dense product with v.  Component indices are 0-based.
+
+    Above ``DENSE_LIMIT`` dimensions the problem has no Hessian oracle: both
+    Hessian forms are dropped after the Hessian-vector products are derived,
+    so a Hessian-only problem keeps those.  Everything that needs a d x d
+    Hessian asks whether ``batch_hess_fn`` is set.
     """
 
     n: int
@@ -116,6 +123,8 @@ class FiniteSumProblem:
                     f"problem {self.name!r} has no {_ORACLE_NAMES[kind]} oracle: "
                     f"give component_{kind} or batch_{kind}_fn"
                 )
+        if d > DENSE_LIMIT:
+            self.component_hess = self.batch_hess_fn = None
 
 
 def _index_order_mean(oracle, shape):
@@ -173,7 +182,9 @@ def _charge(problem: FiniteSumProblem, idx: np.ndarray, counter: OracleCounter |
         )
     kernel = getattr(problem, f"batch_{kind}_fn")
     if kernel is None:
-        raise ValueError(f"problem {problem.name!r} has no {_ORACLE_NAMES[kind]} oracle")
+        too_big = kind == "hess" and problem.dim > DENSE_LIMIT
+        why = f": dimension {problem.dim} exceeds the dense limit {DENSE_LIMIT}" if too_big else ""
+        raise ValueError(f"problem {problem.name!r} has no {_ORACLE_NAMES[kind]} oracle{why}")
     if counter is not None:
         setattr(counter, f"{kind}_calls", getattr(counter, f"{kind}_calls") + idx.size)
     return kernel, idx

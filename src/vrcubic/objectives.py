@@ -32,8 +32,6 @@ _REG_CURV_BOUND = 2.0
 _REG_THIRD_BOUND = 4.67
 # sup_z |sigma''(z)| for the logistic sigmoid
 _SIGMOID_CURV_CHANGE = 1.0 / (6.0 * math.sqrt(3.0))
-# the multiclass dense Hessian kernel is attached only up to this many weights
-_DENSE_HESSIAN_LIMIT = 2000
 
 
 def _reg_value(w: np.ndarray) -> float:
@@ -267,8 +265,7 @@ def multiclass_logreg_from_arrays(
     The variable is W (m rows of d weights) stored row-major as w = W.ravel().
     ``printed_regularizer`` switches the penalty from sum w^2/(1+w^2) to
     sum (1+w^2); the latter is an additive-constant-shifted ridge kept for
-    reproducing runs configured that way.  The explicit Hessian oracle is
-    only attached when m*d <= _DENSE_HESSIAN_LIMIT.
+    reproducing runs configured that way.
     """
     X = np.asarray(X, dtype=float)
     class_id = np.asarray(class_id, dtype=int)
@@ -334,7 +331,7 @@ def multiclass_logreg_from_arrays(
         grad_bound=2.0 * math.sqrt(2.0) * rmax,
         batch_value_fn=bval,
         batch_grad_fn=bgrad,
-        batch_hess_fn=bhess if m * d <= _DENSE_HESSIAN_LIMIT else None,
+        batch_hess_fn=bhess,
         batch_hvp_fn=bhvp,
         name="multiclass-logreg",
         extra={"lam": lam, "num_classes": m, "printed_regularizer": printed_regularizer},

@@ -188,11 +188,6 @@ class TestExactSolver:
         with pytest.raises(ValueError):
             solve_exact(m)
 
-    def test_dense_limit_enforced(self):
-        m = random_model(np.random.default_rng(0), 5)
-        with pytest.raises(ValueError, match="dense"):
-            solve_exact(m, dense_limit=3)
-
 
 class TestSubsolver:
     def saddle_model(self, c=1e-3):

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vrcubic.diagnostics import (
-    EigensolverError,
     certify_local_min,
     finite_diff_grad_check,
     min_eigenvalue,
@@ -77,30 +76,6 @@ class TestMinEigenvalue:
 
     def test_zero_matrix(self):
         assert min_eigenvalue(np.zeros((3, 3))) == 0.0
-
-    def test_iterative_path_matches_dense(self):
-        rng = np.random.default_rng(0)
-        S = rng.standard_normal((50, 50))
-        H = 0.5 * (S + S.T)
-        dense = float(np.linalg.eigvalsh(H)[0])
-        # force the power-iteration branch by shrinking the dense cutoff
-        iterative = min_eigenvalue(H, tol=1e-12, dense_limit=10)
-        assert_allclose(iterative, dense, atol=1e-8 * max(1.0, abs(dense)))
-
-    def test_iterative_path_on_psd_matrix(self):
-        rng = np.random.default_rng(1)
-        B = rng.standard_normal((40, 40))
-        H = B @ B.T + 0.5 * np.eye(40)
-        dense = float(np.linalg.eigvalsh(H)[0])
-        iterative = min_eigenvalue(H, tol=1e-12, dense_limit=10)
-        assert_allclose(iterative, dense, atol=1e-6 * max(1.0, float(np.linalg.norm(H, 2))))
-
-    def test_budget_cap_raises(self):
-        rng = np.random.default_rng(2)
-        S = rng.standard_normal((30, 30))
-        H = 0.5 * (S + S.T)
-        with pytest.raises(EigensolverError):
-            min_eigenvalue(H, tol=1e-15, dense_limit=10, max_iters=2)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vrcubic.diagnostics import mu_criterion
 from vrcubic.drivers import AdaptivePenalty, SolverConfig, run_srvrc, run_srvrc_free
 from vrcubic.estimators import PracticalBatchRule
 from vrcubic.finite_sum import (
+    DENSE_LIMIT,
     FiniteSumProblem,
     OracleCounter,
     batch_gradient,
@@ -16,6 +18,7 @@ from vrcubic.finite_sum import (
     full_index,
     sample_multiset,
 )
+from vrcubic.objectives import binary_logreg_from_arrays, multiclass_logreg_from_arrays
 
 
 def quadratic_problem(coeffs):
@@ -370,3 +373,72 @@ class TestOracleProtocol:
             dataclasses.astuple(result.diag_counters),
         )
         assert got == expected
+
+
+def diagonal_problem(d, hvp=True, hess_log=None):
+    """f(x) = 0.5 x.D.x, n=1, with D = diag(-1, 1, ..., 2); Hessian calls go to hess_log."""
+    D = np.concatenate([[-1.0], np.linspace(1.0, 2.0, d - 1)])
+
+    def hess(i, x):
+        if hess_log is not None:
+            hess_log.append(i)
+        return np.diag(D)
+
+    return FiniteSumProblem(
+        n=1,
+        dim=d,
+        component_value=lambda i, x: 0.5 * float(x @ (D * x)),
+        component_grad=lambda i, x: D * x,
+        component_hess=hess,
+        component_hvp=(lambda i, x, v: D * v) if hvp else None,
+        lipschitz_grad=2.0,
+        lipschitz_hess=1.0,
+    ), D
+
+
+class TestDenseLimit:
+    @pytest.mark.parametrize("d", [DENSE_LIMIT, DENSE_LIMIT + 1])
+    def test_hessian_kept_at_limit_dropped_above(self, d):
+        kept = d <= DENSE_LIMIT
+        component, _ = diagonal_problem(d)
+        kernel = FiniteSumProblem(
+            n=1,
+            dim=d,
+            batch_value_fn=lambda idx, x: 0.0,
+            batch_grad_fn=lambda idx, x: np.zeros(d),
+            batch_hess_fn=lambda idx, x: np.zeros((d, d)),
+        )
+        binary = binary_logreg_from_arrays(np.zeros((2, d)), np.array([0.0, 1.0]))
+        multiclass = multiclass_logreg_from_arrays(np.zeros((1, d)), np.array([0]), 1)
+        for p in (component, kernel, binary, multiclass):
+            assert (p.batch_hess_fn is not None) == kept
+            assert (p.component_hess is not None) == kept
+        assert binary.batch_hvp_fn is not None and multiclass.batch_hvp_fn is not None
+
+    def test_hessian_only_problem_keeps_hvp_above_limit(self):
+        p, D = diagonal_problem(DENSE_LIMIT + 1, hvp=False)
+        v = np.arange(p.dim, dtype=float)
+        c = OracleCounter()
+        assert np.array_equal(batch_hvp(p, np.zeros(p.dim), full_index(p), v, c), D * v)
+        assert c == OracleCounter(hvp_calls=1)
+
+    def test_hessian_requests_raise_before_charging_above_limit(self):
+        log = []
+        p, _ = diagonal_problem(DENSE_LIMIT + 1, hvp=False, hess_log=log)
+        c = OracleCounter()
+        with pytest.raises(ValueError, match=f"exceeds the dense limit {DENSE_LIMIT}"):
+            batch_hessian(p, np.zeros(p.dim), full_index(p), c)
+        assert c == OracleCounter()
+        config = SolverConfig(eps=1e-2, T=3, batch=PracticalBatchRule(1, 1, 1))
+        with pytest.raises(ValueError, match=f"exceeds the dense limit {DENSE_LIMIT}"):
+            run_srvrc(p, config)
+        assert log == []
+
+    def test_mu_criterion_bills_hvps_not_hessians_above_limit(self):
+        log = []
+        p, _ = diagonal_problem(DENSE_LIMIT + 1, hess_log=log)
+        c = OracleCounter()
+        mu = mu_criterion(p, np.zeros(p.dim), rho=1.0, counter=c)
+        assert mu == pytest.approx(1.0, rel=1e-8)
+        assert c.grad_calls == 1 and c.hvp_calls > 0
+        assert c.hess_calls == 0 and log == []
