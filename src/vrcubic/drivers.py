@@ -362,6 +362,8 @@ def _run(
                 raise SolverDivergenceError(f"iteration {t} (penalty {penalty:g}): {exc}") from exc
         else:
             sol = solve_exact(model)
+            if not np.isfinite(sol.h).all():
+                raise FloatingPointError(f"step is not finite at iteration {t}")
         h_norm = float(np.linalg.norm(sol.h))
         if not free:
             terminal = h_norm <= radius

@@ -67,15 +67,20 @@ class FiniteSumProblem:
     grad_bound : bound on ||grad f_i(x) - grad F(x)||_2, np.inf if none holds.
     batch_*_fn : vectorized kernels computing the multiset mean in one shot;
         must agree with the per-component oracles.  Signature is (idx, x)
-        resp. (idx, x, v) with idx an integer array.
+        resp. (idx, x, v) with idx an integer array.  A kernel must be a pure
+        function of its arguments: the built-in Hessian-vector kernels keep
+        the point-dependent part of their last (idx, x) and reuse it while
+        the same (idx, x) comes back with new vectors v.
 
     Either protocol is accepted, per oracle: a value and a gradient oracle
     are required (component or kernel), the Hessian and Hessian-vector ones
     are optional.  The kernels are canonical.  A missing kernel is lifted
     from its component oracle as the mean over idx, accumulated in index
     order; a missing component oracle is derived as its kernel on the
-    singleton [i].  When only ``component_hess`` is given, Hessian-vector
-    products are its dense product with v.  Component indices are 0-based.
+    singleton [i].  When no Hessian-vector oracle is given, the products
+    come from the Hessian: ``component_hess(i, x) @ v`` per component, or
+    else ``batch_hess_fn(idx, x) @ v`` with the batch Hessian formed once
+    per (idx, x).  Component indices are 0-based.
 
     Above ``DENSE_LIMIT`` dimensions the problem has no Hessian oracle: both
     Hessian forms are dropped after the Hessian-vector products are derived,
@@ -108,9 +113,12 @@ class FiniteSumProblem:
             raise ValueError("lipschitz_hess must be positive")
         if not self.lipschitz_grad > 0:
             raise ValueError("lipschitz_grad must be positive")
-        hess = self.component_hess
-        if self.batch_hvp_fn is None and self.component_hvp is None and hess is not None:
-            self.component_hvp = lambda i, x, v: hess(i, x) @ v
+        hess, batch_hess = self.component_hess, self.batch_hess_fn
+        if self.batch_hvp_fn is None and self.component_hvp is None:
+            if hess is not None:
+                self.component_hvp = lambda i, x, v: hess(i, x) @ v
+            elif batch_hess is not None:
+                self.batch_hvp_fn = _linearized(lambda idx, x: batch_hess(idx, x).__matmul__)
         d = self.dim
         for kind, shape in (("value", ()), ("grad", (d,)), ("hess", (d, d)), ("hvp", (d,))):
             component, kernel = getattr(self, f"component_{kind}"), getattr(self, f"batch_{kind}_fn")
@@ -125,6 +133,25 @@ class FiniteSumProblem:
                 )
         if d > DENSE_LIMIT:
             self.component_hess = self.batch_hess_fn = None
+
+
+def _linearized(linearize):
+    """Hessian-vector kernel from ``linearize(idx, x) -> (v -> mean Hv)``.
+
+    The kernel keeps one linearization, keyed by a copy of idx (compared by
+    value) and the bytes of x, and rebuilds it whenever either differs, so a
+    closure that applies one (idx, x) to many vectors pays its point-dependent
+    work once.
+    """
+    memo = [None, None, None]  # idx copy, x bytes, product
+
+    def kernel(idx, x, v):
+        key = np.asarray(x).tobytes()
+        if key != memo[1] or not np.array_equal(idx, memo[0]):
+            memo[:] = np.array(idx, copy=True), key, linearize(idx, x)
+        return memo[2](v)
+
+    return kernel
 
 
 def _index_order_mean(oracle, shape):

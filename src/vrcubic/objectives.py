@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_sum import FiniteSumProblem
+from .finite_sum import FiniteSumProblem, _linearized
 
 __all__ = [
     "LibsvmParseError",
@@ -219,10 +219,12 @@ def binary_logreg_from_arrays(
         H[np.diag_indices(d)] += lam * _reg_curv(w)
         return H
 
-    def bhvp(idx, w, v):
+    def hvp_at(idx, w):
         Xb = X[idx]
         s = _sigmoid(Xb @ w)
-        return Xb.T @ ((s * (1.0 - s)) * (Xb @ v)) / idx.size + lam * _reg_curv(w) * v
+        D = s * (1.0 - s)
+        r = lam * _reg_curv(w)
+        return lambda v: Xb.T @ (D * (Xb @ v)) / idx.size + r * v
 
     return FiniteSumProblem(
         n=n,
@@ -233,7 +235,7 @@ def binary_logreg_from_arrays(
         batch_value_fn=bval,
         batch_grad_fn=bgrad,
         batch_hess_fn=bhess,
-        batch_hvp_fn=bhvp,
+        batch_hvp_fn=_linearized(hvp_at),
         name="binary-logreg",
         extra={"lam": lam},
     )
@@ -298,24 +300,29 @@ def multiclass_logreg_from_arrays(
         G = (P - Y[idx]).T @ Xb / idx.size
         return G.ravel() + lam * rgrad(w)
 
-    def bhvp(idx, w, v):
-        W = w.reshape(m, d)
-        V = v.reshape(m, d)
+    def hvp_at(idx, w):
         Xb = X[idx]
-        P = _softmax(Xb @ W.T)
-        A = Xb @ V.T
-        S = P * (A - (P * A).sum(axis=1, keepdims=True))
-        out = S.T @ Xb / idx.size
-        return out.ravel() + lam * rcurv(w) * v
+        P = _softmax(Xb @ w.reshape(m, d).T)
+        r = lam * rcurv(w)
+
+        def apply(v):
+            A = Xb @ v.reshape(m, d).T
+            S = P * (A - (P * A).sum(axis=1, keepdims=True))
+            out = S.T @ Xb / idx.size
+            return out.ravel() + r * v
+
+        return apply
 
     def bhess(idx, w):
-        W = w.reshape(m, d)
+        # Summed over the batch the Hessian is blockdiag_a(sum_k p_ka x_k x_k^T) - Z^T Z,
+        # where row k of Z is outer(p_k, x_k).ravel().
         Xb = X[idx]
-        P = _softmax(Xb @ W.T)
-        H = np.zeros((m * d, m * d))
-        for k in range(idx.size):
-            p = P[k]
-            H += np.kron(np.diag(p) - np.outer(p, p), np.outer(Xb[k], Xb[k]))
+        P = _softmax(Xb @ w.reshape(m, d).T)
+        Z = (P[:, :, None] * Xb[:, None, :]).reshape(idx.size, m * d)
+        H = -(Z.T @ Z)
+        for a in range(m):
+            block = slice(a * d, (a + 1) * d)
+            H[block, block] += Z[:, block].T @ Xb
         H /= idx.size
         H[np.diag_indices(m * d)] += lam * rcurv(w)
         return H
@@ -332,7 +339,7 @@ def multiclass_logreg_from_arrays(
         batch_value_fn=bval,
         batch_grad_fn=bgrad,
         batch_hess_fn=bhess,
-        batch_hvp_fn=bhvp,
+        batch_hvp_fn=_linearized(hvp_at),
         name="multiclass-logreg",
         extra={"lam": lam, "num_classes": m, "printed_regularizer": printed_regularizer},
     )
@@ -395,11 +402,12 @@ def make_synthetic(
             H[np.diag_indices(d)] += alpha * _reg_curv(x)
         return H
 
-    def bhvp(idx, x, v):
-        out = A[idx].mean(axis=0) @ v
-        if alpha:
-            out = out + alpha * _reg_curv(x) * v
-        return out
+    def hvp_at(idx, x):
+        Abar = A[idx].mean(axis=0)
+        if not alpha:
+            return Abar.__matmul__
+        r = alpha * _reg_curv(x)
+        return lambda v: Abar @ v + r * v
 
     return FiniteSumProblem(
         n=n,
@@ -410,7 +418,7 @@ def make_synthetic(
         batch_value_fn=bval,
         batch_grad_fn=bgrad,
         batch_hess_fn=bhess,
-        batch_hvp_fn=bhvp,
+        batch_hvp_fn=_linearized(hvp_at),
         name=f"synthetic-{difficulty}",
         extra={"A": A, "b": b, "alpha": alpha, "seed": seed},
     )

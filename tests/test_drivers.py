@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vrcubic.cubic import SolverDivergenceError
+from vrcubic.cubic import SolverDivergenceError, solve_exact
 from vrcubic.drivers import (
     AdaptivePenalty,
     FixedPenalty,
@@ -568,6 +568,21 @@ class TestValidation:
         config = SolverConfig(eps=1e-3, T=5, batch=PracticalBatchRule(3, 3, 2))
         with pytest.raises(FloatingPointError, match=f"{kind} estimate is not finite at iteration 1"):
             runner(problem, config)
+
+
+    def test_nonfinite_exact_step_names_its_iteration(self, monkeypatch):
+        steps = []
+
+        def nan_second_step(model):
+            sol = solve_exact(model)
+            steps.append(sol)
+            return dataclasses.replace(sol, h=np.full_like(sol.h, np.nan)) if len(steps) == 2 else sol
+
+        monkeypatch.setattr("vrcubic.drivers.solve_exact", nan_second_step)
+        config = SolverConfig(eps=1e-3, T=5, penalty=FixedPenalty(1.0))
+        with pytest.raises(FloatingPointError, match="step is not finite at iteration 1"):
+            run_cr(bowl_problem([3.0, -4.0]), config)
+        assert len(steps) == 2
 
 
 class TestCallbacks:

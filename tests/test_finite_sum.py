@@ -18,7 +18,7 @@ from vrcubic.finite_sum import (
     full_index,
     sample_multiset,
 )
-from vrcubic.objectives import binary_logreg_from_arrays, multiclass_logreg_from_arrays
+from vrcubic.objectives import binary_logreg_from_arrays, make_synthetic, multiclass_logreg_from_arrays
 
 
 def quadratic_problem(coeffs):
@@ -442,3 +442,128 @@ class TestDenseLimit:
         assert mu == pytest.approx(1.0, rel=1e-8)
         assert c.grad_calls == 1 and c.hvp_calls > 0
         assert c.hess_calls == 0 and log == []
+
+
+def hessian_kernel_problem(n=40, d=4, hess_log=None, signed_zero=False):
+    """The penalized quadratics given by value, gradient and Hessian kernels only.
+
+    ``signed_zero`` adds diag(copysign(0.25, x)) to the Hessian, so x = -0.0
+    and x = 0.0 give different products; Hessian calls go to hess_log.
+    """
+    A, _ = penalized_quadratics(n, d)
+    reference = kernel_problem(n, d)
+
+    def hess(idx, x):
+        if hess_log is not None:
+            hess_log.append(idx.size)
+        H = A[idx].mean(axis=0) + np.diag(_pen_curv(x))
+        return H + np.diag(np.copysign(0.25, x)) if signed_zero else H
+
+    return FiniteSumProblem(
+        n=n,
+        dim=d,
+        batch_value_fn=reference.batch_value_fn,
+        batch_grad_fn=reference.batch_grad_fn,
+        batch_hess_fn=hess,
+        lipschitz_grad=3.0,
+        lipschitz_hess=2.5,
+    )
+
+
+def _logreg_data(classes=None, n=30, d=4, seed=12):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    labels = rng.integers(0, classes or 2, size=n)
+    return X, labels if classes else labels.astype(float)
+
+
+# Builders of problems whose Hessian-vector kernel keeps a linearization;
+# each call builds a fresh problem, i.e. a cold kernel.
+LINEARIZED = {
+    "binary-logreg": lambda: binary_logreg_from_arrays(*_logreg_data(), lam=0.1),
+    "multiclass-logreg": lambda: multiclass_logreg_from_arrays(*_logreg_data(3), 3, lam=0.1),
+    "synthetic": lambda: make_synthetic(3, 30, 4),
+    "synthetic-convex": lambda: make_synthetic(3, 30, 4, "convex"),
+    "hessian-kernel": lambda: hessian_kernel_problem(n=30, signed_zero=True),
+}
+
+
+class TestLinearizedHvp:
+    @pytest.mark.parametrize("name", sorted(LINEARIZED))
+    def test_kept_linearization_matches_cold_kernel(self, name):
+        warm = LINEARIZED[name]()
+        rng = np.random.default_rng(4)
+
+        def check(idx, x):
+            v = rng.standard_normal(warm.dim)
+            got = warm.batch_hvp_fn(idx, x, v)
+            want = LINEARIZED[name]().batch_hvp_fn(idx.copy(), x.copy(), v)
+            assert got.tobytes() == want.tobytes()
+
+        a, b = np.array([0, 2, 2, 5, 29]), np.array([1, 3, 3, 3, 8])
+        x = rng.standard_normal(warm.dim)
+        for _ in range(3):  # one (idx, x), many vectors
+            check(a, x)
+        check(b, x)  # a new idx
+        check(a, x)  # an earlier idx again
+        x[1] += 0.5  # x mutated in place
+        check(a, x)
+        a[0] = 7  # idx mutated in place
+        check(a, x)
+        zero = np.zeros(warm.dim)
+        check(a, zero)
+        zero *= -1.0  # -0.0 has other bytes than 0.0
+        check(a, zero)
+
+    def test_hessian_formed_once_per_point(self):
+        log = []
+        p = hessian_kernel_problem(hess_log=log)
+        x, idx = np.full(p.dim, 0.3), np.array([1, 4, 4])
+        c = OracleCounter()
+        for k in range(5):
+            batch_hvp(p, x, idx, np.eye(p.dim)[k % p.dim], c)
+        assert log == [3]
+        assert c == OracleCounter(hvp_calls=15)  # each application is still billed
+        batch_hvp(p, x + 1.0, idx, np.ones(p.dim), c)
+        assert log == [3, 3]
+
+
+class TestHessianKernelOnly:
+    def test_products_are_the_hessian_times_v(self):
+        p = hessian_kernel_problem()
+        x, v = np.array([0.3, -1.2, 0.7, 2.0]), np.array([1.0, 0.5, -0.25, 2.0])
+        idx = np.array([0, 3, 3, 9, 21, 39])
+        assert np.array_equal(batch_hvp(p, x, idx, v), p.batch_hess_fn(idx, x) @ v)
+        assert np.array_equal(p.component_hvp(3, x, v), p.batch_hess_fn(np.array([3]), x) @ v)
+
+    def test_srvrc_free_converges(self):
+        p = hessian_kernel_problem(d=3)
+        config = SolverConfig(eps=1e-2, T=60, x0=np.full(3, 0.8), batch=PracticalBatchRule(20, 10, 3))
+        result = run_srvrc_free(p, config)
+        assert result.exit == "converged"
+        assert result.counters.hvp_calls > 0 and result.counters.hess_calls == 0
+        assert mu_criterion(p, result.x_out, p.lipschitz_hess) <= 600 * 1e-2**1.5
+
+    def test_mu_criterion_bills_hvps_above_limit(self):
+        d = DENSE_LIMIT + 1
+        D = np.concatenate([[-1.0], np.linspace(1.0, 2.0, d - 1)])
+        log = []
+
+        def hess(idx, x):
+            log.append(idx.size)
+            return np.diag(D)
+
+        p = FiniteSumProblem(
+            n=1,
+            dim=d,
+            batch_value_fn=lambda idx, x: 0.5 * float(x @ (D * x)),
+            batch_grad_fn=lambda idx, x: D * x,
+            batch_hess_fn=hess,
+            lipschitz_grad=2.0,
+        )
+        assert p.batch_hess_fn is None and p.batch_hvp_fn is not None
+        c = OracleCounter()
+        mu = mu_criterion(p, np.zeros(d), rho=1.0, counter=c)
+        assert mu == pytest.approx(1.0, rel=1e-8)
+        assert c.grad_calls == 1 and c.hvp_calls > 1 and c.hess_calls == 0
+        assert log == [1]  # one Hessian for the whole Lanczos run

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vrcubic.diagnostics import min_eigenvalue
+from vrcubic.drivers import AdaptivePenalty, SolverConfig, run_srvrc
+from vrcubic.estimators import PracticalBatchRule
 from vrcubic.finite_sum import (
     OracleCounter,
     batch_gradient,
@@ -240,6 +244,73 @@ class TestMulticlassLogreg:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             multiclass_logreg_from_arrays(self.X, np.array([0, 1, 5] * 3), self.m)
+
+
+def kron_multiclass_hessian(X, m, lam, idx, w):
+    """Reference: mean over idx of kron(diag(p) - p p^T, x x^T) plus lam * r''(w)."""
+    d = X.shape[1]
+    Z = X[idx] @ w.reshape(m, d).T
+    P = np.exp(Z - Z.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    H = np.zeros((m * d, m * d))
+    for p, x in zip(P, X[idx]):
+        H += np.kron(np.diag(p) - np.outer(p, p), np.outer(x, x))
+    w2 = w * w
+    return H / len(idx) + lam * np.diag((2.0 - 6.0 * w2) / (1.0 + w2) ** 3)
+
+
+def multiclass_golden_problem():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((150, 5))
+    return multiclass_logreg_from_arrays(X, rng.integers(0, 3, size=150), 3, lam=1e-2)
+
+
+# (exit, iterations, oracle bill, diagnostic bill) of seeded run_srvrc runs on
+# multiclass_golden_problem(), captured while the Hessian kernel was a loop of
+# per-component Kronecker products; a bill is (grad, hess, hvp, value) calls.
+MULTICLASS_GOLDEN_RUNS = {
+    "theoretical": ({}, ("converged", 25, (5550, 6450, 0, 0), (0, 0, 0, 3900))),
+    "adaptive": ({"penalty": AdaptivePenalty()}, ("converged", 7, (1500, 1800, 0, 0), (0, 0, 0, 2100))),
+    "practical-adaptive": (
+        {"penalty": AdaptivePenalty(), "batch": PracticalBatchRule(60, 30, 3)},
+        ("converged", 19, (900, 450, 0, 0), (0, 0, 0, 5700)),
+    ),
+}
+
+
+class TestMulticlassHessian:
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.m, self.d, self.lam = 4, 6, 0.05
+        self.X = rng.standard_normal((40, self.d))
+        self.y = rng.integers(0, self.m, size=40)
+        self.p = multiclass_logreg_from_arrays(self.X, self.y, self.m, lam=self.lam)
+        self.w = rng.standard_normal(self.m * self.d)
+        self.idx = np.array([0, 0, 3, 7, 7, 7, 12, 39])
+
+    def test_matches_kronecker_reference(self):
+        H = batch_hessian(self.p, self.w, self.idx, COUNTER)
+        ref = kron_multiclass_hessian(self.X, self.m, self.lam, self.idx, self.w)
+        assert np.max(np.abs(H - ref)) <= 1e-13
+
+    def test_symmetric_and_consistent_with_hvp(self):
+        H = batch_hessian(self.p, self.w, self.idx, COUNTER)
+        min_eigenvalue(H)  # raises unless H passes the symmetry check
+        v = np.random.default_rng(22).standard_normal(self.m * self.d)
+        assert_allclose(batch_hvp(self.p, self.w, self.idx, v, COUNTER), H @ v, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(MULTICLASS_GOLDEN_RUNS))
+    def test_golden_bills(self, name):
+        options, expected = MULTICLASS_GOLDEN_RUNS[name]
+        config = SolverConfig(eps=1e-2, T=60, x0=np.full(15, 0.3), seed=4, **options)
+        result = run_srvrc(multiclass_golden_problem(), config)
+        got = (
+            result.exit,
+            result.iterations,
+            dataclasses.astuple(result.counters),
+            dataclasses.astuple(result.diag_counters),
+        )
+        assert got == expected
 
 
 class TestSynthetic:
