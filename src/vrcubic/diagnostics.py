@@ -2,7 +2,7 @@
 
 The quality measure for a point x is
 
-    mu(x) = max( ||grad F(x)||^{3/2}on,  max(0, -lambda_min(hess F(x)))^3 / rho^{3/2} )
+    mu(x) = max( ||grad F(x)||^{3/2},  max(0, -lambda_min(hess F(x)))^3 / rho^{3/2} )
 
 so mu(x) <= eps^{3/2} exactly when the gradient is eps-small and the Hessian
 has no eigenvalue below -sqrt(rho * eps).  Only negative curvature enters the

@@ -78,8 +78,8 @@ class FiniteSumProblem:
     from its component oracle as the mean over idx, accumulated in index
     order; a missing component oracle is derived as its kernel on the
     singleton [i].  When no Hessian-vector oracle is given, the products
-    come from the Hessian: ``component_hess(i, x) @ v`` per component, or
-    else ``batch_hess_fn(idx, x) @ v`` with the batch Hessian formed once
+    come from the Hessian kernel (lifted from ``component_hess`` if need
+    be): ``batch_hess_fn(idx, x) @ v``, with the batch Hessian formed once
     per (idx, x).  Component indices are 0-based.
 
     Above ``DENSE_LIMIT`` dimensions the problem has no Hessian oracle: both
@@ -113,13 +113,12 @@ class FiniteSumProblem:
             raise ValueError("lipschitz_hess must be positive")
         if not self.lipschitz_grad > 0:
             raise ValueError("lipschitz_grad must be positive")
-        hess, batch_hess = self.component_hess, self.batch_hess_fn
-        if self.batch_hvp_fn is None and self.component_hvp is None:
-            if hess is not None:
-                self.component_hvp = lambda i, x, v: hess(i, x) @ v
-            elif batch_hess is not None:
-                self.batch_hvp_fn = _linearized(lambda idx, x: batch_hess(idx, x).__matmul__)
         d = self.dim
+        if self.batch_hess_fn is None and self.component_hess is not None:
+            self.batch_hess_fn = _index_order_mean(self.component_hess, (d, d))
+        batch_hess = self.batch_hess_fn
+        if self.batch_hvp_fn is None and self.component_hvp is None and batch_hess is not None:
+            self.batch_hvp_fn = _linearized(lambda idx, x: batch_hess(idx, x).__matmul__)
         for kind, shape in (("value", ()), ("grad", (d,)), ("hess", (d, d)), ("hvp", (d,))):
             component, kernel = getattr(self, f"component_{kind}"), getattr(self, f"batch_{kind}_fn")
             if kernel is None and component is not None:

@@ -33,6 +33,28 @@ _REG_THIRD_BOUND = 4.67
 # sup_z |sigma''(z)| for the logistic sigmoid
 _SIGMOID_CURV_CHANGE = 1.0 / (6.0 * math.sqrt(3.0))
 
+# Batch size, as a fraction of n, from which a kernel family reads all n
+# component rows in place instead of gathering its |idx| rows.  Measured per
+# family (CHANGES.md has the table).  A logistic Hessian costs d^2 per row,
+# and a Hessian-vector closure pays for every row it holds on each product,
+# so reading the rows a multiset leaves out pays off there only near n.
+_SYNTHETIC_IN_PLACE = 0.25
+_LOGREG_IN_PLACE = 0.5
+_LOGREG_HESS_IN_PLACE = 0.95
+
+
+def _in_place_weights(idx: np.ndarray, n: int, crossover: float) -> np.ndarray | None:
+    """Weights c with mean_{i in idx} f_i = sum_{k<n} c[k] f_k, or None.
+
+    c[k] is the multiplicity of component k in idx over |idx| (idx may be
+    unsorted and hold repeats), so a kernel can contract all n rows in place.
+    None means the batch is below ``crossover * n`` components, where
+    gathering its |idx| rows is cheaper.
+    """
+    if idx.size < crossover * n:
+        return None
+    return np.bincount(idx, minlength=n) / idx.size
+
 
 def _reg_value(w: np.ndarray) -> float:
     w2 = w * w
@@ -203,28 +225,35 @@ def binary_logreg_from_arrays(
     row_norms = np.linalg.norm(X, axis=1)
     rmax = float(row_norms.max()) if n else 0.0
 
+    def rows(idx, crossover):
+        """Rows, labels and weights c: the batch mean is sum_k c[k] * (row k's term)."""
+        c = _in_place_weights(idx, n, crossover)
+        if c is None:
+            return X[idx], y[idx], 1.0 / idx.size
+        return X, y, c
+
     def bval(idx, w):
-        z = X[idx] @ w
-        return float(np.mean(np.logaddexp(0.0, z) - y[idx] * z)) + lam * _reg_value(w)
+        Xr, yr, c = rows(idx, _LOGREG_IN_PLACE)
+        z = Xr @ w
+        return float(np.sum(c * (np.logaddexp(0.0, z) - yr * z))) + lam * _reg_value(w)
 
     def bgrad(idx, w):
-        Xb = X[idx]
-        s = _sigmoid(Xb @ w)
-        return Xb.T @ (s - y[idx]) / idx.size + lam * _reg_grad(w)
+        Xr, yr, c = rows(idx, _LOGREG_IN_PLACE)
+        return Xr.T @ (c * (_sigmoid(Xr @ w) - yr)) + lam * _reg_grad(w)
 
     def bhess(idx, w):
-        Xb = X[idx]
-        s = _sigmoid(Xb @ w)
-        H = (Xb * (s * (1.0 - s))[:, None]).T @ Xb / idx.size
+        Xr, _, c = rows(idx, _LOGREG_HESS_IN_PLACE)
+        s = _sigmoid(Xr @ w)
+        H = (Xr * (c * s * (1.0 - s))[:, None]).T @ Xr
         H[np.diag_indices(d)] += lam * _reg_curv(w)
         return H
 
     def hvp_at(idx, w):
-        Xb = X[idx]
-        s = _sigmoid(Xb @ w)
-        D = s * (1.0 - s)
+        Xr, _, c = rows(idx, _LOGREG_HESS_IN_PLACE)
+        s = _sigmoid(Xr @ w)
+        D = c * s * (1.0 - s)
         r = lam * _reg_curv(w)
-        return lambda v: Xb.T @ (D * (Xb @ v)) / idx.size + r * v
+        return lambda v: Xr.T @ (D * (Xr @ v)) + r * v
 
     return FiniteSumProblem(
         n=n,
@@ -389,21 +418,30 @@ def make_synthetic(
         A[i] = 0.9 * S / max(np.linalg.norm(S, 2), 1e-12)
     b = rng.standard_normal((n, d)) / math.sqrt(d)
 
+    A2 = A.reshape(n, d * d)
+
+    def means(idx):
+        c = _in_place_weights(idx, n, _SYNTHETIC_IN_PLACE)
+        if c is None:
+            return A[idx].mean(axis=0), b[idx].mean(axis=0)
+        return (c @ A2).reshape(d, d), c @ b
+
     def bval(idx, x):
-        quad = 0.5 * np.einsum("i,kij,j->k", x, A[idx], x) + b[idx] @ x
-        return float(quad.mean()) + alpha * _reg_value(x)
+        Abar, bbar = means(idx)
+        return 0.5 * float(x @ Abar @ x) + float(bbar @ x) + alpha * _reg_value(x)
 
     def bgrad(idx, x):
-        return A[idx].mean(axis=0) @ x + b[idx].mean(axis=0) + alpha * _reg_grad(x)
+        Abar, bbar = means(idx)
+        return Abar @ x + bbar + alpha * _reg_grad(x)
 
     def bhess(idx, x):
-        H = A[idx].mean(axis=0).copy()
+        H = means(idx)[0]
         if alpha:
             H[np.diag_indices(d)] += alpha * _reg_curv(x)
         return H
 
     def hvp_at(idx, x):
-        Abar = A[idx].mean(axis=0)
+        Abar = means(idx)[0]
         if not alpha:
             return Abar.__matmul__
         r = alpha * _reg_curv(x)

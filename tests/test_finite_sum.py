@@ -346,7 +346,7 @@ class TestOracleProtocol:
         if hvp:
             expected = index_order_mean(q.component_hvp, idx, x, v)
         else:
-            expected = index_order_mean(lambda i, x: q.component_hess(i, x) @ v, idx, x)
+            expected = index_order_mean(q.component_hess, idx, x) @ v
         assert np.array_equal(batch_hvp(p, x, idx, v), expected)
 
     def test_missing_hvp_oracle_raises_before_charging(self):

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vrcubic import objectives
 from vrcubic.diagnostics import min_eigenvalue
-from vrcubic.drivers import AdaptivePenalty, SolverConfig, run_srvrc
+from vrcubic.drivers import AdaptivePenalty, SolverConfig, run_srvrc, run_srvrc_free
 from vrcubic.estimators import PracticalBatchRule
 from vrcubic.finite_sum import (
     OracleCounter,
@@ -201,6 +203,53 @@ class TestBinaryLogreg:
         assert p.n == 2 and p.dim == 2
 
 
+def binary_golden_problem():
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((200, 6))
+    y = (rng.uniform(size=200) < 1 / (1 + np.exp(-X @ np.linspace(-1, 1, 6)))).astype(float)
+    return binary_logreg_from_arrays(X, y, lam=1e-2)
+
+
+# (exit, iterations, oracle bill, diagnostic bill) of seeded runs on
+# binary_golden_problem(), captured while every batch kernel gathered its rows;
+# a bill is (grad, hess, hvp, value) calls.  The theoretical rule clamps every
+# batch to n = 200; the practical rules alternate 160/80 gradient batches
+# (both sides of the first-order crossover), 196/98 Hessian batches (both
+# sides of the second-order one) and 60-component Hessian-vector batches.
+BINARY_GOLDEN_RUNS = {
+    "srvrc-theoretical": (run_srvrc, {}, ("converged", 21, (4200, 7800, 0, 0), (0, 0, 0, 4400))),
+    "srvrc-adaptive": (
+        run_srvrc,
+        {"penalty": AdaptivePenalty()},
+        ("converged", 6, (1200, 2200, 0, 0), (0, 0, 0, 2400)),
+    ),
+    "srvrc-practical": (
+        run_srvrc,
+        {"batch": PracticalBatchRule(160, 196, 2)},
+        ("converged", 54, (8640, 10584, 0, 0), (0, 0, 0, 11000)),
+    ),
+    "srvrc_free-practical": (
+        run_srvrc_free,
+        {"batch": PracticalBatchRule(160, 60, 2)},
+        ("converged", 22, (3520, 0, 2820, 0), (0, 0, 0, 4600)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_GOLDEN_RUNS))
+def test_binary_golden_bills(name):
+    runner, options, expected = BINARY_GOLDEN_RUNS[name]
+    config = SolverConfig(eps=1e-2, T=60, x0=np.full(6, 0.5), seed=5, **options)
+    result = runner(binary_golden_problem(), config)
+    got = (
+        result.exit,
+        result.iterations,
+        dataclasses.astuple(result.counters),
+        dataclasses.astuple(result.diag_counters),
+    )
+    assert got == expected
+
+
 class TestMulticlassLogreg:
     def setup_method(self):
         rng = np.random.default_rng(8)
@@ -393,3 +442,100 @@ class TestDerivativeSweep:
             H = batch_hessian(p, w, full, COUNTER)
             hv = batch_hvp(p, w, full, v, COUNTER)
             assert np.linalg.norm(hv - H @ v) / (1 + np.linalg.norm(v)) <= 1e-10
+
+
+def index_order_mean(component, idx):
+    """Hand-written multiset mean: accumulate in index order, divide once."""
+    acc = 0.0
+    for i in idx:
+        acc = acc + component(int(i))
+    return acc / len(idx)
+
+
+def _penalty_terms(w, scale):
+    """Value, gradient and Hessian of scale * sum w^2/(1+w^2)."""
+    w2 = w * w
+    return (
+        scale * np.sum(w2 / (1 + w2)),
+        scale * 2 * w / (1 + w2) ** 2,
+        scale * np.diag((2 - 6 * w2) / (1 + w2) ** 3),
+    )
+
+
+def synthetic_agreement_case(difficulty):
+    p = make_synthetic(seed=23, n=40, d=5, difficulty=difficulty)
+    A, b, alpha = p.extra["A"], p.extra["b"], p.extra["alpha"]
+
+    def component(i, x):
+        pv, pg, ph = _penalty_terms(x, alpha)
+        return 0.5 * x @ A[i] @ x + b[i] @ x + pv, A[i] @ x + b[i] + pg, A[i] + ph
+
+    return p, component, [objectives._SYNTHETIC_IN_PLACE]
+
+
+def binary_agreement_case():
+    rng = np.random.default_rng(24)
+    X, y, lam = rng.standard_normal((40, 5)), (rng.uniform(size=40) < 0.5).astype(float), 0.05
+    p = binary_logreg_from_arrays(X, y, lam=lam)
+
+    def component(i, w):
+        z = X[i] @ w
+        s = 1.0 / (1.0 + math.exp(-z))
+        pv, pg, ph = _penalty_terms(w, lam)
+        return np.logaddexp(0.0, z) - y[i] * z + pv, (s - y[i]) * X[i] + pg, s * (1 - s) * np.outer(X[i], X[i]) + ph
+
+    return p, component, [objectives._LOGREG_IN_PLACE, objectives._LOGREG_HESS_IN_PLACE]
+
+
+def agreement_batches(n, crossovers):
+    """The full index, a size-n multiset with repeats, an unsorted idx, and
+    unsorted multisets one component below and at each in-place crossover."""
+    rng = np.random.default_rng(25)
+    batches = {
+        "full": np.arange(n),
+        "n-with-repeats": np.sort(rng.integers(0, n, size=n)),
+        "unsorted": rng.permutation(n)[: n // 3],
+    }
+    for c in crossovers:
+        k = math.ceil(c * n)
+        batches[f"below-{c}"] = rng.integers(0, n, size=k - 1)
+        batches[f"at-{c}"] = rng.integers(0, n, size=k)
+    return batches
+
+
+@pytest.mark.parametrize("case", [
+    lambda: synthetic_agreement_case("nonconvex"),
+    lambda: synthetic_agreement_case("convex"),
+    binary_agreement_case,
+], ids=["synthetic-nonconvex", "synthetic-convex", "binary-logreg"])
+def test_kernels_agree_with_index_order_means(case):
+    """Gathered and in-place kernels both equal the per-component mean (sums reordered)."""
+    p, component, crossovers = case()
+    rng = np.random.default_rng(26)
+    x, v = rng.standard_normal(p.dim), rng.standard_normal(p.dim)
+
+    def close(got, ref):
+        return np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    for name, idx in agreement_batches(p.n, crossovers).items():
+        value, grad, hess = (index_order_mean(lambda i: component(i, x)[k], idx) for k in range(3))
+        hvp = index_order_mean(lambda i: component(i, x)[2] @ v, idx)
+        assert close(batch_value(p, x, idx, COUNTER), value), name
+        assert close(batch_gradient(p, x, idx, COUNTER), grad), name
+        assert close(batch_hessian(p, x, idx, COUNTER), hess), name
+        assert close(batch_hvp(p, x, idx, v, COUNTER), hvp), name
+
+
+def test_full_batch_kernels_read_component_data_in_place():
+    """A full batch of the synthetic problem must not copy its n d x d matrices."""
+    p = make_synthetic(1, 3000, 40)
+    x, full = np.full(40, 0.1), full_index(p)
+    tracemalloc.start()
+    try:
+        batch_value(p, x, full, COUNTER)
+        batch_gradient(p, x, full, COUNTER)
+        batch_hessian(p, x, full, COUNTER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.extra["A"].nbytes / 2
