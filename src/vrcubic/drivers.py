@@ -367,10 +367,11 @@ def _run(
         h_norm = float(np.linalg.norm(sol.h))
         if not free:
             terminal = h_norm <= radius
+        x_trial = x + sol.h  # evaluated here, and the next iterate if taken
         accepted = True
         penalty_next = penalty
         if not terminal and adaptive:
-            f_trial = batch_value(problem, x + sol.h, full, diag)
+            f_trial = batch_value(problem, x_trial, full, diag)
             pred = -sol.m_value
             ratio = (f_t - f_trial) / pred if pred > 0 else -math.inf
             penalty_next, accepted = adaptive_penalty_update(penalty, ratio, policy)
@@ -404,11 +405,11 @@ def _run(
             )
         x_prev = x
         if terminal:
-            x = x + sol.h
+            x = x_trial
             exit_status = "converged"
             break
         if accepted:
-            x = x + sol.h
+            x = x_trial
             disp_norm = h_norm
         else:
             disp_norm = 0.0

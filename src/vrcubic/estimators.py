@@ -182,14 +182,16 @@ def _recursive_update(state, problem, x_t, x_prev, B, rng, counter, reset_due, p
 
     Epoch resets rebuild from scratch and never touch x_prev or the previous
     estimate.  Off-epoch steps evaluate one shared multiset at both points
-    (2B charges).
+    (2B charges), x_prev first: the kernel answered the previous step's last
+    query at x_prev, so a full-batch J is answered from its memory.
     """
     J = sample_multiset(rng, problem.n, B)
     if reset_due:
         return oracle(problem, x_t, J, counter)
     if previous is None or x_prev is None:
         raise ValueError(f"step {state.t} continues an epoch but no previous estimate is set")
-    return oracle(problem, x_t, J, counter) - oracle(problem, x_prev, J, counter) + previous
+    at_prev = oracle(problem, x_prev, J, counter)
+    return oracle(problem, x_t, J, counter) - at_prev + previous
 
 
 def update_gradient_estimator(

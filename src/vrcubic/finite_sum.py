@@ -34,11 +34,13 @@ _ORACLE_NAMES = {"value": "value", "grad": "gradient", "hess": "Hessian", "hvp":
 
 @dataclass
 class OracleCounter:
-    """Running totals of individual component-oracle evaluations.
+    """Running totals of the component-oracle evaluations asked for.
 
     Counts are cumulative and only ever increase.  A batch of size B charges
-    B calls to the corresponding counter; value evaluations are tracked too
-    so diagnostic bookkeeping can stay separate from the stochastic budget.
+    B calls to the corresponding counter, also when the kernel answers a
+    repeated (idx, x) from memory: the bill counts the algorithm's queries,
+    as the paper does.  Value evaluations are tracked too so diagnostic
+    bookkeeping can stay separate from the stochastic budget.
     """
 
     grad_calls: int = 0
@@ -67,10 +69,13 @@ class FiniteSumProblem:
     grad_bound : bound on ||grad f_i(x) - grad F(x)||_2, np.inf if none holds.
     batch_*_fn : vectorized kernels computing the multiset mean in one shot;
         must agree with the per-component oracles.  Signature is (idx, x)
-        resp. (idx, x, v) with idx an integer array.  A kernel must be a pure
-        function of its arguments: the built-in Hessian-vector kernels keep
-        the point-dependent part of their last (idx, x) and reuse it while
-        the same (idx, x) comes back with new vectors v.
+        resp. (idx, x, v) with idx an integer array.  Every kernel must be
+        a pure function of its arguments: the value, gradient and Hessian
+        kernels are wrapped to answer a repeat of their last (idx, x) from
+        memory, and the built-in Hessian-vector kernels keep the
+        point-dependent part of their last (idx, x) and reuse it while the
+        same (idx, x) comes back with new vectors v.  A repeat is still
+        billed, and a caller always gets an array of its own.
 
     Either protocol is accepted, per oracle: a value and a gradient oracle
     are required (component or kernel), the Hessian and Hessian-vector ones
@@ -132,25 +137,51 @@ class FiniteSumProblem:
                 )
         if d > DENSE_LIMIT:
             self.component_hess = self.batch_hess_fn = None
+        for kind in ("value", "grad", "hess"):
+            kernel = getattr(self, f"batch_{kind}_fn")
+            if kernel is not None:
+                setattr(self, f"batch_{kind}_fn", _last_query(kernel))
+
+
+def _last_query(fn):
+    """``fn(idx, x)`` that answers a repeat of its last (idx, x) from memory.
+
+    The key is a copy of idx, compared by value, and the bytes of x, so an
+    argument mutated in place is a new query, and -0.0 is not 0.0.  An array
+    answer is copied into the memo and out of it: the caller owns what it
+    gets, and mutating it cannot change a later answer.  A scalar or a
+    linearization is immutable and handed out as it is.  The entry is one
+    tuple, read once per call, so no call pairs one query's key with another
+    query's answer.  This is sound only because a kernel is a pure function
+    of (idx, x).
+    """
+    memo = None, None, None  # idx copy, x bytes, answer
+
+    def kernel(idx, x):
+        nonlocal memo
+        kept_idx, kept_key, kept = memo
+        key = np.asarray(x).tobytes()
+        if key == kept_key and np.array_equal(idx, kept_idx):
+            return _owned(kept)
+        answer = fn(idx, x)
+        memo = np.array(idx, copy=True), key, _owned(answer)
+        return answer
+
+    return kernel
+
+
+def _owned(answer):
+    return answer.copy() if isinstance(answer, np.ndarray) else answer
 
 
 def _linearized(linearize):
     """Hessian-vector kernel from ``linearize(idx, x) -> (v -> mean Hv)``.
 
-    The kernel keeps one linearization, keyed by a copy of idx (compared by
-    value) and the bytes of x, and rebuilds it whenever either differs, so a
-    closure that applies one (idx, x) to many vectors pays its point-dependent
-    work once.
+    The linearization of the last (idx, x) is kept, so a closure that applies
+    one (idx, x) to many vectors pays its point-dependent work once.
     """
-    memo = [None, None, None]  # idx copy, x bytes, product
-
-    def kernel(idx, x, v):
-        key = np.asarray(x).tobytes()
-        if key != memo[1] or not np.array_equal(idx, memo[0]):
-            memo[:] = np.array(idx, copy=True), key, linearize(idx, x)
-        return memo[2](v)
-
-    return kernel
+    linearization = _last_query(linearize)
+    return lambda idx, x, v: linearization(idx, x)(v)
 
 
 def _index_order_mean(oracle, shape):

@@ -134,8 +134,9 @@ def parse_libsvm(source) -> LibsvmDataset:
     """Parse svmlight/libsvm text: one "<label> <idx>:<val> ..." row per line.
 
     ``source`` is a string or an iterable of lines.  Feature indices are
-    1-based and must be strictly increasing within a row.  Blank lines are
-    skipped; errors report the 1-based line number.
+    1-based and must be strictly increasing within a row; labels and values
+    must be finite.  Blank lines are skipped; errors report the 1-based line
+    number.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -154,6 +155,8 @@ def parse_libsvm(source) -> LibsvmDataset:
             label = float(tokens[0])
         except ValueError:
             raise LibsvmParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise LibsvmParseError(f"line {lineno}: label {tokens[0]!r} is not finite")
         row: list[tuple[int, float]] = []
         prev_idx = 0
         for tok in tokens[1:]:
@@ -167,6 +170,8 @@ def parse_libsvm(source) -> LibsvmDataset:
                 raise LibsvmParseError(
                     f"line {lineno}: bad feature token {tok!r}"
                 ) from None
+            if not math.isfinite(val):
+                raise LibsvmParseError(f"line {lineno}: feature value {tok!r} is not finite")
             if idx < 1:
                 raise LibsvmParseError(
                     f"line {lineno}: feature index must be >= 1, got {idx}"

@@ -477,8 +477,8 @@ def _logreg_data(classes=None, n=30, d=4, seed=12):
     return X, labels if classes else labels.astype(float)
 
 
-# Builders of problems whose Hessian-vector kernel keeps a linearization;
-# each call builds a fresh problem, i.e. a cold kernel.
+# Builders of problems whose kernels keep their last answer (a linearization,
+# for Hessian-vector kernels); each call builds a fresh problem, i.e. cold kernels.
 LINEARIZED = {
     "binary-logreg": lambda: binary_logreg_from_arrays(*_logreg_data(), lam=0.1),
     "multiclass-logreg": lambda: multiclass_logreg_from_arrays(*_logreg_data(3), 3, lam=0.1),
@@ -497,8 +497,13 @@ class TestLinearizedHvp:
         def check(idx, x):
             v = rng.standard_normal(warm.dim)
             got = warm.batch_hvp_fn(idx, x, v)
-            want = LINEARIZED[name]().batch_hvp_fn(idx.copy(), x.copy(), v)
+            cold = LINEARIZED[name]()
+            want = cold.batch_hvp_fn(idx.copy(), x.copy(), v)
             assert got.tobytes() == want.tobytes()
+            for kind in ("value", "grad", "hess"):
+                got = getattr(warm, f"batch_{kind}_fn")(idx, x)
+                want = getattr(cold, f"batch_{kind}_fn")(idx.copy(), x.copy())
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), kind
 
         a, b = np.array([0, 2, 2, 5, 29]), np.array([1, 3, 3, 3, 8])
         x = rng.standard_normal(warm.dim)
@@ -526,6 +531,86 @@ class TestLinearizedHvp:
         assert c == OracleCounter(hvp_calls=15)  # each application is still billed
         batch_hvp(p, x + 1.0, idx, np.ones(p.dim), c)
         assert log == [3, 3]
+
+
+def counted(kernel, log):
+    """``kernel`` that appends the bytes of every x it is evaluated at to log."""
+
+    def counting(idx, x):
+        log.append(x.tobytes())
+        return kernel(idx, x)
+
+    return counting
+
+
+def counting_problem(logs, n=40, d=4):
+    """kernel_problem whose value, gradient and Hessian evaluations are logged by kind."""
+    reference = kernel_problem(n, d)
+    kernels = {
+        f"batch_{kind}_fn": counted(getattr(reference, f"batch_{kind}_fn"), logs.setdefault(kind, []))
+        for kind in ("value", "grad", "hess")
+    }
+    return FiniteSumProblem(n=n, dim=d, lipschitz_grad=3.0, lipschitz_hess=2.5, **kernels)
+
+
+class TestLastQueryMemo:
+    def test_full_batch_corrections_evaluate_each_iterate_once(self):
+        logs = {}
+        p = counting_problem(logs)
+        # B = 3n clamps every batch, corrections included, to the full index
+        rule = PracticalBatchRule(3 * p.n, 3 * p.n, 3)
+        result = run_srvrc(p, SolverConfig(eps=1e-6, T=7, x0=np.full(4, 0.8), seed=2, batch=rule))
+        assert (result.exit, result.iterations) == ("budget-exhausted", 7)
+        # the bill counts queries: n per reset (t = 0, 3, 6) and 2n per correction
+        assert dataclasses.astuple(result.counters) == (440, 440, 0, 0)
+        for kind in ("grad", "hess"):
+            assert len(logs[kind]) == len(set(logs[kind])) == result.iterations, kind
+
+    def test_no_kernel_is_evaluated_twice_in_a_row_at_one_query(self):
+        logs = {}
+        p = counting_problem(logs)
+        config = SolverConfig(
+            eps=1e-3, T=60, x0=np.full(4, 0.8), seed=3, batch=PracticalBatchRule(120, 120, 3),
+            penalty=AdaptivePenalty(),
+        )
+        result = run_srvrc(p, config)
+        assert result.diag_counters.value_calls > p.n * len(logs["value"])  # f_trial was reused
+        for kind, log in logs.items():
+            assert all(a != b for a, b in zip(log, log[1:])), kind
+
+    @pytest.mark.parametrize("name", sorted(LINEARIZED))
+    def test_callers_own_their_answers(self, name):
+        p = LINEARIZED[name]()
+        idx, x = np.array([0, 2, 2, 5]), np.full(p.dim, 0.4)
+        for kind in ("grad", "hess"):
+            kernel = getattr(p, f"batch_{kind}_fn")
+            got = kernel(idx, x)
+            want = got.tobytes()
+            for _ in range(2):  # mutate the answer computed, then the one kept
+                got += 1.0
+                got = kernel(idx, x)
+                assert got.tobytes() == want
+            oracle = batch_gradient if kind == "grad" else batch_hessian
+            oracle(p, x, idx)[...] = np.nan
+            assert kernel(idx, x).tobytes() == want
+
+    @pytest.mark.parametrize("runner", [run_srvrc, run_srvrc_free])
+    def test_warm_problem_runs_like_a_fresh_one(self, runner):
+        options = {"eps": 1e-3, "T": 40, "seed": 5, "penalty": AdaptivePenalty(), "subsolver_max_iters": 300}
+        config = SolverConfig(x0=np.full(8, 0.8), **options)
+        fresh = runner(make_synthetic(3, 400, 8), config)
+        warm = make_synthetic(3, 400, 8)
+        runner(warm, SolverConfig(x0=np.full(8, -0.5), **options))  # leaves answers at other points
+        full = full_index(warm)
+        for oracle in (batch_value, batch_gradient, batch_hessian):
+            oracle(warm, config.x0.copy(), full)  # and one at the run's first query
+        for _ in range(2):
+            again = runner(warm, config)
+            assert np.array_equal(again.x_out, fresh.x_out)
+            assert [dataclasses.replace(r, wall_ms=0) for r in again.trace] == [
+                dataclasses.replace(r, wall_ms=0) for r in fresh.trace
+            ]
+            assert (again.counters, again.diag_counters) == (fresh.counters, fresh.diag_counters)
 
 
 class TestHessianKernelOnly:

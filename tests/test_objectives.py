@@ -73,8 +73,9 @@ class TestLibsvmParsing:
             ds.binary_labels()
 
     def test_malformed_feature_names_line_number(self):
-        with pytest.raises(LibsvmParseError, match="line 2"):
-            parse_libsvm("1 1:0.5\n1 banana\n")
+        for bad in ("banana", "1:nan", "1:inf", "2:-inf"):
+            with pytest.raises(LibsvmParseError, match="line 2"):
+                parse_libsvm(f"1 1:0.5\n1 {bad}\n")
 
     def test_nonincreasing_indices_rejected(self):
         with pytest.raises(LibsvmParseError, match="line 1"):
@@ -85,8 +86,9 @@ class TestLibsvmParsing:
             parse_libsvm("1 0:0.5\n")
 
     def test_bad_label_rejected(self):
-        with pytest.raises(LibsvmParseError, match="line 3"):
-            parse_libsvm("1 1:1\n0 1:1\nx 1:1\n")
+        for bad in ("x", "nan", "inf", "-Infinity"):
+            with pytest.raises(LibsvmParseError, match="line 3"):
+                parse_libsvm(f"1 1:1\n0 1:1\n{bad} 1:1\n")
 
     def test_roundtrip_through_serializer(self):
         text = "1 1:0.5 3:2.0\n-1 2:-1.25\n1 1:1e-3\n"
