@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ from .drivers import (
     SolverConfig,
     TheoreticalPenalty,
     TraceRow,
-    _theoretical_rule,
     budget_from_gap,
     run_cr,
     run_scr,
@@ -76,15 +75,24 @@ TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 _ALGORITHMS = ("srvrc", "srvrc_free", "cr", "scr")
 
 # Every solver key but budget_gap names a SolverConfig field, and every
-# penalty key names a field of its mode's policy, so the dataclasses hold the
-# only list of keys and the only defaults.
+# penalty or batch key names a field of its mode's class, so the dataclasses
+# hold the only list of keys, their types and the only defaults.  The
+# theoretical batch schedule is derived from the problem and takes no keys.
 _SOLVER_TYPES = typing.get_type_hints(SolverConfig)
+_SOLVER_KEYS = set(_SOLVER_TYPES) | {"budget_gap"}
+_SOLVER_SCALARS = {k: v for k, v in _SOLVER_TYPES.items() if k not in ("penalty", "batch")}
+_SOLVER_SCALARS["budget_gap"] = float
 _PENALTIES = {"fixed": FixedPenalty, "theoretical": TheoreticalPenalty, "adaptive": AdaptivePenalty}
 _PENALTY_KEYS = {mode: {"mode"} | {f.name for f in fields(cls)} for mode, cls in _PENALTIES.items()}
 _BATCH_KEYS = {
-    "theoretical": {"mode", "S_g", "S_h"},  # overrides of the derived epoch lengths
+    "theoretical": {"mode"},
     "practical": {"mode"} | {f.name for f in fields(PracticalBatchRule)},
 }
+_SYNTHETIC_TYPES = {"seed": int, "n": int, "d": int, "difficulty": str}
+_DATASET_TYPES = {"path": str, "objective": str, "lam": float, "num_classes": int,
+                  "scale_features": bool}
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
+               np.ndarray: "a list of numbers"}
 
 
 class ConfigError(ValueError):
@@ -104,6 +112,27 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], where: str
     missing = sorted(required - set(section))
     if missing:
         raise ConfigError(f"{where}: missing required key(s) {missing}")
+
+
+def _fits(value, declared) -> bool:
+    """Whether a JSON value has the declared type; an integer is a number, a bool is neither."""
+    kinds = typing.get_args(declared) or (declared,)
+    if value is None:
+        return type(None) in kinds
+    kind = kinds[0]
+    if kind is np.ndarray:
+        return isinstance(value, list) and all(_fits(v, float) for v in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_types(section: dict, types: dict, where: str) -> None:
+    for key, value in section.items():
+        if key in types and not _fits(value, types[key]):
+            kinds = typing.get_args(types[key]) or (types[key],)
+            expected = _TYPE_NAMES[kinds[0]] + (" or null" if type(None) in kinds else "")
+            raise ConfigError(f"{where}.{key}: expected {expected}, got {json.dumps(value)}")
 
 
 def load_config(path: str | Path) -> dict:
@@ -138,20 +167,13 @@ def validate_config(cfg: dict, where: str = "config") -> None:
     if ("synthetic" in prob) == ("dataset" in prob):
         raise ConfigError(f"{where}.problem: give exactly one of 'synthetic' or 'dataset'")
     if "synthetic" in prob:
-        _check_keys(
-            prob["synthetic"],
-            {"seed", "n", "d", "difficulty"},
-            {"n", "d"},
-            f"{where}.problem.synthetic",
-        )
+        synthetic = prob["synthetic"]
+        _check_keys(synthetic, set(_SYNTHETIC_TYPES), {"n", "d"}, f"{where}.problem.synthetic")
+        _check_types(synthetic, _SYNTHETIC_TYPES, f"{where}.problem.synthetic")
     else:
         ds = prob["dataset"]
-        _check_keys(
-            ds,
-            {"path", "objective", "lam", "num_classes", "scale_features"},
-            {"path", "objective"},
-            f"{where}.problem.dataset",
-        )
+        _check_keys(ds, set(_DATASET_TYPES), {"path", "objective"}, f"{where}.problem.dataset")
+        _check_types(ds, _DATASET_TYPES, f"{where}.problem.dataset")
         if ds["objective"] not in ("binary_logreg", "multiclass_logreg"):
             raise ConfigError(
                 f"{where}.problem.dataset.objective: "
@@ -161,8 +183,8 @@ def validate_config(cfg: dict, where: str = "config") -> None:
             raise ConfigError(f"{where}.problem.dataset: multiclass_logreg needs num_classes")
 
     solver = cfg["solver"]
-    _check_keys(solver, set(_SOLVER_TYPES) | {"budget_gap"}, _required(SolverConfig),
-                f"{where}.solver")
+    _check_keys(solver, _SOLVER_KEYS, _required(SolverConfig), f"{where}.solver")
+    _check_types(solver, _SOLVER_SCALARS, f"{where}.solver")
     if "T" in solver and "budget_gap" in solver:
         raise ConfigError(f"{where}.solver: give at most one of 'T' and 'budget_gap'")
     if "penalty" in solver:
@@ -170,7 +192,7 @@ def validate_config(cfg: dict, where: str = "config") -> None:
         _check_keys(pen, set().union(*_PENALTY_KEYS.values()), {"mode"},
                     f"{where}.solver.penalty")
         mode = pen["mode"]
-        if mode not in _PENALTIES:
+        if not isinstance(mode, str) or mode not in _PENALTIES:
             raise ConfigError(f"{where}.solver.penalty.mode: must be one of "
                               f"{sorted(_PENALTIES)}")
         extra = sorted(set(pen) - _PENALTY_KEYS[mode])
@@ -181,11 +203,12 @@ def validate_config(cfg: dict, where: str = "config") -> None:
         if missing:
             raise ConfigError(f"{where}.solver.penalty: {mode} mode needs "
                               + ", ".join(repr(k) for k in missing))
+        _check_types(pen, typing.get_type_hints(_PENALTIES[mode]), f"{where}.solver.penalty")
     if "batch" in solver:
         batch = solver["batch"]
-        _check_keys(batch, set().union(*_BATCH_KEYS.values()), {"mode"},
-                    f"{where}.solver.batch")
-        if batch["mode"] not in _BATCH_KEYS:
+        if not isinstance(batch, dict) or "mode" not in batch:
+            raise ConfigError(f"{where}.solver.batch: expected an object with a 'mode'")
+        if not isinstance(batch["mode"], str) or batch["mode"] not in _BATCH_KEYS:
             raise ConfigError(f"{where}.solver.batch.mode: must be 'theoretical' or 'practical'")
         if batch["mode"] == "practical" and not _BATCH_KEYS["practical"] <= set(batch):
             raise ConfigError(f"{where}.solver.batch: practical mode needs B_g, B_h, S")
@@ -193,6 +216,7 @@ def validate_config(cfg: dict, where: str = "config") -> None:
         if extra:
             raise ConfigError(f"{where}.solver.batch: key(s) {extra} not valid for mode "
                               f"'{batch['mode']}'")
+        _check_types(batch, typing.get_type_hints(PracticalBatchRule), f"{where}.solver.batch")
 
 
 def _resolve_dataset_path(raw: str) -> Path:
@@ -237,7 +261,7 @@ def build_problem(prob_cfg: dict) -> FiniteSumProblem:
 
 
 def _solver_field(name: str, value):
-    """A JSON value converted to the type the SolverConfig field declares."""
+    """A validated JSON value converted to the type the SolverConfig field declares."""
     kinds = typing.get_args(_SOLVER_TYPES[name]) or (_SOLVER_TYPES[name],)
     if value is None and type(None) in kinds:
         return None
@@ -247,7 +271,11 @@ def _solver_field(name: str, value):
 
 
 def build_solver_config(solver_cfg: dict, algorithm: str, problem: FiniteSumProblem) -> SolverConfig:
-    """A SolverConfig from the keys present; absent keys take the dataclass defaults."""
+    """A SolverConfig from a validated section; absent keys take the dataclass defaults.
+
+    Batch mode "theoretical" is the default, batch=None: the driver derives
+    the schedule from the problem.
+    """
     sc = SolverConfig(**{
         name: _solver_field(name, value)
         for name, value in solver_cfg.items()
@@ -261,13 +289,8 @@ def build_solver_config(solver_cfg: dict, algorithm: str, problem: FiniteSumProb
         params = {k: float(v) for k, v in pen_cfg.items() if k != "mode"}
         sc.penalty = _PENALTIES[pen_cfg["mode"]](**params)
     batch_cfg = solver_cfg.get("batch")
-    if batch_cfg is not None:
-        sizes = {k: int(v) for k, v in batch_cfg.items() if k != "mode"}
-        if batch_cfg["mode"] == "practical":
-            sc.batch = PracticalBatchRule(**sizes)
-        else:
-            variant = "srvrc_free" if algorithm == "srvrc_free" else "srvrc"
-            sc.batch = replace(_theoretical_rule(problem, sc, variant), **sizes)
+    if batch_cfg is not None and batch_cfg["mode"] == "practical":
+        sc.batch = PracticalBatchRule(**{k: int(v) for k, v in batch_cfg.items() if k != "mode"})
     return sc
 
 
@@ -356,17 +379,16 @@ def cmd_run(config_path: str) -> int:
     return summary["exit_code"]
 
 
-def check_problem(
-    problem: FiniteSumProblem, seed: int = 0, tol: float = 1e-4, points: int = 5
-) -> tuple[bool, dict]:
-    """Derivative consistency at seeded points; returns (all passed, error report).
+def check_problem(problem: FiniteSumProblem) -> tuple[bool, dict]:
+    """Derivative consistency at 5 seeded points; returns (every error <= 1e-4, report).
 
     Checks the analytic gradient against central differences and, when both
     oracles exist, Hessian-vector products against dense Hessian columns.
     """
     from .diagnostics import finite_diff_grad_check
 
-    rng = np.random.default_rng(seed)
+    points = 5
+    rng = np.random.default_rng(0)
     counter = OracleCounter()
     full = full_index(problem)
     max_grad_err = 0.0
@@ -381,7 +403,7 @@ def check_problem(
             denom = 1.0 + float(np.linalg.norm(H @ v))
             max_hvp_err = max(max_hvp_err, float(np.linalg.norm(hv - H @ v)) / denom)
     report = {"max_grad_err": max_grad_err, "max_hvp_err": max_hvp_err, "points": points}
-    return (max_grad_err <= tol and max_hvp_err <= tol), report
+    return (max_grad_err <= 1e-4 and max_hvp_err <= 1e-4), report
 
 
 def cmd_check(config_path: str) -> int:

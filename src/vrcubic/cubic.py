@@ -35,7 +35,7 @@ __all__ = [
 
 
 class SolverDivergenceError(RuntimeError):
-    """An iterate became non-finite."""
+    """A descent iterate overflowed or became non-finite."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -120,7 +120,7 @@ def _value_from_product(model, b, x, Ax) -> float:
     return float(b @ x + 0.5 * x @ Ax + model.penalty / 6.0 * hn**3)
 
 
-def solve_exact(model: CubicModel, tol: float = 1e-12) -> CubicSolution:
+def solve_exact(model: CubicModel) -> CubicSolution:
     """Global minimizer via eigendecomposition and secular root finding.
 
     Writing A = Q diag(e) Q^T and c = Q^T b, the minimizer solves
@@ -193,7 +193,7 @@ def solve_exact(model: CubicModel, tol: float = 1e-12) -> CubicSolution:
     else:
         raise RuntimeError("secular root bracket did not close")
 
-    ftol = tol * (1.0 + bnorm)
+    ftol = 1e-12 * (1.0 + bnorm)
     lam = 0.5 * (lo + hi)
     for _ in range(300):
         val = phi(lam)
@@ -285,19 +285,23 @@ def cubic_subsolver(
 
     x = xc.copy()
     steps = 0
-    for k in range(budget):
-        Ax = model.apply(x)
-        if k > 0:
-            if _value_from_product(model, b_pert, x, Ax) <= target:
-                break
-        grad = b_pert + Ax + (tau / 2.0) * np.linalg.norm(x) * x
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= 1e-13 * (1.0 + float(np.linalg.norm(b_pert))):
-            break  # numerically stationary: further steps cannot move x
-        x = x - eta * grad
-        steps = k + 1
-        if not np.all(np.isfinite(x)):
-            raise SolverDivergenceError(f"cubic subsolver diverged at gradient step {steps}")
+    try:  # overflow or a non-finite iterate is divergence at the step taken, never a warning
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(budget):
+                Ax = model.apply(x)
+                if k > 0:
+                    if _value_from_product(model, b_pert, x, Ax) <= target:
+                        break
+                grad = b_pert + Ax + (tau / 2.0) * np.linalg.norm(x) * x
+                gnorm = float(np.linalg.norm(grad))
+                if gnorm <= 1e-13 * (1.0 + float(np.linalg.norm(b_pert))):
+                    break  # numerically stationary: further steps cannot move x
+                x = x - eta * grad
+                if not np.all(np.isfinite(x)):
+                    raise FloatingPointError("non-finite iterate")
+                steps = k + 1
+    except FloatingPointError as exc:
+        raise SolverDivergenceError(f"cubic subsolver diverged at gradient step {steps + 1}") from exc
 
     m_final = cubic_function(model, x)
     if m_final <= mc:
@@ -330,19 +334,23 @@ def cubic_finalsolver(
         raise ValueError("grad_tol must be positive")
 
     x = cauchy_point(model)
-    for k in range(max_iters + 1):
-        grad = cubic_gradient(model, x)
-        if float(np.linalg.norm(grad)) <= grad_tol:
-            return CubicSolution(
-                h=x,
-                m_value=cubic_function(model, x),
-                lam=None,
-                status="finalsolver",
-                iterations=k,
-            )
-        x = x - eta * grad
-        if not np.all(np.isfinite(x)):
-            raise SolverDivergenceError(f"cubic finalsolver diverged at gradient step {k + 1}")
+    try:  # as in cubic_subsolver, overflow is divergence at the step it happens in
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(max_iters + 1):
+                grad = cubic_gradient(model, x)
+                if float(np.linalg.norm(grad)) <= grad_tol:
+                    return CubicSolution(
+                        h=x,
+                        m_value=cubic_function(model, x),
+                        lam=None,
+                        status="finalsolver",
+                        iterations=k,
+                    )
+                x = x - eta * grad
+                if not np.all(np.isfinite(x)):
+                    raise FloatingPointError("non-finite iterate")
+    except FloatingPointError as exc:
+        raise SolverDivergenceError(f"cubic finalsolver diverged at gradient step {k + 1}") from exc
     raise BudgetExceededError(
         f"cubic finalsolver exceeded {max_iters} iterations without reaching "
         f"gradient tolerance {grad_tol}"

@@ -69,7 +69,6 @@ def _lambda_min_via_hvp(
     problem: FiniteSumProblem,
     x: np.ndarray,
     counter: OracleCounter,
-    tol: float,
 ) -> float:
     full = full_index(problem)
     d = problem.dim
@@ -83,7 +82,7 @@ def _lambda_min_via_hvp(
     )
     v0 = np.random.default_rng(0).standard_normal(d)  # ARPACK's own start is unseeded
     try:
-        vals = eigsh(op, k=1, which="SA", tol=tol, v0=v0, return_eigenvectors=False)
+        vals = eigsh(op, k=1, which="SA", tol=1e-10, v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise EigensolverError("Lanczos smallest-eigenvalue solve did not converge") from exc
     return float(vals[0])
@@ -94,7 +93,6 @@ def _mu_parts(
     x: np.ndarray,
     rho: float,
     counter: OracleCounter,
-    eig_tol: float,
 ) -> tuple[float, float, float]:
     """(mu, grad_norm, lambda_min) at x, using full-batch oracles."""
     if not rho > 0:
@@ -106,7 +104,7 @@ def _mu_parts(
     if problem.batch_hess_fn is not None:
         lam = min_eigenvalue(batch_hessian(problem, x, full, counter))
     else:
-        lam = _lambda_min_via_hvp(problem, x, counter, eig_tol)
+        lam = _lambda_min_via_hvp(problem, x, counter)
     mu = max(grad_norm**1.5, max(0.0, -lam) ** 3 / rho**1.5)
     return mu, grad_norm, lam
 
@@ -116,7 +114,6 @@ def mu_criterion(
     x: np.ndarray,
     rho: float,
     counter: OracleCounter | None = None,
-    eig_tol: float = 1e-10,
 ) -> float:
     """Stationarity measure at x; zero exactly at second-order stationary points.
 
@@ -125,7 +122,7 @@ def mu_criterion(
     should be a diagnostics counter, not the one used for algorithm accounting.
     """
     counter = counter if counter is not None else OracleCounter()
-    mu, _, _ = _mu_parts(problem, x, rho, counter, eig_tol)
+    mu, _, _ = _mu_parts(problem, x, rho, counter)
     return mu
 
 
@@ -136,7 +133,6 @@ def certify_local_min(
     rho: float,
     c: float = 600.0,
     counter: OracleCounter | None = None,
-    eig_tol: float = 1e-10,
 ) -> tuple[bool, LocalMinCertificate]:
     """Check mu(x) <= c * eps^{3/2} and report the measured quantities.
 
@@ -148,7 +144,7 @@ def certify_local_min(
     if not eps > 0:
         raise ValueError("eps must be positive")
     counter = counter if counter is not None else OracleCounter()
-    mu, grad_norm, lam = _mu_parts(problem, x, rho, counter, eig_tol)
+    mu, grad_norm, lam = _mu_parts(problem, x, rho, counter)
     cert = LocalMinCertificate(
         grad_norm=grad_norm,
         lambda_min=lam,

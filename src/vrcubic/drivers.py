@@ -128,24 +128,31 @@ def adaptive_penalty_update(
 
 @dataclass
 class SolverConfig:
-    """Driver settings; None for a constant means "use the problem metadata"."""
+    """Driver settings; L, M and the subsolver's constants are derived, not set.
+
+    eps                 target accuracy (gradient norm, sqrt(rho*eps) curvature)
+    rho                 Hessian-Lipschitz constant; None takes the problem's
+    xi                  failure probability of the batch rule and the subsolver
+    T                   iteration budget
+    penalty             cubic penalty policy
+    batch               fixed batch sizes; None is the paper's theoretical schedule
+    seed                seed of the sampling generator when none is passed
+    x0                  starting point; None is the origin
+    subsolver_max_iters cap on subsolver gradient steps; None keeps its budget
+    finalsolver_eps_g   gradient tolerance of the polishing solver; None is eps
+    gradient_recursion  False re-samples the free variant's gradient every step
+    """
 
     eps: float
     rho: float | None = None
-    L: float | None = None
-    M: float | None = None
     xi: float = 0.1
     T: int = 100
     penalty: PenaltyPolicy = field(default_factory=TheoreticalPenalty)
-    batch: TheoreticalBatchRule | PracticalBatchRule | None = None
+    batch: PracticalBatchRule | None = None
     seed: int = 0
     x0: np.ndarray | None = None
-    subsolver_eta: float | None = None  # None -> 1/(16 L)
-    subsolver_quality: float = 0.5
-    subsolver_fail_prob: float | None = None  # None -> xi / (3 T)
     subsolver_max_iters: int | None = None
-    finalsolver_eps_g: float | None = None  # None -> eps
-    finalsolver_max_iters: int = 10**6
+    finalsolver_eps_g: float | None = None
     gradient_recursion: bool = True
 
     def __post_init__(self):
@@ -155,6 +162,12 @@ class SolverConfig:
             raise ValueError("iteration budget must be nonnegative")
         if not 0 < self.xi < 1:
             raise ValueError("xi must lie in (0, 1)")
+        if self.batch is not None and not isinstance(self.batch, PracticalBatchRule):
+            raise TypeError("batch must be a PracticalBatchRule or None (the theoretical schedule)")
+        if self.subsolver_max_iters is not None and self.subsolver_max_iters < 0:
+            raise ValueError("subsolver_max_iters must be nonnegative")
+        if self.finalsolver_eps_g is not None and not self.finalsolver_eps_g > 0:
+            raise ValueError("finalsolver_eps_g must be positive")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
 
@@ -214,13 +227,9 @@ def budget_from_gap(delta_f: float, eps: float, rho: float, algorithm: str = "sr
 
 def _resolve(problem: FiniteSumProblem, config: SolverConfig):
     rho = config.rho if config.rho is not None else problem.lipschitz_hess
-    L = config.L if config.L is not None else problem.lipschitz_grad
-    M = config.M if config.M is not None else problem.grad_bound
     if not rho > 0:
         raise ValueError("rho must be positive")
-    if not L > 0:
-        raise ValueError("L must be positive")
-    return config.eps, rho, L, M, config.xi, config.T
+    return config.eps, rho, problem.lipschitz_grad, config.xi, config.T
 
 
 def _initial_penalty(policy: PenaltyPolicy, rho: float) -> float:
@@ -243,10 +252,9 @@ def _initial_point(problem: FiniteSumProblem, config: SolverConfig) -> np.ndarra
 def _theoretical_rule(
     problem: FiniteSumProblem, config: SolverConfig, variant: str
 ) -> TheoreticalBatchRule:
-    eps, rho, L, M, xi, T = _resolve(problem, config)
-    S_g, S_h = default_epochs(problem.n, eps, L, rho, M)
-    if variant == "srvrc_free":
-        S_h = 1
+    """The paper's batch schedule for this problem, config and driver variant."""
+    eps, rho, L, xi, T = _resolve(problem, config)
+    S_g, S_h = default_epochs(problem.n, eps, L, rho, problem.grad_bound)
     return TheoreticalBatchRule(
         n=problem.n,
         dim=problem.dim,
@@ -255,7 +263,7 @@ def _theoretical_rule(
         T=max(T, 1),
         lipschitz_grad=L,
         lipschitz_hess=rho,
-        grad_bound=M,
+        grad_bound=problem.grad_bound,
         S_g=S_g,
         S_h=S_h,
         variant=variant,
@@ -266,11 +274,10 @@ def _batch_sizes(rule, t: int, disp_norm: float | None, free: bool) -> tuple[int
     """(gradient, Hessian) sample sizes at step t, before clamping to n.
 
     The Hessian-vector sample of the free variant has the same size at every
-    step, so it never depends on the previous step length.
+    step: the "srvrc_free" rule sizes it so, and a practical rule keeps B_h.
     """
     if isinstance(rule, TheoreticalBatchRule):
-        Bg = theoretical_batch_g(rule, t, disp_norm)
-        return Bg, theoretical_batch_h(rule, t, None if free else disp_norm)
+        return theoretical_batch_g(rule, t, disp_norm), theoretical_batch_h(rule, t, disp_norm)
     Bg, Bh = practical_batch(rule, t)
     return Bg, rule.B_h if free else Bh
 
@@ -291,7 +298,7 @@ def _run(
     """
     free = variant == "srvrc_free"
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    eps, rho, L, _, xi, T = _resolve(problem, config)
+    eps, rho, L, xi, T = _resolve(problem, config)
     rule = config.batch or _theoretical_rule(problem, config, variant)
     if isinstance(rule, TheoreticalBatchRule):
         S_g, S_h = rule.S_g, rule.S_h
@@ -304,12 +311,9 @@ def _run(
     penalty = _initial_penalty(policy, rho)
     adaptive = isinstance(policy, AdaptivePenalty)
     radius = math.sqrt(eps / rho)
-    eta = config.subsolver_eta if config.subsolver_eta is not None else 1.0 / (16.0 * L)
-    fail_prob = (
-        config.subsolver_fail_prob
-        if config.subsolver_fail_prob is not None
-        else xi / (3.0 * max(T, 1))
-    )
+    # the subsolver constants of Tripuraneni et al. (2018): step, quality 1/2, failure odds
+    eta = 1.0 / (16.0 * L)
+    fail_prob = xi / (3.0 * max(T, 1))
     eps_g = config.finalsolver_eps_g if config.finalsolver_eps_g is not None else eps
     decrease_floor = -4.0 * eps**1.5 / math.sqrt(rho)
 
@@ -347,17 +351,11 @@ def _run(
         if free:
             try:
                 sol = cubic_subsolver(
-                    model,
-                    eta,
-                    radius,
-                    config.subsolver_quality,
-                    fail_prob,
-                    rng,
-                    max_iters=config.subsolver_max_iters,
+                    model, eta, radius, 0.5, fail_prob, rng, max_iters=config.subsolver_max_iters
                 )
                 terminal = not (sol.m_value < decrease_floor)
                 if terminal:
-                    sol = cubic_finalsolver(model, eta, eps_g, config.finalsolver_max_iters)
+                    sol = cubic_finalsolver(model, eta, eps_g)
             except SolverDivergenceError as exc:
                 raise SolverDivergenceError(f"iteration {t} (penalty {penalty:g}): {exc}") from exc
         else:

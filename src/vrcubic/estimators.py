@@ -70,7 +70,8 @@ class TheoreticalBatchRule:
     gradient + recursive Hessian scheme, "srvrc_free" for the recursive
     gradient + per-step Hessian-vector closure scheme (whose Hessian batch
     is step-independent).  ``grad_bound`` may be np.inf, in which case epoch
-    resets fall back to the full batch.
+    resets fall back to the full batch.  A run derives its rule from its
+    problem and SolverConfig; the rule is not a setting.
     """
 
     n: int
@@ -107,9 +108,6 @@ class PracticalBatchRule:
     def __post_init__(self):
         if self.B_g < 1 or self.B_h < 1 or self.S < 1:
             raise ValueError("batch sizes and epoch length must be >= 1")
-
-
-BatchRule = TheoreticalBatchRule | PracticalBatchRule
 
 
 def _clamp_ceil(raw: float, n: int) -> int:

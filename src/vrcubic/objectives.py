@@ -70,18 +70,6 @@ def _reg_curv(w: np.ndarray) -> np.ndarray:
     return (2.0 - 6.0 * w2) / (1.0 + w2) ** 3
 
 
-def _quad_reg_value(w: np.ndarray) -> float:
-    return float(np.sum(1.0 + w * w))
-
-
-def _quad_reg_grad(w: np.ndarray) -> np.ndarray:
-    return 2.0 * w
-
-
-def _quad_reg_curv(w: np.ndarray) -> np.ndarray:
-    return np.full_like(w, 2.0)
-
-
 class LibsvmParseError(ValueError):
     """Raised on malformed svmlight/libsvm text; message names the line."""
 
@@ -209,12 +197,6 @@ def scale_columns_unit(X: np.ndarray) -> np.ndarray:
     return X / scale
 
 
-def _pick_reg(printed_regularizer: bool):
-    if printed_regularizer:
-        return _quad_reg_value, _quad_reg_grad, _quad_reg_curv
-    return _reg_value, _reg_grad, _reg_curv
-
-
 def binary_logreg_from_arrays(
     X: np.ndarray, y: np.ndarray, lam: float = 1e-3
 ) -> FiniteSumProblem:
@@ -294,14 +276,10 @@ def multiclass_logreg_from_arrays(
     class_id: np.ndarray,
     num_classes: int,
     lam: float = 1e-3,
-    printed_regularizer: bool = False,
 ) -> FiniteSumProblem:
     """Softmax cross-entropy over a flattened (m*d,) weight vector.
 
     The variable is W (m rows of d weights) stored row-major as w = W.ravel().
-    ``printed_regularizer`` switches the penalty from sum w^2/(1+w^2) to
-    sum (1+w^2); the latter is an additive-constant-shifted ridge kept for
-    reproducing runs configured that way.
     """
     X = np.asarray(X, dtype=float)
     class_id = np.asarray(class_id, dtype=int)
@@ -312,7 +290,6 @@ def multiclass_logreg_from_arrays(
     Y = np.zeros((n, m))
     Y[np.arange(n), class_id] = 1.0
     rmax = float(np.linalg.norm(X, axis=1).max()) if n else 0.0
-    rval, rgrad, rcurv = _pick_reg(printed_regularizer)
 
     def _softmax(Z):
         Z = Z - Z.max(axis=1, keepdims=True)
@@ -325,19 +302,19 @@ def multiclass_logreg_from_arrays(
         zmax = Z.max(axis=1)
         lse = zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
         picked = Z[np.arange(idx.size), class_id[idx]]
-        return float(np.mean(lse - picked)) + lam * rval(w)
+        return float(np.mean(lse - picked)) + lam * _reg_value(w)
 
     def bgrad(idx, w):
         W = w.reshape(m, d)
         Xb = X[idx]
         P = _softmax(Xb @ W.T)
         G = (P - Y[idx]).T @ Xb / idx.size
-        return G.ravel() + lam * rgrad(w)
+        return G.ravel() + lam * _reg_grad(w)
 
     def hvp_at(idx, w):
         Xb = X[idx]
         P = _softmax(Xb @ w.reshape(m, d).T)
-        r = lam * rcurv(w)
+        r = lam * _reg_curv(w)
 
         def apply(v):
             A = Xb @ v.reshape(m, d).T
@@ -358,40 +335,30 @@ def multiclass_logreg_from_arrays(
             block = slice(a * d, (a + 1) * d)
             H[block, block] += Z[:, block].T @ Xb
         H /= idx.size
-        H[np.diag_indices(m * d)] += lam * rcurv(w)
+        H[np.diag_indices(m * d)] += lam * _reg_curv(w)
         return H
-
-    reg_curv_bound = 2.0  # both penalties
-    reg_third_bound = 0.0 if printed_regularizer else _REG_THIRD_BOUND
 
     return FiniteSumProblem(
         n=n,
         dim=m * d,
-        lipschitz_grad=rmax**2 / 2.0 + reg_curv_bound * lam,
-        lipschitz_hess=rmax**3 + reg_third_bound * lam,
+        lipschitz_grad=rmax**2 / 2.0 + _REG_CURV_BOUND * lam,
+        lipschitz_hess=rmax**3 + _REG_THIRD_BOUND * lam,
         grad_bound=2.0 * math.sqrt(2.0) * rmax,
         batch_value_fn=bval,
         batch_grad_fn=bgrad,
         batch_hess_fn=bhess,
         batch_hvp_fn=_linearized(hvp_at),
         name="multiclass-logreg",
-        extra={"lam": lam, "num_classes": m, "printed_regularizer": printed_regularizer},
+        extra={"lam": lam, "num_classes": m},
     )
 
 
 def make_multiclass_logreg(
-    dataset: LibsvmDataset,
-    num_classes: int,
-    lam: float = 1e-3,
-    printed_regularizer: bool = False,
+    dataset: LibsvmDataset, num_classes: int, lam: float = 1e-3
 ) -> FiniteSumProblem:
     """Multiclass problem from a parsed dataset (labels 0- or 1-based)."""
     return multiclass_logreg_from_arrays(
-        dataset.to_dense(),
-        dataset.class_ids(num_classes),
-        num_classes,
-        lam=lam,
-        printed_regularizer=printed_regularizer,
+        dataset.to_dense(), dataset.class_ids(num_classes), num_classes, lam=lam
     )
 
 

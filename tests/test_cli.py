@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 
@@ -61,6 +62,14 @@ def write_config(path, cfg):
 class TestValidateConfig:
     def test_minimal_config_passes(self):
         validate_config(base_config())
+        cfg = base_config()
+        # every scalar solver key with a value of its JSON type; an integer is a number
+        cfg["solver"].update(eps=1, rho=None, xi=0.2, seed=3, x0=[1, 0.5, 0, -1],
+                             subsolver_max_iters=None, finalsolver_eps_g=1e-8,
+                             gradient_recursion=False)
+        validate_config(cfg)
+        cfg["solver"].update(rho=2, subsolver_max_iters=50, x0=None)
+        validate_config(cfg)
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match=r"config: unknown key\(s\) \['extra'\]"):
@@ -91,22 +100,43 @@ class TestValidateConfig:
             validate_config(cfg)
 
     def test_unknown_key_error_names_the_path(self):
-        cfg = base_config()
-        cfg["solver"]["stepsize"] = 0.1
-        with pytest.raises(ConfigError, match=r"config\.solver: unknown key\(s\) \['stepsize'\]"):
-            validate_config(cfg)
+        # stepsize never was a key; the others are derived or fixed, not set
+        for key in ("stepsize", "L", "M", "subsolver_eta", "subsolver_quality",
+                    "subsolver_fail_prob", "finalsolver_max_iters"):
+            cfg = base_config()
+            cfg["solver"][key] = 0.1
+            with pytest.raises(ConfigError, match=rf"config\.solver: unknown key\(s\) \['{key}'\]"):
+                validate_config(cfg)
+        # a value of the wrong JSON type is named by its path too
+        for key, value in (("gradient_recursion", "false"), ("T", 2.9), ("seed", True),
+                           ("eps", "0.001"), ("rho", False), ("x0", [1.0, "1", 1.0, 1.0]),
+                           ("x0", 1.0), ("subsolver_max_iters", 300.0),
+                           ("finalsolver_eps_g", "1e-8"), ("budget_gap", None), ("T", None)):
+            cfg = base_config()
+            cfg["solver"].pop("T")
+            cfg["solver"][key] = value
+            with pytest.raises(ConfigError, match=rf"config\.solver\.{key}: expected "):
+                validate_config(cfg)
 
     def test_synthetic_section_checked(self):
         cfg = base_config()
         cfg["problem"] = {"synthetic": {"n": 4}}
         with pytest.raises(ConfigError, match=r"synthetic: missing required key\(s\) \['d'\]"):
             validate_config(cfg)
+        for key, value in (("seed", True), ("n", "40"), ("d", 4.0), ("difficulty", 1)):
+            cfg["problem"] = {"synthetic": {"n": 40, "d": 4, key: value}}
+            with pytest.raises(ConfigError, match=rf"config\.problem\.synthetic\.{key}: expected "):
+                validate_config(cfg)
 
     def test_dataset_objective_checked(self):
         cfg = base_config()
         cfg["problem"] = {"dataset": {"path": "x", "objective": "svm"}}
         with pytest.raises(ConfigError, match="binary_logreg"):
             validate_config(cfg)
+        for key, value in (("lam", "0.1"), ("scale_features", 1), ("path", 3), ("num_classes", 3.0)):
+            cfg["problem"] = {"dataset": {"path": "x", "objective": "binary_logreg", key: value}}
+            with pytest.raises(ConfigError, match=rf"config\.problem\.dataset\.{key}: expected "):
+                validate_config(cfg)
 
     def test_multiclass_needs_num_classes(self):
         cfg = base_config()
@@ -128,21 +158,39 @@ class TestValidateConfig:
         cfg["solver"]["penalty"] = {"mode": "adaptive", "value": 2.0}
         with pytest.raises(ConfigError, match="not valid for"):
             validate_config(cfg)
-        cfg["solver"]["penalty"] = {"mode": "annealed"}
-        with pytest.raises(ConfigError, match="penalty.mode"):
-            validate_config(cfg)
+        for mode in ("annealed", ["fixed"]):
+            cfg["solver"]["penalty"] = {"mode": mode}
+            with pytest.raises(ConfigError, match="penalty.mode"):
+                validate_config(cfg)
+        for pen in ({"mode": "fixed", "value": "2"}, {"mode": "theoretical", "factor": True},
+                    {"mode": "adaptive", "m0": None}):
+            cfg["solver"]["penalty"] = pen
+            key = sorted(set(pen) - {"mode"})[0]
+            with pytest.raises(ConfigError, match=rf"config\.solver\.penalty\.{key}: expected "):
+                validate_config(cfg)
+        cfg["solver"]["penalty"] = {"mode": "fixed", "value": 2}
+        validate_config(cfg)
 
     def test_batch_mode_keys(self):
         cfg = base_config()
         cfg["solver"]["batch"] = {"mode": "practical", "B_g": 10}
         with pytest.raises(ConfigError, match="needs B_g, B_h, S"):
             validate_config(cfg)
-        cfg["solver"]["batch"] = {"mode": "theoretical", "B_g": 10}
-        with pytest.raises(ConfigError, match="not valid for mode"):
+        # the theoretical schedule is derived from the problem and takes no keys
+        for key in ("B_g", "S_g", "S_h"):
+            cfg["solver"]["batch"] = {"mode": "theoretical", key: 3}
+            with pytest.raises(ConfigError, match="not valid for mode"):
+                validate_config(cfg)
+        cfg["solver"]["batch"] = {"mode": "practical", "B_g": 10, "B_h": 10.5, "S": 2}
+        with pytest.raises(ConfigError, match=r"config\.solver\.batch\.B_h: expected an integer"):
             validate_config(cfg)
-        cfg["solver"]["batch"] = {"mode": "auto"}
-        with pytest.raises(ConfigError, match="theoretical"):
+        cfg["solver"]["batch"] = {"mode": "practical", "B_g": 10, "B_h": 10, "S": "2"}
+        with pytest.raises(ConfigError, match=r"config\.solver\.batch\.S: expected an integer"):
             validate_config(cfg)
+        for mode in ("auto", ["practical"]):
+            cfg["solver"]["batch"] = {"mode": mode}
+            with pytest.raises(ConfigError, match="theoretical"):
+                validate_config(cfg)
 
     def test_section_must_be_object(self):
         cfg = base_config()
@@ -395,6 +443,23 @@ class TestCompareCommand:
         lines = (tmp_path / "compare.csv").read_text().splitlines()
         assert "bad,,failed,,,,,," in lines
         assert any(line.startswith("good,srvrc,") for line in lines)
+
+
+class TestSettingSurface:
+    def test_solver_fields_and_cli_keys_are_pinned(self):
+        # a new setting has to be added here as well, so that it is seen
+        fields = {f.name for f in dataclasses.fields(drivers.SolverConfig)}
+        assert fields == {
+            "eps", "rho", "xi", "T", "penalty", "batch", "seed", "x0",
+            "subsolver_max_iters", "finalsolver_eps_g", "gradient_recursion",
+        }
+        assert cli._SOLVER_KEYS == fields | {"budget_gap"}
+        for key in sorted(fields - {"eps"}):
+            cfg = base_config()
+            cfg["solver"][key] = "?"
+            with pytest.raises(ConfigError) as info:
+                validate_config(cfg)
+            assert "unknown key" not in str(info.value)
 
 
 class TestCertifyConstant:

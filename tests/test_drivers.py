@@ -18,7 +18,7 @@ from vrcubic.drivers import (
     run_srvrc,
     run_srvrc_free,
 )
-from vrcubic.estimators import PracticalBatchRule
+from vrcubic.estimators import PracticalBatchRule, TheoreticalBatchRule
 from vrcubic.finite_sum import FiniteSumProblem
 from vrcubic.objectives import make_synthetic
 
@@ -160,16 +160,33 @@ class TestSolverConfigValidation:
     def test_eps_positive(self):
         with pytest.raises(ValueError):
             SolverConfig(eps=0.0)
+        for eps_g in (0.0, -1e-8):
+            with pytest.raises(ValueError, match="finalsolver_eps_g must be positive"):
+                SolverConfig(eps=1e-3, finalsolver_eps_g=eps_g)
 
     def test_budget_nonnegative(self):
         with pytest.raises(ValueError):
             SolverConfig(eps=1e-3, T=-1)
+        with pytest.raises(ValueError, match="subsolver_max_iters must be nonnegative"):
+            SolverConfig(eps=1e-3, subsolver_max_iters=-1)
+        assert SolverConfig(eps=1e-3, subsolver_max_iters=0).subsolver_max_iters == 0
 
     def test_xi_open_interval(self):
         with pytest.raises(ValueError):
             SolverConfig(eps=1e-3, xi=1.0)
         with pytest.raises(ValueError):
             SolverConfig(eps=1e-3, xi=0.0)
+
+    def test_theoretical_rule_is_derived_not_passed(self):
+        # the driver derives the theoretical schedule from the problem, so a
+        # rule built for another problem or driver cannot be handed in
+        rule = TheoreticalBatchRule(n=100, dim=8, eps=1e-3, xi=0.1, T=20, lipschitz_grad=2.0,
+                                    lipschitz_hess=2.5, grad_bound=math.inf, S_g=1, S_h=1)
+        with pytest.raises(TypeError, match="PracticalBatchRule"):
+            SolverConfig(eps=1e-3, batch=rule)
+        config = SolverConfig(eps=1e-3, batch=PracticalBatchRule(10, 10, 2))
+        with pytest.raises(TypeError):
+            dataclasses.replace(config, batch=rule)
 
 
 class TestTermination:
@@ -496,6 +513,23 @@ class TestMatvecDriver:
                 run_srvrc_free(problem, config)
         assert isinstance(info.value.__cause__, SolverDivergenceError)
         assert "diverged at gradient step" in str(info.value)
+
+    def test_divergence_surfaces_under_warnings_as_errors(self):
+        # no errstate here: tier-1 turns warnings into errors, and the
+        # overflow must still surface as the divergence of a named step
+        problem = make_synthetic(3, 400, 8)
+        config = SolverConfig(
+            eps=1e-3,
+            T=40,
+            x0=np.full(8, 0.8),
+            seed=1,
+            batch=PracticalBatchRule(60, 30, 3),
+            penalty=AdaptivePenalty(),
+        )
+        with pytest.raises(SolverDivergenceError, match=r"iteration 37 \(penalty 65536\)") as info:
+            run_srvrc_free(problem, config)
+        assert "cubic subsolver diverged at gradient step" in str(info.value)
+        assert isinstance(info.value.__cause__.__cause__, FloatingPointError)
 
 
 class TestDeterminism:

@@ -279,19 +279,6 @@ class TestMulticlassLogreg:
         denom = 1.0 + np.linalg.norm(H @ v)
         assert np.linalg.norm(hv - H @ v) / denom <= 1e-10
 
-    def test_printed_regularizer_variant_shifts_value(self):
-        # the quadratic-variant penalty is lam*(d + ||w||^2) instead of the
-        # bounded ratio; check the documented difference at a point
-        lam = 0.1
-        pq = multiclass_logreg_from_arrays(self.X, self.y, self.m, lam=lam,
-                                           printed_regularizer=True)
-        pr = multiclass_logreg_from_arrays(self.X, self.y, self.m, lam=lam)
-        w = np.zeros(self.m * self.d)
-        fq = batch_value(pq, w, full_index(pq), COUNTER)
-        fr = batch_value(pr, w, full_index(pr), COUNTER)
-        assert_allclose(fq - fr, lam * self.m * self.d, rtol=1e-12)
-        assert pq.extra["printed_regularizer"] is True
-
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             multiclass_logreg_from_arrays(self.X, np.array([0, 1, 5] * 3), self.m)
