@@ -12,6 +12,11 @@ Subcommands:
 
 Configs are single JSON documents.  Unknown keys anywhere in the document are
 an error: tuning runs die loudly on typos instead of silently using defaults.
+Each section has one reader that checks its keys and JSON types and returns
+its values converted; validate_config, build_problem and build_solver_config
+all go through these readers, so every entry point rejects the same configs.
+The readers also build the solver settings, so a value the settings reject
+(a negative eps, a zero batch size) is reported at load, with its section.
 Dataset paths resolve against VRCUBIC_DATA_ROOT when set and not absolute;
 files ending in .gz are transparently decompressed.
 """
@@ -71,23 +76,21 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+COMPARE_COLUMNS = ("config", "algorithm", "status", "f_gap", "mu", "grad_calls", "hess_calls",
+                   "hvp_calls", "wall_ms")
 
 _ALGORITHMS = ("srvrc", "srvrc_free", "cr", "scr")
 
 # Every solver key but budget_gap names a SolverConfig field, and every
 # penalty or batch key names a field of its mode's class, so the dataclasses
-# hold the only list of keys, their types and the only defaults.  The
-# theoretical batch schedule is derived from the problem and takes no keys.
-_SOLVER_TYPES = typing.get_type_hints(SolverConfig)
-_SOLVER_KEYS = set(_SOLVER_TYPES) | {"budget_gap"}
-_SOLVER_SCALARS = {k: v for k, v in _SOLVER_TYPES.items() if k not in ("penalty", "batch")}
-_SOLVER_SCALARS["budget_gap"] = float
+# hold the only list of keys, their types and the only defaults.  A mode
+# section's type is its {mode: class} table; the theoretical batch schedule is
+# derived from the problem and takes no keys.
 _PENALTIES = {"fixed": FixedPenalty, "theoretical": TheoreticalPenalty, "adaptive": AdaptivePenalty}
-_PENALTY_KEYS = {mode: {"mode"} | {f.name for f in fields(cls)} for mode, cls in _PENALTIES.items()}
-_BATCH_KEYS = {
-    "theoretical": {"mode"},
-    "practical": {"mode"} | {f.name for f in fields(PracticalBatchRule)},
-}
+_BATCHES = {"theoretical": None, "practical": PracticalBatchRule}
+_SOLVER_TYPES = {**typing.get_type_hints(SolverConfig), "budget_gap": float,
+                 "penalty": _PENALTIES, "batch": _BATCHES}
+_SOLVER_KEYS = set(_SOLVER_TYPES)
 _SYNTHETIC_TYPES = {"seed": int, "n": int, "d": int, "difficulty": str}
 _DATASET_TYPES = {"path": str, "objective": str, "lam": float, "num_classes": int,
                   "scale_features": bool}
@@ -114,12 +117,8 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], where: str
         raise ConfigError(f"{where}: missing required key(s) {missing}")
 
 
-def _fits(value, declared) -> bool:
+def _fits(value, kind) -> bool:
     """Whether a JSON value has the declared type; an integer is a number, a bool is neither."""
-    kinds = typing.get_args(declared) or (declared,)
-    if value is None:
-        return type(None) in kinds
-    kind = kinds[0]
     if kind is np.ndarray:
         return isinstance(value, list) and all(_fits(v, float) for v in value)
     if isinstance(value, bool) or kind is bool:
@@ -127,16 +126,83 @@ def _fits(value, declared) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _check_types(section: dict, types: dict, where: str) -> None:
+def _read(section: dict, types: dict, required: set[str], where: str) -> dict:
+    """A section's values, each checked against its declared type; a number becomes a float."""
+    _check_keys(section, set(types), required, where)
+    values = {}
     for key, value in section.items():
-        if key in types and not _fits(value, types[key]):
-            kinds = typing.get_args(types[key]) or (types[key],)
+        if isinstance(types[key], dict):
+            values[key] = _mode(value, types[key], f"{where}.{key}")
+            continue
+        kinds = typing.get_args(types[key]) or (types[key],)
+        if value is None and type(None) in kinds:
+            values[key] = None
+        elif _fits(value, kinds[0]):
+            values[key] = float(value) if kinds[0] is float else value
+        else:
             expected = _TYPE_NAMES[kinds[0]] + (" or null" if type(None) in kinds else "")
             raise ConfigError(f"{where}.{key}: expected {expected}, got {json.dumps(value)}")
+    return values
+
+
+def _mode(section: dict, modes: dict, where: str):
+    """What a {"mode": ..., **fields of that mode's class} section builds; None if no class."""
+    if not isinstance(section, dict) or "mode" not in section:
+        raise ConfigError(f"{where}: expected an object with a 'mode'")
+    mode = section["mode"]
+    if not isinstance(mode, str) or mode not in modes:
+        raise ConfigError(f"{where}.mode: must be one of {sorted(modes)}")
+    cls = modes[mode]
+    types = typing.get_type_hints(cls) if cls else {}
+    extra = sorted(set(section) - {"mode"} - set(types))
+    if extra:
+        raise ConfigError(f"{where}: key(s) {extra} not valid for mode '{mode}'")
+    required = sorted(_required(cls)) if cls else []
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ConfigError(f"{where}: needs {', '.join(map(repr, missing))} "
+                          f"({mode} mode needs {', '.join(required)})")
+    values = _read({k: v for k, v in section.items() if k != "mode"}, types, set(), where)
+    return _construct(cls, values, where) if cls else None
+
+
+def _construct(cls, values: dict, where: str):
+    """cls(**values), with the ValueError of a value cls rejects named by its section."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _problem(prob: dict, where: str) -> tuple[str, dict]:
+    """("synthetic" or "dataset", that section's checked values)."""
+    _check_keys(prob, {"synthetic", "dataset"}, set(), where)
+    if ("synthetic" in prob) == ("dataset" in prob):
+        raise ConfigError(f"{where}: give exactly one of 'synthetic' or 'dataset'")
+    if "synthetic" in prob:
+        return "synthetic", _read(prob["synthetic"], _SYNTHETIC_TYPES, {"n", "d"},
+                                  f"{where}.synthetic")
+    ds = _read(prob["dataset"], _DATASET_TYPES, {"path", "objective"}, f"{where}.dataset")
+    if ds["objective"] not in ("binary_logreg", "multiclass_logreg"):
+        raise ConfigError(
+            f"{where}.dataset.objective: must be 'binary_logreg' or 'multiclass_logreg'"
+        )
+    if ds["objective"] == "multiclass_logreg" and "num_classes" not in ds:
+        raise ConfigError(f"{where}.dataset: multiclass_logreg needs num_classes")
+    return "dataset", ds
+
+
+def _solver(solver: dict, where: str) -> tuple[SolverConfig, float | None]:
+    """(the SolverConfig a solver section gives, its budget_gap or None)."""
+    values = _read(solver, _SOLVER_TYPES, _required(SolverConfig), where)
+    if "T" in values and "budget_gap" in values:
+        raise ConfigError(f"{where}: give at most one of 'T' and 'budget_gap'")
+    gap = values.pop("budget_gap", None)
+    return _construct(SolverConfig, values, where), gap
 
 
 def load_config(path: str | Path) -> dict:
-    """Parse and structurally validate a config file; returns the raw dict."""
+    """Parse and validate a config file; returns the raw dict."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -151,72 +217,12 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(cfg: dict, where: str = "config") -> None:
-    _check_keys(
-        cfg,
-        {"algorithm", "problem", "solver", "output", "trace_format"},
-        {"algorithm", "problem", "solver"},
-        where,
-    )
+    _check_keys(cfg, {"algorithm", "problem", "solver", "output"},
+                {"algorithm", "problem", "solver"}, where)
     if cfg["algorithm"] not in _ALGORITHMS:
         raise ConfigError(f"{where}.algorithm: must be one of {_ALGORITHMS}")
-    if cfg.get("trace_format", "csv") != "csv":
-        raise ConfigError(f"{where}.trace_format: only 'csv' is supported")
-
-    prob = cfg["problem"]
-    _check_keys(prob, {"synthetic", "dataset"}, set(), f"{where}.problem")
-    if ("synthetic" in prob) == ("dataset" in prob):
-        raise ConfigError(f"{where}.problem: give exactly one of 'synthetic' or 'dataset'")
-    if "synthetic" in prob:
-        synthetic = prob["synthetic"]
-        _check_keys(synthetic, set(_SYNTHETIC_TYPES), {"n", "d"}, f"{where}.problem.synthetic")
-        _check_types(synthetic, _SYNTHETIC_TYPES, f"{where}.problem.synthetic")
-    else:
-        ds = prob["dataset"]
-        _check_keys(ds, set(_DATASET_TYPES), {"path", "objective"}, f"{where}.problem.dataset")
-        _check_types(ds, _DATASET_TYPES, f"{where}.problem.dataset")
-        if ds["objective"] not in ("binary_logreg", "multiclass_logreg"):
-            raise ConfigError(
-                f"{where}.problem.dataset.objective: "
-                "must be 'binary_logreg' or 'multiclass_logreg'"
-            )
-        if ds["objective"] == "multiclass_logreg" and "num_classes" not in ds:
-            raise ConfigError(f"{where}.problem.dataset: multiclass_logreg needs num_classes")
-
-    solver = cfg["solver"]
-    _check_keys(solver, _SOLVER_KEYS, _required(SolverConfig), f"{where}.solver")
-    _check_types(solver, _SOLVER_SCALARS, f"{where}.solver")
-    if "T" in solver and "budget_gap" in solver:
-        raise ConfigError(f"{where}.solver: give at most one of 'T' and 'budget_gap'")
-    if "penalty" in solver:
-        pen = solver["penalty"]
-        _check_keys(pen, set().union(*_PENALTY_KEYS.values()), {"mode"},
-                    f"{where}.solver.penalty")
-        mode = pen["mode"]
-        if not isinstance(mode, str) or mode not in _PENALTIES:
-            raise ConfigError(f"{where}.solver.penalty.mode: must be one of "
-                              f"{sorted(_PENALTIES)}")
-        extra = sorted(set(pen) - _PENALTY_KEYS[mode])
-        if extra:
-            raise ConfigError(f"{where}.solver.penalty: key(s) {extra} not valid for "
-                              f"mode '{mode}'")
-        missing = sorted(_required(_PENALTIES[mode]) - set(pen))
-        if missing:
-            raise ConfigError(f"{where}.solver.penalty: {mode} mode needs "
-                              + ", ".join(repr(k) for k in missing))
-        _check_types(pen, typing.get_type_hints(_PENALTIES[mode]), f"{where}.solver.penalty")
-    if "batch" in solver:
-        batch = solver["batch"]
-        if not isinstance(batch, dict) or "mode" not in batch:
-            raise ConfigError(f"{where}.solver.batch: expected an object with a 'mode'")
-        if not isinstance(batch["mode"], str) or batch["mode"] not in _BATCH_KEYS:
-            raise ConfigError(f"{where}.solver.batch.mode: must be 'theoretical' or 'practical'")
-        if batch["mode"] == "practical" and not _BATCH_KEYS["practical"] <= set(batch):
-            raise ConfigError(f"{where}.solver.batch: practical mode needs B_g, B_h, S")
-        extra = sorted(set(batch) - _BATCH_KEYS[batch["mode"]])
-        if extra:
-            raise ConfigError(f"{where}.solver.batch: key(s) {extra} not valid for mode "
-                              f"'{batch['mode']}'")
-        _check_types(batch, typing.get_type_hints(PracticalBatchRule), f"{where}.solver.batch")
+    _problem(cfg["problem"], f"{where}.problem")
+    _solver(cfg["solver"], f"{where}.solver")
 
 
 def _resolve_dataset_path(raw: str) -> Path:
@@ -236,61 +242,34 @@ def _read_maybe_gzip(path: Path) -> str:
 
 
 def build_problem(prob_cfg: dict) -> FiniteSumProblem:
-    if "synthetic" in prob_cfg:
-        s = prob_cfg["synthetic"]
-        return make_synthetic(
-            seed=int(s.get("seed", 0)),
-            n=int(s["n"]),
-            d=int(s["d"]),
-            difficulty=s.get("difficulty", "nonconvex"),
-        )
-    ds = prob_cfg["dataset"]
-    path = _resolve_dataset_path(ds["path"])
+    """The problem a problem section describes, checked as validate_config checks it."""
+    source, spec = _problem(prob_cfg, "config.problem")
+    if source == "synthetic":
+        return make_synthetic(**{"seed": 0, **spec})
+    path = _resolve_dataset_path(spec["path"])
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
     data = parse_libsvm(_read_maybe_gzip(path))
     X = data.to_dense()
-    if ds.get("scale_features", False):
+    if spec.get("scale_features", False):
         X = scale_columns_unit(X)
-    lam = float(ds.get("lam", 1e-3))
-    if ds["objective"] == "binary_logreg":
+    lam = spec.get("lam", 1e-3)
+    if spec["objective"] == "binary_logreg":
         return binary_logreg_from_arrays(X, data.binary_labels(), lam)
-    return multiclass_logreg_from_arrays(
-        X, data.class_ids(int(ds["num_classes"])), int(ds["num_classes"]), lam
-    )
-
-
-def _solver_field(name: str, value):
-    """A validated JSON value converted to the type the SolverConfig field declares."""
-    kinds = typing.get_args(_SOLVER_TYPES[name]) or (_SOLVER_TYPES[name],)
-    if value is None and type(None) in kinds:
-        return None
-    if kinds[0] is np.ndarray:
-        return np.asarray(value, dtype=float)
-    return kinds[0](value)
+    m = spec["num_classes"]
+    return multiclass_logreg_from_arrays(X, data.class_ids(m), m, lam)
 
 
 def build_solver_config(solver_cfg: dict, algorithm: str, problem: FiniteSumProblem) -> SolverConfig:
-    """A SolverConfig from a validated section; absent keys take the dataclass defaults.
+    """A SolverConfig from a solver section, checked as validate_config checks it.
 
-    Batch mode "theoretical" is the default, batch=None: the driver derives
-    the schedule from the problem.
+    Absent keys take the dataclass defaults.  Batch mode "theoretical" is the
+    default, batch=None: the driver derives the schedule from the problem.
     """
-    sc = SolverConfig(**{
-        name: _solver_field(name, value)
-        for name, value in solver_cfg.items()
-        if name not in ("budget_gap", "penalty", "batch")
-    })
-    if "budget_gap" in solver_cfg:
+    sc, gap = _solver(solver_cfg, "config.solver")
+    if gap is not None:
         rho = sc.rho if sc.rho is not None else problem.lipschitz_hess
-        sc.T = budget_from_gap(float(solver_cfg["budget_gap"]), sc.eps, rho, algorithm)
-    pen_cfg = solver_cfg.get("penalty")
-    if pen_cfg is not None:
-        params = {k: float(v) for k, v in pen_cfg.items() if k != "mode"}
-        sc.penalty = _PENALTIES[pen_cfg["mode"]](**params)
-    batch_cfg = solver_cfg.get("batch")
-    if batch_cfg is not None and batch_cfg["mode"] == "practical":
-        sc.batch = PracticalBatchRule(**{k: int(v) for k, v in batch_cfg.items() if k != "mode"})
+        sc.T = budget_from_gap(gap, sc.eps, rho, algorithm)
     return sc
 
 
@@ -306,17 +285,17 @@ def run_algorithm(algorithm: str, problem: FiniteSumProblem, sc: SolverConfig) -
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: Path, columns, rows) -> None:
+    """A header line, then one line per dict in rows; a cell a row lacks is written empty."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = (row.get(c, "") for c in columns)
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_trace_csv(path: Path, trace) -> None:
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in trace:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in TRACE_COLUMNS))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, TRACE_COLUMNS, [vars(row) for row in trace])
 
 
 def certify_constant(algorithm: str) -> float:
@@ -432,60 +411,34 @@ def cmd_compare(config_dir: str) -> int:
         return 1
 
     rows = []
-    any_failed = False
     for path in config_paths:
-        name = path.stem
         try:
             cfg = load_config(path)
             result, summary = execute_config(cfg)
             _write_outputs(cfg, result, summary)
-            best_f = min([summary["f_out"]] + [r.f for r in result.trace])
-            rows.append(
-                {
-                    "config": name,
-                    "algorithm": summary["algorithm"],
-                    "status": summary["exit"],
-                    "f_out": summary["f_out"],
-                    "best_f": best_f,
-                    "mu": summary["mu"],
-                    "grad_calls": summary["counters"]["grad_calls"],
-                    "hess_calls": summary["counters"]["hess_calls"],
-                    "hvp_calls": summary["counters"]["hvp_calls"],
-                    "wall_ms": summary["wall_ms_total"],
-                }
-            )
         except Exception as exc:
-            any_failed = True
             print(f"error in {path.name}: {exc}", file=sys.stderr)
-            rows.append({"config": name, "algorithm": "", "status": "failed"})
-
-    finite_best = [r["best_f"] for r in rows if r["status"] != "failed"]
-    baseline = min(finite_best) if finite_best else 0.0
-    header = "config,algorithm,status,f_gap,mu,grad_calls,hess_calls,hvp_calls,wall_ms"
-    lines = [header]
-    for r in rows:
-        if r["status"] == "failed":
-            lines.append(f"{r['config']},,failed,,,,,,")
+            rows.append({"config": path.stem, "status": "failed"})
             continue
-        lines.append(
-            ",".join(
-                [
-                    r["config"],
-                    r["algorithm"],
-                    r["status"],
-                    repr(r["f_out"] - baseline),
-                    repr(r["mu"]),
-                    str(r["grad_calls"]),
-                    str(r["hess_calls"]),
-                    str(r["hvp_calls"]),
-                    repr(r["wall_ms"]),
-                ]
-            )
-        )
+        rows.append({
+            "config": path.stem,
+            "algorithm": summary["algorithm"],
+            "status": summary["exit"],
+            "f_out": summary["f_out"],
+            "best_f": min([summary["f_out"]] + [r.f for r in result.trace]),
+            "mu": summary["mu"],
+            **summary["counters"],
+            "wall_ms": summary["wall_ms_total"],
+        })
+
+    finished = [r for r in rows if r["status"] != "failed"]
+    baseline = min((r["best_f"] for r in finished), default=0.0)
+    for r in finished:
+        r["f_gap"] = r["f_out"] - baseline
     out = directory / "compare.csv"
-    out.write_text("\n".join(lines) + "\n")
+    _write_csv(out, COMPARE_COLUMNS, rows)
     print(f"wrote {out} ({len(rows)} runs)")
-    return 1 if any_failed else 0
+    return 1 if len(finished) < len(rows) else 0
 
 
 def main(argv=None) -> int:

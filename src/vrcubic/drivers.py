@@ -140,7 +140,7 @@ class SolverConfig:
     x0                  starting point; None is the origin
     subsolver_max_iters cap on subsolver gradient steps; None keeps its budget
     finalsolver_eps_g   gradient tolerance of the polishing solver; None is eps
-    gradient_recursion  False re-samples the free variant's gradient every step
+    gradient_recursion  False re-samples the gradient every step, in every driver
     """
 
     eps: float
@@ -304,7 +304,7 @@ def _run(
         S_g, S_h = rule.S_g, rule.S_h
     else:
         S_g = S_h = rule.S
-    if free and not config.gradient_recursion:
+    if not config.gradient_recursion:
         S_g = 1  # a fresh gradient every step is a recursion that resets every step
     state = EstimatorState(S_g=S_g, S_h=S_h)
     policy = config.penalty

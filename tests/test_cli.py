@@ -168,6 +168,9 @@ class TestValidateConfig:
             key = sorted(set(pen) - {"mode"})[0]
             with pytest.raises(ConfigError, match=rf"config\.solver\.penalty\.{key}: expected "):
                 validate_config(cfg)
+        cfg["solver"]["penalty"] = {"mode": "fixed", "value": -1}
+        with pytest.raises(ConfigError, match=r"config\.solver\.penalty: fixed penalty must be"):
+            validate_config(cfg)
         cfg["solver"]["penalty"] = {"mode": "fixed", "value": 2}
         validate_config(cfg)
 
@@ -186,6 +189,9 @@ class TestValidateConfig:
             validate_config(cfg)
         cfg["solver"]["batch"] = {"mode": "practical", "B_g": 10, "B_h": 10, "S": "2"}
         with pytest.raises(ConfigError, match=r"config\.solver\.batch\.S: expected an integer"):
+            validate_config(cfg)
+        cfg["solver"]["batch"] = {"mode": "practical", "B_g": 0, "B_h": 10, "S": 2}
+        with pytest.raises(ConfigError, match=r"config\.solver\.batch: batch sizes and epoch"):
             validate_config(cfg)
         for mode in ("auto", ["practical"]):
             cfg["solver"]["batch"] = {"mode": mode}
@@ -462,6 +468,75 @@ class TestSettingSurface:
             assert "unknown key" not in str(info.value)
 
 
+    def test_penalty_and_batch_mode_keys_are_pinned(self):
+        # a new mode or mode field has to be added here as well
+        penalty = {mode: {f.name for f in dataclasses.fields(cls)}
+                   for mode, cls in cli._PENALTIES.items()}
+        assert penalty == {
+            "fixed": {"value"},
+            "theoretical": {"factor"},
+            "adaptive": {"m0", "gamma_inc", "gamma_dec", "eta1", "eta2", "floor", "cap"},
+        }
+        batch = {mode: {f.name for f in dataclasses.fields(cls)} if cls else set()
+                 for mode, cls in cli._BATCHES.items()}
+        assert batch == {"theoretical": set(), "practical": {"B_g", "B_h", "S"}}
+        # validation reads exactly those keys: each is type-checked, any other is refused
+        for section, modes in (("penalty", penalty), ("batch", batch)):
+            for mode, keys in modes.items():
+                cfg = base_config()
+                for key in keys:
+                    cfg["solver"][section] = {"mode": mode, **dict.fromkeys(keys, 1), key: "?"}
+                    with pytest.raises(ConfigError, match=rf"\.{section}\.{key}: expected "):
+                        validate_config(cfg)
+                cfg["solver"][section] = {"mode": mode, **dict.fromkeys(keys, 1), "extra": 1}
+                with pytest.raises(ConfigError, match="not valid for mode"):
+                    validate_config(cfg)
+
+
+class TestEntryPointsAgree:
+    """build_problem, build_solver_config and execute_config refuse what
+    validate_config refuses, with the same message."""
+
+    SOLVER_FAULTS = {
+        "recursion-string": ({"gradient_recursion": "false"},
+                             r"solver\.gradient_recursion: expected true or false"),
+        "T-fraction": ({"T": 2.9}, r"solver\.T: expected an integer"),
+        "seed-bool": ({"seed": True}, r"solver\.seed: expected an integer"),
+        "penalty-string": ({"penalty": {"mode": "fixed", "value": "2"}},
+                           r"solver\.penalty\.value: expected a number"),
+        "batch-fraction": ({"batch": {"mode": "practical", "B_g": 5.7, "B_h": 5, "S": 1}},
+                           r"solver\.batch\.B_g: expected an integer"),
+        "eps-negative": ({"eps": -1.0}, r"config\.solver: eps must be positive"),
+        "penalty-negative": ({"penalty": {"mode": "fixed", "value": -1}},
+                             r"config\.solver\.penalty: fixed penalty must be positive"),
+    }
+
+    @staticmethod
+    def refusals(cfg):
+        with pytest.raises(ConfigError) as validated:
+            validate_config(cfg)
+        with pytest.raises(ConfigError) as executed:
+            cli.execute_config(cfg)
+        return str(validated.value), str(executed.value)
+
+    @pytest.mark.parametrize("name", sorted(SOLVER_FAULTS))
+    def test_solver_section(self, name):
+        fault, message = self.SOLVER_FAULTS[name]
+        cfg = base_config()
+        cfg["solver"].update(fault)
+        problem = build_problem(cfg["problem"])
+        with pytest.raises(ConfigError, match=message) as built:
+            build_solver_config(cfg["solver"], cfg["algorithm"], problem)
+        assert self.refusals(cfg) == (str(built.value), str(built.value))
+
+    def test_problem_section(self):
+        cfg = base_config()
+        cfg["problem"]["synthetic"]["n"] = "20"
+        with pytest.raises(ConfigError, match=r"synthetic\.n: expected an integer") as built:
+            build_problem(cfg["problem"])
+        assert self.refusals(cfg) == (str(built.value), str(built.value))
+
+
 class TestCertifyConstant:
     def test_values(self):
         assert certify_constant("srvrc") == 600.0
@@ -528,3 +603,28 @@ class TestTracedImportSites:
         result = cli.run_algorithm(algorithm, problem, build_solver_config(cfg["solver"], algorithm, problem))
         assert result.exit == "converged"
         assert called == self.CALLED[algorithm]
+
+    @pytest.mark.parametrize("source", ["synthetic", "dataset"])
+    def test_set_up_sites_are_called(self, source, tmp_path, monkeypatch):
+        # the benchmark's set-up spans (cli.build_problem, objectives.parse_libsvm, ...)
+        # time these vrcubic.cli globals, so a user-path run has to call each of them
+        names = ("build_problem", "build_solver_config", "make_synthetic", "parse_libsvm",
+                 "mu_criterion")
+        called = set()
+        for name in names:
+            original = getattr(cli, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                called.add(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counting)
+        cfg = base_config()
+        if source == "dataset":
+            data = tmp_path / "tiny.libsvm"
+            data.write_text(LIBSVM_BINARY + "\n")
+            cfg["problem"] = {"dataset": {"path": str(data), "objective": "binary_logreg"}}
+            del cfg["solver"]["x0"]
+        cli.execute_config(cfg)
+        loader = "make_synthetic" if source == "synthetic" else "parse_libsvm"
+        assert called == {"build_problem", "build_solver_config", loader, "mu_criterion"}

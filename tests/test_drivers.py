@@ -374,6 +374,18 @@ class TestAccounting:
             assert rows[i].grad_calls - rows[i - 1].grad_calls == 2 * rows[i].Bg
             assert rows[i].hess_calls - rows[i - 1].hess_calls == 2 * rows[i].Bh
 
+    def test_fresh_gradients_charge_one_pass_per_step(self):
+        # gradient_recursion=False resets the gradient every step in every
+        # driver, so each step pays one pass over its batch and no correction
+        problem = make_synthetic(3, 400, 8)
+        rule = PracticalBatchRule(60, 30, 3)
+        config = SolverConfig(eps=1e-3, T=20, x0=np.full(8, 0.8), batch=rule,
+                              gradient_recursion=False)
+        fresh = run_srvrc(problem, config)
+        assert fresh.counters.grad_calls == sum(row.Bg for row in fresh.trace) == 680
+        recursive = run_srvrc(problem, dataclasses.replace(config, gradient_recursion=True))
+        assert recursive.counters.grad_calls > sum(row.Bg for row in recursive.trace)
+
     def test_batch_columns_clamped_to_n(self):
         problem = make_synthetic(seed=10, n=15, d=3)
         rule = PracticalBatchRule(B_g=1000, B_h=1000, S=2)
