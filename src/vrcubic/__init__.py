@@ -14,133 +14,18 @@ can.  Rough map:
 * cli          -- JSON-config experiment runner (`vrcubic run|check|compare`).
 """
 
-from .cubic import (
-    BudgetExceededError,
-    CubicModel,
-    CubicSolution,
-    SolverDivergenceError,
-    cauchy_point,
-    cubic_finalsolver,
-    cubic_function,
-    cubic_gradient,
-    cubic_subsolver,
-    solve_exact,
-)
-from .diagnostics import (
-    EigensolverError,
-    LocalMinCertificate,
-    certify_local_min,
-    finite_diff_grad_check,
-    min_eigenvalue,
-    mu_criterion,
-)
-from .drivers import (
-    AdaptivePenalty,
-    FixedPenalty,
-    IterationSnapshot,
-    RunResult,
-    SolverConfig,
-    TheoreticalPenalty,
-    TraceRow,
-    adaptive_penalty_update,
-    budget_from_gap,
-    run_cr,
-    run_scr,
-    run_srvrc,
-    run_srvrc_free,
-)
-from .estimators import (
-    EstimatorState,
-    PracticalBatchRule,
-    TheoreticalBatchRule,
-    default_epochs,
-    practical_batch,
-    theoretical_batch_g,
-    theoretical_batch_h,
-    update_gradient_estimator,
-    update_hessian_estimator,
-)
-from .finite_sum import (
-    FiniteSumProblem,
-    OracleCounter,
-    batch_gradient,
-    batch_hessian,
-    batch_hvp,
-    batch_value,
-    full_index,
-    sample_multiset,
-)
-from .objectives import (
-    LibsvmDataset,
-    LibsvmParseError,
-    binary_logreg_from_arrays,
-    make_binary_logreg,
-    make_multiclass_logreg,
-    make_synthetic,
-    multiclass_logreg_from_arrays,
-    parse_libsvm,
-    scale_columns_unit,
-    serialize_libsvm,
-)
+# Each module's __all__ is its public surface; the package republishes them all.
+from . import cubic, diagnostics, drivers, estimators, finite_sum, objectives
+from .cubic import *  # noqa: F403
+from .diagnostics import *  # noqa: F403
+from .drivers import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .finite_sum import *  # noqa: F403
+from .objectives import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptivePenalty",
-    "BudgetExceededError",
-    "CubicModel",
-    "CubicSolution",
-    "EigensolverError",
-    "EstimatorState",
-    "FiniteSumProblem",
-    "FixedPenalty",
-    "IterationSnapshot",
-    "LibsvmDataset",
-    "LibsvmParseError",
-    "LocalMinCertificate",
-    "OracleCounter",
-    "PracticalBatchRule",
-    "RunResult",
-    "SolverConfig",
-    "SolverDivergenceError",
-    "TheoreticalBatchRule",
-    "TheoreticalPenalty",
-    "TraceRow",
-    "adaptive_penalty_update",
-    "batch_gradient",
-    "batch_hessian",
-    "batch_hvp",
-    "batch_value",
-    "binary_logreg_from_arrays",
-    "budget_from_gap",
-    "cauchy_point",
-    "certify_local_min",
-    "cubic_finalsolver",
-    "cubic_function",
-    "cubic_gradient",
-    "cubic_subsolver",
-    "default_epochs",
-    "finite_diff_grad_check",
-    "full_index",
-    "make_binary_logreg",
-    "make_multiclass_logreg",
-    "make_synthetic",
-    "min_eigenvalue",
-    "mu_criterion",
-    "multiclass_logreg_from_arrays",
-    "parse_libsvm",
-    "practical_batch",
-    "run_cr",
-    "run_scr",
-    "run_srvrc",
-    "run_srvrc_free",
-    "sample_multiset",
-    "scale_columns_unit",
-    "serialize_libsvm",
-    "solve_exact",
-    "theoretical_batch_g",
-    "theoretical_batch_h",
-    "update_gradient_estimator",
-    "update_hessian_estimator",
-    "__version__",
-]
+__all__ = sorted(
+    cubic.__all__ + diagnostics.__all__ + drivers.__all__ + estimators.__all__
+    + finite_sum.__all__ + objectives.__all__
+) + ["__version__"]

@@ -57,6 +57,7 @@ from .finite_sum import (
     full_index,
 )
 from .objectives import (
+    SYNTHETIC_DIFFICULTIES,
     binary_logreg_from_arrays,
     make_synthetic,
     multiclass_logreg_from_arrays,
@@ -92,6 +93,7 @@ _SOLVER_TYPES = {**typing.get_type_hints(SolverConfig), "budget_gap": float,
                  "penalty": _PENALTIES, "batch": _BATCHES}
 _SOLVER_KEYS = set(_SOLVER_TYPES)
 _SYNTHETIC_TYPES = {"seed": int, "n": int, "d": int, "difficulty": str}
+_SYNTHETIC_MIN = {"seed": 0, "n": 1, "d": 1}
 _DATASET_TYPES = {"path": str, "objective": str, "lam": float, "num_classes": int,
                   "scale_features": bool}
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
@@ -180,8 +182,14 @@ def _problem(prob: dict, where: str) -> tuple[str, dict]:
     if ("synthetic" in prob) == ("dataset" in prob):
         raise ConfigError(f"{where}: give exactly one of 'synthetic' or 'dataset'")
     if "synthetic" in prob:
-        return "synthetic", _read(prob["synthetic"], _SYNTHETIC_TYPES, {"n", "d"},
-                                  f"{where}.synthetic")
+        where = f"{where}.synthetic"
+        syn = _read(prob["synthetic"], _SYNTHETIC_TYPES, {"n", "d"}, where)
+        for key, least in _SYNTHETIC_MIN.items():
+            if syn.get(key, least) < least:
+                raise ConfigError(f"{where}.{key}: must be at least {least}, got {syn[key]}")
+        if syn.get("difficulty", "nonconvex") not in SYNTHETIC_DIFFICULTIES:
+            raise ConfigError(f"{where}.difficulty: must be one of {list(SYNTHETIC_DIFFICULTIES)}")
+        return "synthetic", syn
     ds = _read(prob["dataset"], _DATASET_TYPES, {"path", "objective"}, f"{where}.dataset")
     if ds["objective"] not in ("binary_logreg", "multiclass_logreg"):
         raise ConfigError(
@@ -198,6 +206,8 @@ def _solver(solver: dict, where: str) -> tuple[SolverConfig, float | None]:
     if "T" in values and "budget_gap" in values:
         raise ConfigError(f"{where}: give at most one of 'T' and 'budget_gap'")
     gap = values.pop("budget_gap", None)
+    if gap is not None and gap < 0:
+        raise ConfigError(f"{where}.budget_gap: objective gap must be nonnegative, got {gap}")
     return _construct(SolverConfig, values, where), gap
 
 
@@ -216,11 +226,16 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict, where: str = "config") -> None:
+def _top(cfg: dict, where: str) -> None:
+    """The document's own keys and its algorithm, checked before any section is built."""
     _check_keys(cfg, {"algorithm", "problem", "solver", "output"},
                 {"algorithm", "problem", "solver"}, where)
     if cfg["algorithm"] not in _ALGORITHMS:
         raise ConfigError(f"{where}.algorithm: must be one of {_ALGORITHMS}")
+
+
+def validate_config(cfg: dict, where: str = "config") -> None:
+    _top(cfg, where)
     _problem(cfg["problem"], f"{where}.problem")
     _solver(cfg["solver"], f"{where}.solver")
 
@@ -304,6 +319,7 @@ def certify_constant(algorithm: str) -> float:
 
 def execute_config(cfg: dict) -> tuple[RunResult, dict]:
     """Build the problem, run the algorithm, measure mu; returns (result, summary)."""
+    _top(cfg, "config")
     algorithm = cfg["algorithm"]
     problem = build_problem(cfg["problem"])
     sc = build_solver_config(cfg["solver"], algorithm, problem)

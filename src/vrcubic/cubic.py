@@ -10,6 +10,9 @@ Three solvers with different oracle requirements:
                       not for the exact minimizer.
 * cubic_finalsolver-- gradient descent on the unperturbed model down to a
                       gradient-norm tolerance, used to polish a last step.
+
+The matvec solvers share one descent loop (_descend) and one value and one
+gradient formula; they differ only in linear term, iteration limit and stop rule.
 """
 
 from __future__ import annotations
@@ -94,13 +97,21 @@ class CubicSolution:
     iterations: int = 0
 
 
+# value and gradient at h of the model with linear term b, from the product Ah = A @ h
+def _value(tau: float, b: np.ndarray, h: np.ndarray, Ah: np.ndarray) -> float:
+    return float(b @ h + 0.5 * h @ Ah + tau / 6.0 * np.linalg.norm(h) ** 3)
+
+
+def _gradient(tau: float, b: np.ndarray, h: np.ndarray, Ah: np.ndarray) -> np.ndarray:
+    return b + Ah + (tau / 2.0) * np.linalg.norm(h) * h
+
+
 def cubic_function(model: CubicModel, h: np.ndarray) -> float:
-    hn = np.linalg.norm(h)
-    return float(model.b @ h + 0.5 * h @ model.apply(h) + model.penalty / 6.0 * hn**3)
+    return _value(model.penalty, model.b, h, model.apply(h))
 
 
 def cubic_gradient(model: CubicModel, h: np.ndarray) -> np.ndarray:
-    return model.b + model.apply(h) + (model.penalty / 2.0) * np.linalg.norm(h) * h
+    return _gradient(model.penalty, model.b, h, model.apply(h))
 
 
 def cauchy_point(model: CubicModel) -> np.ndarray:
@@ -112,12 +123,6 @@ def cauchy_point(model: CubicModel) -> np.ndarray:
     curv = float(model.b @ model.apply(model.b)) / (tau * bnorm**2)
     radius = -curv + math.sqrt(curv * curv + 2.0 * bnorm / tau)
     return -radius / bnorm * model.b
-
-
-def _value_from_product(model, b, x, Ax) -> float:
-    # model value at x reusing an already computed product A @ x
-    hn = np.linalg.norm(x)
-    return float(b @ x + 0.5 * x @ Ax + model.penalty / 6.0 * hn**3)
 
 
 def solve_exact(model: CubicModel) -> CubicSolution:
@@ -143,6 +148,7 @@ def solve_exact(model: CubicModel) -> CubicSolution:
 
     spread = max(1.0, float(np.max(np.abs(eigvals))))
     bottom = eigvals <= lam_min + 1e-12 * spread
+    safe = ~bottom
     c_bottom = float(np.linalg.norm(c[bottom]))
     degenerate_b = c_bottom < 1e-12 * bnorm or bnorm == 0.0
 
@@ -154,6 +160,19 @@ def solve_exact(model: CubicModel) -> CubicSolution:
             lam=tau * hn / 2.0,
             status="exact",
         )
+
+    def hard_case(lam: float) -> CubicSolution | None:
+        # zero the bottom component of c; a bottom-eigenvector multiple restores ||h|| = 2 lam / tau
+        coeff = np.zeros(d)
+        coeff[safe] = -c[safe] / (eigvals[safe] + lam)
+        reg_norm = float(np.sqrt(np.sum(coeff[safe] ** 2)))
+        target = 2.0 * lam / tau
+        if reg_norm < target:
+            u = Q[:, 0]
+            if u[np.argmax(np.abs(u))] < 0:
+                u = -u  # sign fixed by the largest entry, so the step is reproducible
+            return finish(Q @ coeff + math.sqrt(target**2 - reg_norm**2) * u)
+        return None
 
     if bnorm == 0.0 and lam_min >= 0.0:
         return finish(np.zeros(d))
@@ -167,21 +186,9 @@ def solve_exact(model: CubicModel) -> CubicSolution:
         denom = eigvals + lam
         return float(np.sqrt(np.sum((c_eff / denom) ** 2)) - 2.0 * lam / tau)
 
-    if lam_min < 0.0 and degenerate_b:
-        # possible degenerate case: secular value at the floor decides
-        denom = eigvals + lam_floor
-        safe = ~bottom
-        norm_floor = float(np.sqrt(np.sum((c_eff[safe] / denom[safe]) ** 2)))
-        target = 2.0 * lam_floor / tau
-        if norm_floor < target:
-            coeff = np.zeros(d)
-            coeff[safe] = -c_eff[safe] / denom[safe]
-            sigma = math.sqrt(max(target**2 - norm_floor**2, 0.0))
-            u = Q[:, 0]
-            k = int(np.argmax(np.abs(u)))
-            if u[k] < 0:
-                u = -u
-            return finish(Q @ coeff + sigma * u)
+    # possible degenerate case: secular value at the floor decides
+    if lam_min < 0.0 and degenerate_b and (solution := hard_case(lam_floor)):
+        return solution
 
     # root bracket: phi -> +inf (or is positive) at the floor, -inf at infinity
     lo = lam_floor
@@ -214,25 +221,33 @@ def solve_exact(model: CubicModel) -> CubicSolution:
         if hi - lo <= 1e-17 * max(1.0, lam):
             break
 
-    if abs(phi(lam)) > ftol and lam_min < 0.0:
-        # pole-adjacent root that float resolution cannot pin down: treat the
-        # tiny bottom component as zero and restore the norm equation with a
-        # bottom-eigenvector multiple
-        safe = ~bottom
-        coeff = np.zeros(d)
-        coeff[safe] = -c[safe] / (eigvals[safe] + lam)
-        reg_norm = float(np.linalg.norm(coeff))
-        target = 2.0 * lam / tau
-        if reg_norm < target:
-            sigma = math.sqrt(target**2 - reg_norm**2)
-            u = Q[:, 0]
-            k = int(np.argmax(np.abs(u)))
-            if u[k] < 0:
-                u = -u
-            return finish(Q @ coeff + sigma * u)
+    # pole-adjacent root that float resolution cannot pin down: treat the tiny
+    # bottom component as zero, as in the degenerate case
+    if abs(phi(lam)) > ftol and lam_min < 0.0 and (solution := hard_case(lam)):
+        return solution
 
     h = Q @ (-c_eff / (eigvals + lam))
     return finish(h)
+
+
+def _descend(model, b, eta, x, limit, done, name):
+    """Up to ``limit`` gradient steps from x on the model with linear term b; returns
+    (x, steps taken), where ``done(k, x, A @ x, grad)`` may stop before step k + 1.
+    Overflow or a non-finite iterate is divergence at that step, never a warning.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(limit):
+                Ax = model.apply(x)
+                grad = _gradient(model.penalty, b, x, Ax)
+                if done(k, x, Ax, grad):
+                    return x, k
+                x = x - eta * grad
+                if not np.all(np.isfinite(x)):
+                    raise FloatingPointError("non-finite iterate")
+    except FloatingPointError as exc:
+        raise SolverDivergenceError(f"cubic {name} diverged at gradient step {k + 1}") from exc
+    return x, limit
 
 
 def cubic_subsolver(
@@ -283,30 +298,16 @@ def cubic_subsolver(
     q /= np.linalg.norm(q)
     b_pert = model.b + sigma * q
 
-    x = xc.copy()
-    steps = 0
-    try:  # overflow or a non-finite iterate is divergence at the step taken, never a warning
-        with np.errstate(over="raise", invalid="raise"):
-            for k in range(budget):
-                Ax = model.apply(x)
-                if k > 0:
-                    if _value_from_product(model, b_pert, x, Ax) <= target:
-                        break
-                grad = b_pert + Ax + (tau / 2.0) * np.linalg.norm(x) * x
-                gnorm = float(np.linalg.norm(grad))
-                if gnorm <= 1e-13 * (1.0 + float(np.linalg.norm(b_pert))):
-                    break  # numerically stationary: further steps cannot move x
-                x = x - eta * grad
-                if not np.all(np.isfinite(x)):
-                    raise FloatingPointError("non-finite iterate")
-                steps = k + 1
-    except FloatingPointError as exc:
-        raise SolverDivergenceError(f"cubic subsolver diverged at gradient step {steps + 1}") from exc
+    def done(k, x, Ax, grad) -> bool:
+        # the perturbed value passes the target, or x is numerically stationary
+        if k > 0 and _value(tau, b_pert, x, Ax) <= target:
+            return True
+        return float(np.linalg.norm(grad)) <= 1e-13 * (1.0 + float(np.linalg.norm(b_pert)))
 
+    x, steps = _descend(model, b_pert, eta, xc, budget, done, "subsolver")
     m_final = cubic_function(model, x)
-    if m_final <= mc:
-        return CubicSolution(h=x, m_value=m_final, lam=None, status="subsolver-iterated", iterations=steps)
-    return CubicSolution(h=xc, m_value=mc, lam=None, status="subsolver-iterated", iterations=steps)
+    h, m_value = (x, m_final) if m_final <= mc else (xc, mc)
+    return CubicSolution(h=h, m_value=m_value, lam=None, status="subsolver-iterated", iterations=steps)
 
 
 def cubic_finalsolver(
@@ -333,25 +334,12 @@ def cubic_finalsolver(
     if not grad_tol > 0:
         raise ValueError("grad_tol must be positive")
 
-    x = cauchy_point(model)
-    try:  # as in cubic_subsolver, overflow is divergence at the step it happens in
-        with np.errstate(over="raise", invalid="raise"):
-            for k in range(max_iters + 1):
-                grad = cubic_gradient(model, x)
-                if float(np.linalg.norm(grad)) <= grad_tol:
-                    return CubicSolution(
-                        h=x,
-                        m_value=cubic_function(model, x),
-                        lam=None,
-                        status="finalsolver",
-                        iterations=k,
-                    )
-                x = x - eta * grad
-                if not np.all(np.isfinite(x)):
-                    raise FloatingPointError("non-finite iterate")
-    except FloatingPointError as exc:
-        raise SolverDivergenceError(f"cubic finalsolver diverged at gradient step {k + 1}") from exc
-    raise BudgetExceededError(
-        f"cubic finalsolver exceeded {max_iters} iterations without reaching "
-        f"gradient tolerance {grad_tol}"
-    )
+    x, k = _descend(model, model.b, eta, cauchy_point(model), max_iters + 1,
+                    lambda k, x, Ax, grad: float(np.linalg.norm(grad)) <= grad_tol, "finalsolver")
+    if k > max_iters:
+        raise BudgetExceededError(
+            f"cubic finalsolver exceeded {max_iters} iterations without reaching "
+            f"gradient tolerance {grad_tol}"
+        )
+    return CubicSolution(h=x, m_value=cubic_function(model, x), lam=None, status="finalsolver",
+                         iterations=k)

@@ -162,6 +162,8 @@ class SolverConfig:
             raise ValueError("iteration budget must be nonnegative")
         if not 0 < self.xi < 1:
             raise ValueError("xi must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.batch is not None and not isinstance(self.batch, PracticalBatchRule):
             raise TypeError("batch must be a PracticalBatchRule or None (the theoretical schedule)")
         if self.subsolver_max_iters is not None and self.subsolver_max_iters < 0:

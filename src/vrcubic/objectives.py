@@ -26,6 +26,8 @@ __all__ = [
     "make_synthetic",
 ]
 
+SYNTHETIC_DIFFICULTIES = ("convex", "nonconvex")  # make_synthetic's difficulty values
+
 # sup_w |d^2/dw^2 [w^2/(1+w^2)]| = 2 (attained at w=0)
 _REG_CURV_BOUND = 2.0
 # sup_w |d^3/dw^3 [w^2/(1+w^2)]| = max of |24 w (w^2-1)|/(1+w^2)^4, approx 4.669
@@ -376,7 +378,7 @@ def make_synthetic(
     The gradient deviation ||grad f_i - grad F|| grows with ||x||, so no
     finite grad_bound is reported (np.inf): resets fall back to full batches.
     """
-    if difficulty not in ("convex", "nonconvex"):
+    if difficulty not in SYNTHETIC_DIFFICULTIES:
         raise ValueError(f"unknown difficulty {difficulty!r}")
     rng = np.random.default_rng(seed)
     alpha = 0.0 if difficulty == "convex" else 0.5

@@ -127,6 +127,13 @@ class TestValidateConfig:
             cfg["problem"] = {"synthetic": {"n": 40, "d": 4, key: value}}
             with pytest.raises(ConfigError, match=rf"config\.problem\.synthetic\.{key}: expected "):
                 validate_config(cfg)
+        # well-typed values make_synthetic would refuse are refused at load too
+        for key, value, message in (("difficulty", "hard", "one of"), ("n", 0, "at least 1"),
+                                    ("d", 0, "at least 1"), ("seed", -1, "at least 0")):
+            cfg["problem"] = {"synthetic": {"n": 40, "d": 4, key: value}}
+            with pytest.raises(ConfigError,
+                               match=rf"config\.problem\.synthetic\.{key}: must be {message}"):
+                validate_config(cfg)
 
     def test_dataset_objective_checked(self):
         cfg = base_config()
@@ -509,6 +516,16 @@ class TestEntryPointsAgree:
         "eps-negative": ({"eps": -1.0}, r"config\.solver: eps must be positive"),
         "penalty-negative": ({"penalty": {"mode": "fixed", "value": -1}},
                              r"config\.solver\.penalty: fixed penalty must be positive"),
+        "gap-negative": ({"budget_gap": -1.0},
+                         r"config\.solver\.budget_gap: objective gap must be nonnegative"),
+        "seed-negative": ({"seed": -1}, r"config\.solver: seed must be nonnegative"),
+    }
+    PROBLEM_FAULTS = {
+        "n-zero": ({"n": 0}, r"config\.problem\.synthetic\.n: must be at least 1"),
+        "d-zero": ({"d": 0}, r"config\.problem\.synthetic\.d: must be at least 1"),
+        "seed-negative": ({"seed": -1}, r"config\.problem\.synthetic\.seed: must be at least 0"),
+        "difficulty-unknown": ({"difficulty": "hard"},
+                               r"config\.problem\.synthetic\.difficulty: must be one of"),
     }
 
     @staticmethod
@@ -524,6 +541,8 @@ class TestEntryPointsAgree:
         fault, message = self.SOLVER_FAULTS[name]
         cfg = base_config()
         cfg["solver"].update(fault)
+        if "budget_gap" in fault:
+            del cfg["solver"]["T"]  # the two iteration budget sources are exclusive
         problem = build_problem(cfg["problem"])
         with pytest.raises(ConfigError, match=message) as built:
             build_solver_config(cfg["solver"], cfg["algorithm"], problem)
@@ -535,6 +554,28 @@ class TestEntryPointsAgree:
         with pytest.raises(ConfigError, match=r"synthetic\.n: expected an integer") as built:
             build_problem(cfg["problem"])
         assert self.refusals(cfg) == (str(built.value), str(built.value))
+
+    @pytest.mark.parametrize("name", sorted(PROBLEM_FAULTS))
+    def test_problem_values(self, name):
+        fault, message = self.PROBLEM_FAULTS[name]
+        cfg = base_config()
+        cfg["problem"]["synthetic"].update(fault)
+        with pytest.raises(ConfigError, match=message) as built:
+            build_problem(cfg["problem"])
+        assert self.refusals(cfg) == (str(built.value), str(built.value))
+
+    @pytest.mark.parametrize("top", [{"trace_format": "csv"}, {"algorithm": "nope"}],
+                             ids=["unknown-key", "unknown-algorithm"])
+    def test_document_keys(self, top):
+        validated, executed = self.refusals(base_config(**top))
+        assert validated == executed
+
+    def test_algorithm_checked_before_the_problem_is_built(self, tmp_path):
+        cfg = base_config(algorithm="nope")
+        missing = tmp_path / "missing.libsvm"
+        cfg["problem"] = {"dataset": {"path": str(missing), "objective": "binary_logreg"}}
+        with pytest.raises(ConfigError, match=r"^config\.algorithm: must be one of"):
+            cli.execute_config(cfg)
 
 
 class TestCertifyConstant:

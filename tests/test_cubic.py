@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from vrcubic.cubic import (
     BudgetExceededError,
     CubicModel,
+    SolverDivergenceError,
     cauchy_point,
     cubic_finalsolver,
     cubic_function,
@@ -296,6 +297,23 @@ class TestFinalsolver:
         with pytest.raises(BudgetExceededError):
             cubic_finalsolver(m, eta=0.9 / (4 * (2 + R)), grad_tol=1e-12, max_iters=3)
 
+    def test_divergence_names_the_step(self):
+        # hess_norm_bound = 1 understates the curvature 100, so a step size the
+        # precondition accepts still overflows
+        applies = []
+        D = np.array([100.0, -1.0, 0.5])
+
+        def hvp(v):
+            applies.append(1)
+            return D * v
+
+        m = CubicModel(b=np.ones(3), A=hvp, penalty=1.0, hess_norm_bound=1.0)
+        R = 0.5 + math.sqrt(0.25 + math.sqrt(3.0))
+        with pytest.raises(SolverDivergenceError,
+                           match=r"^cubic finalsolver diverged at gradient step 12$"):
+            cubic_finalsolver(m, eta=0.9 / (4 * (1 + R)), grad_tol=1e-8)
+        assert len(applies) == 13
+
 
 class TestSolverInvariants:
     def test_all_solvers_keep_model_nonpositive(self):
@@ -317,3 +335,65 @@ class TestSolverInvariants:
                                   zeta=0.3, eps_quality=0.5, fail_prob=0.1,
                                   rng=np.random.default_rng(1)).m_value
             assert exact <= sub + 1e-8
+
+
+def counted_model(seed, d, shift=0.0, bscale=1.0):
+    """A seeded model whose curvature is a closure that records each product."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((d, d))
+    A = 0.5 * (S + S.T) + shift * np.eye(d)
+    b = bscale * rng.standard_normal(d)
+    applies = []
+
+    def hvp(v):
+        applies.append(1)
+        return A @ v
+
+    return CubicModel(b=b, A=hvp, penalty=1.0, hess_norm_bound=float(np.linalg.norm(A, 2))), applies
+
+
+def run_subsolver(model, seed, zeta, max_iters=None):
+    return cubic_subsolver(model, eta=1 / (16 * model.hess_norm_bound), zeta=zeta,
+                           eps_quality=0.5, fail_prob=0.1, rng=np.random.default_rng(seed),
+                           max_iters=max_iters)
+
+
+def run_finalsolver(model, max_iters=10**6):
+    beta, tau = model.hess_norm_bound, model.penalty
+    R = beta / (2 * tau) + math.sqrt((beta / (2 * tau)) ** 2 + np.linalg.norm(model.b) / tau)
+    return cubic_finalsolver(model, eta=0.9 / (4 * (beta + tau * R)), grad_tol=1e-6,
+                             max_iters=max_iters)
+
+
+# One seeded model per way a matvec solver can end: (model seed, d, shift,
+# bscale), the solver call, and its status (or error), iterations and number of
+# products A·v.  The subsolver's count includes the Cauchy point's two products
+# and the final value's one; the finalsolver's its Cauchy product and its final
+# value's one.
+SOLVER_EXITS = {
+    "cauchy-early-exit": ((0, 4, 0.0, 1.0), lambda m: run_subsolver(m, 0, zeta=0.1),
+                          ("subsolver-early-exit", 0, 2)),
+    "value-target": ((1, 4, 0.0, 1e-3), lambda m: run_subsolver(m, 1, zeta=1.0),
+                     ("subsolver-iterated", 120, 124)),
+    # convex model whose minimum lies above the target: descent stalls first
+    "stationary": ((2, 4, 4.0, 1.0), lambda m: run_subsolver(m, 2, zeta=3.0, max_iters=20000),
+                   ("subsolver-iterated", 921, 925)),
+    "subsolver-cap": ((2, 4, 4.0, 1.0), lambda m: run_subsolver(m, 2, zeta=3.0, max_iters=5),
+                      ("subsolver-iterated", 5, 8)),
+    "finalsolver-converged": ((3, 4, 0.0, 1.0), run_finalsolver, ("finalsolver", 908, 911)),
+    "finalsolver-budget": ((3, 4, 0.0, 1.0), lambda m: run_finalsolver(m, max_iters=4),
+                           (BudgetExceededError, None, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_EXITS))
+def test_solver_exit_pinned(name):
+    spec, solve, (status, iterations, products) = SOLVER_EXITS[name]
+    model, applies = counted_model(*spec)
+    if isinstance(status, type):
+        with pytest.raises(status):
+            solve(model)
+    else:
+        sol = solve(model)
+        assert (sol.status, sol.iterations) == (status, iterations)
+    assert len(applies) == products
