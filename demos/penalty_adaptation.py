@@ -10,14 +10,14 @@ once the penalty matches the local curvature the steps start landing.
 
 import numpy as np
 
-from vrcubic import AdaptivePenalty, FiniteSumProblem, SolverConfig, run_cr
+from vrcubic import AdaptivePenalty, SolverConfig, from_components, run_cr
 
-problem = FiniteSumProblem(
+problem = from_components(
     n=1,
     dim=1,
-    component_value=lambda i, x: float(np.cos(x[0])),
-    component_grad=lambda i, x: np.array([-np.sin(x[0])]),
-    component_hess=lambda i, x: np.array([[-np.cos(x[0])]]),
+    value=lambda i, x: float(np.cos(x[0])),
+    grad=lambda i, x: np.array([-np.sin(x[0])]),
+    hess=lambda i, x: np.array([[-np.cos(x[0])]]),
     lipschitz_grad=1.0,
     lipschitz_hess=1.0,
 )

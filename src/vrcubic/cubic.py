@@ -190,41 +190,44 @@ def solve_exact(model: CubicModel) -> CubicSolution:
     if lam_min < 0.0 and degenerate_b and (solution := hard_case(lam_floor)):
         return solution
 
-    # root bracket: phi -> +inf (or is positive) at the floor, -inf at infinity
-    lo = lam_floor
-    hi = max(2.0 * lam_floor, lam_floor + tau * bnorm / 2.0, 1.0)
-    for _ in range(200):
-        if phi(hi) < 0.0:
-            break
-        hi = 2.0 * hi + 1.0
-    else:
-        raise RuntimeError("secular root bracket did not close")
-
-    ftol = 1e-12 * (1.0 + bnorm)
-    lam = 0.5 * (lo + hi)
-    for _ in range(300):
-        val = phi(lam)
-        if abs(val) <= ftol:
-            break
-        if val > 0.0:
-            lo = lam
+    # lam may land on a pole, where c_eff's zero bottom entry makes phi 0/0 = nan:
+    # that is an unresolved root, not a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # root bracket: phi -> +inf (or is positive) at the floor, -inf at infinity
+        lo = lam_floor
+        hi = max(2.0 * lam_floor, lam_floor + tau * bnorm / 2.0, 1.0)
+        for _ in range(200):
+            if phi(hi) < 0.0:
+                break
+            hi = 2.0 * hi + 1.0
         else:
-            hi = lam
-        denom = eigvals + lam
-        norm_val = float(np.sqrt(np.sum((c_eff / denom) ** 2)))
-        if norm_val > 0.0:
-            dval = -float(np.sum(c_eff**2 / denom**3)) / norm_val - 2.0 / tau
-            step = lam - val / dval
-        else:
-            step = math.inf
-        lam = step if lo < step < hi else 0.5 * (lo + hi)
-        if hi - lo <= 1e-17 * max(1.0, lam):
-            break
+            raise RuntimeError("secular root bracket did not close")
 
-    # pole-adjacent root that float resolution cannot pin down: treat the tiny
-    # bottom component as zero, as in the degenerate case
-    if abs(phi(lam)) > ftol and lam_min < 0.0 and (solution := hard_case(lam)):
-        return solution
+        ftol = 1e-12 * (1.0 + bnorm)
+        lam = 0.5 * (lo + hi)
+        for _ in range(300):
+            val = phi(lam)
+            if abs(val) <= ftol:
+                break
+            if val > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            denom = eigvals + lam
+            norm_val = float(np.sqrt(np.sum((c_eff / denom) ** 2)))
+            if norm_val > 0.0:
+                dval = -float(np.sum(c_eff**2 / denom**3)) / norm_val - 2.0 / tau
+                step = lam - val / dval
+            else:
+                step = math.inf
+            lam = step if lo < step < hi else 0.5 * (lo + hi)
+            if hi - lo <= 1e-17 * max(1.0, lam):
+                break
+
+        # pole-adjacent root that float resolution cannot pin down: treat the tiny
+        # bottom component as zero, as in the degenerate case
+        if not abs(phi(lam)) <= ftol and lam_min < 0.0 and (solution := hard_case(lam)):
+            return solution
 
     h = Q @ (-c_eff / (eigvals + lam))
     return finish(h)

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "FiniteSumProblem",
+    "from_components",
     "OracleCounter",
     "sample_multiset",
     "batch_value",
@@ -48,57 +49,44 @@ class OracleCounter:
     hvp_calls: int = 0
     value_calls: int = 0
 
-    def snapshot(self) -> "OracleCounter":
-        return OracleCounter(
-            self.grad_calls, self.hess_calls, self.hvp_calls, self.value_calls
-        )
-
 
 @dataclass
 class FiniteSumProblem:
-    """F(x) = (1/n) sum_{i<n} f_i(x), given by batch kernels or component oracles.
+    """F(x) = (1/n) sum_{i<n} f_i(x), given by batch kernels.
 
     Parameters
     ----------
     n, dim : number of components and ambient dimension.
-    component_value / component_grad : per-component oracles, called as (i, x).
-    component_hess : optional explicit d x d Hessian oracle.
-    component_hvp : optional Hessian-vector oracle, called as (i, x, v).
     lipschitz_grad : L, gradient Lipschitz constant of every f_i.
     lipschitz_hess : rho > 0, Hessian Lipschitz constant of every f_i.
     grad_bound : bound on ||grad f_i(x) - grad F(x)||_2, np.inf if none holds.
-    batch_*_fn : vectorized kernels computing the multiset mean in one shot;
-        must agree with the per-component oracles.  Signature is (idx, x)
-        resp. (idx, x, v) with idx an integer array.  Every kernel must be
-        a pure function of its arguments: the value, gradient and Hessian
-        kernels are wrapped to answer a repeat of their last (idx, x) from
-        memory, and the built-in Hessian-vector kernels keep the
-        point-dependent part of their last (idx, x) and reuse it while the
-        same (idx, x) comes back with new vectors v.  A repeat is still
-        billed, and a caller always gets an array of its own.
+    batch_*_fn : vectorized kernels computing the multiset mean of the
+        component values, gradients, Hessians or Hessian-vector products in
+        one shot.  Signature is (idx, x) resp. (idx, x, v) with idx an
+        integer array of 0-based component indices; the kernel on [i] is
+        component i.  Every kernel must be a pure function of its
+        arguments: the value, gradient and Hessian kernels are wrapped to
+        answer a repeat of their last (idx, x) from memory, and the built-in
+        Hessian-vector kernels keep the point-dependent part of their last
+        (idx, x) and reuse it while the same (idx, x) comes back with new
+        vectors v.  A repeat is still billed, and a caller always gets an
+        array of its own.
 
-    Either protocol is accepted, per oracle: a value and a gradient oracle
-    are required (component or kernel), the Hessian and Hessian-vector ones
-    are optional.  The kernels are canonical.  A missing kernel is lifted
-    from its component oracle as the mean over idx, accumulated in index
-    order; a missing component oracle is derived as its kernel on the
-    singleton [i].  When no Hessian-vector oracle is given, the products
-    come from the Hessian kernel (lifted from ``component_hess`` if need
-    be): ``batch_hess_fn(idx, x) @ v``, with the batch Hessian formed once
-    per (idx, x).  Component indices are 0-based.
+    The value and gradient kernels are required, the Hessian and
+    Hessian-vector ones are optional.  When no Hessian-vector kernel is
+    given, the products come from the Hessian kernel:
+    ``batch_hess_fn(idx, x) @ v``, with the batch Hessian formed once per
+    (idx, x).  Per-component oracles enter through :func:`from_components`,
+    which lifts all of them; a problem takes no mix of the two forms.
 
-    Above ``DENSE_LIMIT`` dimensions the problem has no Hessian oracle: both
-    Hessian forms are dropped after the Hessian-vector products are derived,
+    Above ``DENSE_LIMIT`` dimensions the problem has no Hessian oracle: the
+    Hessian kernel is dropped after the Hessian-vector products are derived,
     so a Hessian-only problem keeps those.  Everything that needs a d x d
     Hessian asks whether ``batch_hess_fn`` is set.
     """
 
     n: int
     dim: int
-    component_value: Callable[[int, np.ndarray], float] | None = None
-    component_grad: Callable[[int, np.ndarray], np.ndarray] | None = None
-    component_hess: Callable[[int, np.ndarray], np.ndarray] | None = None
-    component_hvp: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
     lipschitz_grad: float = 1.0
     lipschitz_hess: float = 1.0
     grad_bound: float = np.inf
@@ -118,29 +106,42 @@ class FiniteSumProblem:
             raise ValueError("lipschitz_hess must be positive")
         if not self.lipschitz_grad > 0:
             raise ValueError("lipschitz_grad must be positive")
-        d = self.dim
-        if self.batch_hess_fn is None and self.component_hess is not None:
-            self.batch_hess_fn = _index_order_mean(self.component_hess, (d, d))
-        batch_hess = self.batch_hess_fn
-        if self.batch_hvp_fn is None and self.component_hvp is None and batch_hess is not None:
-            self.batch_hvp_fn = _linearized(lambda idx, x: batch_hess(idx, x).__matmul__)
-        for kind, shape in (("value", ()), ("grad", (d,)), ("hess", (d, d)), ("hvp", (d,))):
-            component, kernel = getattr(self, f"component_{kind}"), getattr(self, f"batch_{kind}_fn")
-            if kernel is None and component is not None:
-                setattr(self, f"batch_{kind}_fn", _index_order_mean(component, shape))
-            elif component is None and kernel is not None:
-                setattr(self, f"component_{kind}", _singleton(kernel))
-            elif kernel is None and kind in ("value", "grad"):
+        for kind in ("value", "grad"):
+            if getattr(self, f"batch_{kind}_fn") is None:
                 raise ValueError(
                     f"problem {self.name!r} has no {_ORACLE_NAMES[kind]} oracle: "
-                    f"give component_{kind} or batch_{kind}_fn"
+                    f"give batch_{kind}_fn, or {kind} to from_components"
                 )
-        if d > DENSE_LIMIT:
-            self.component_hess = self.batch_hess_fn = None
+        batch_hess = self.batch_hess_fn
+        if self.batch_hvp_fn is None and batch_hess is not None:
+            self.batch_hvp_fn = _linearized(lambda idx, x: batch_hess(idx, x).__matmul__)
+        if self.dim > DENSE_LIMIT:
+            self.batch_hess_fn = None
         for kind in ("value", "grad", "hess"):
             kernel = getattr(self, f"batch_{kind}_fn")
             if kernel is not None:
                 setattr(self, f"batch_{kind}_fn", _last_query(kernel))
+
+
+def from_components(n: int, dim: int, value, grad, hess=None, hvp=None, **constants) -> FiniteSumProblem:
+    """Problem from per-component oracles, called as (i, x) resp. (i, x, v).
+
+    Each given oracle is lifted to a kernel that takes the mean over idx,
+    summed in index order; ``constants`` are the other FiniteSumProblem
+    fields (``lipschitz_grad``, ``name``, ...).  A Hessian oracle alone
+    gives products (index-order mean Hessian) @ v.  Kernels cannot be
+    mixed in: a ``batch_*_fn`` among the constants is a TypeError.
+    """
+    if mixed := sorted(key for key in constants if key.startswith("batch_")):
+        raise TypeError(f"from_components takes no kernels, got {', '.join(mixed)}")
+    given = {"value": (value, ()), "grad": (grad, (dim,)), "hess": (hess, (dim, dim)),
+             "hvp": (hvp, (dim,))}
+    kernels = {
+        f"batch_{kind}_fn": _index_order_mean(oracle, shape)
+        for kind, (oracle, shape) in given.items()
+        if oracle is not None
+    }
+    return FiniteSumProblem(n=n, dim=dim, **kernels, **constants)
 
 
 def _last_query(fn):
@@ -194,11 +195,6 @@ def _index_order_mean(oracle, shape):
         return acc / idx.size
 
     return kernel
-
-
-def _singleton(kernel):
-    """Component oracle from a kernel: the kernel on the one-element multiset [i]."""
-    return lambda i, x, *v: kernel(np.array([i]), x, *v)
 
 
 def full_index(problem: FiniteSumProblem) -> np.ndarray:

@@ -17,7 +17,7 @@ from vrcubic.cli import (
     main,
     validate_config,
 )
-from vrcubic.finite_sum import FiniteSumProblem
+from vrcubic.finite_sum import from_components
 
 LIBSVM_BINARY = "\n".join(
     [
@@ -383,11 +383,11 @@ class TestCheckCommand:
         assert main(["check", write_config(tmp_path / "c.json", cfg)]) == 0
 
     def test_corrupted_gradient_detected(self):
-        problem = FiniteSumProblem(
+        problem = from_components(
             n=3,
             dim=2,
-            component_value=lambda i, x: 0.5 * float(x @ x),
-            component_grad=lambda i, x: 2.0 * x,  # wrong by a factor of two
+            value=lambda i, x: 0.5 * float(x @ x),
+            grad=lambda i, x: 2.0 * x,  # wrong by a factor of two
             lipschitz_grad=1.0,
             lipschitz_hess=1.0,
         )

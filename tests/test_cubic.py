@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,25 @@ class TestExactSolver:
         gn = np.linalg.norm(cubic_gradient(m, sol.h))
         assert gn <= 1e-8 * (1 + np.linalg.norm(b))
         assert np.linalg.eigvalsh(A)[0] + sol.lam >= -1e-8
+
+    @pytest.mark.parametrize("tau", [0.5, 3.754, 20.0])
+    def test_root_on_the_pole_completes_the_hard_case(self, tau):
+        # near a*I with a < 0 every eigenvalue is "bottom"; when c's bottom entry
+        # is exactly 0.0, phi at the floor is 0/0.  The step must still be the
+        # hard-case minimizer, of value r^2 lam_min / 6 with r = -2 lam_min / tau.
+        # (off, scale, tau) = (-4e-16, 2**-53, 3.754) gave a NaN step.
+        a = -1.7265681484288717
+        for off in (-8e-16, -4e-16, -1e-16, 2e-16, 6e-16):
+            for scale in (0.0, 2.0**-60, 2.0**-53, 2.0**-50, 1e-15):
+                A = np.array([[a, off], [off, a]])
+                m = CubicModel(b=np.array([-scale, scale]), A=A, penalty=tau, hess_norm_bound=2.0)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    sol = solve_exact(m)
+                lam_min = np.linalg.eigvalsh(A)[0]
+                r = -2.0 * lam_min / tau
+                assert np.isfinite(sol.h).all(), (off, scale)
+                assert abs(sol.m_value - r * r * lam_min / 6.0) <= 1e-12, (off, scale)
 
     def test_closure_input_rejected(self):
         m = CubicModel(b=np.ones(2), A=lambda v: v, penalty=1.0, hess_norm_bound=1.0)

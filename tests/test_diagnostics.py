@@ -10,18 +10,18 @@ from vrcubic.diagnostics import (
     min_eigenvalue,
     mu_criterion,
 )
-from vrcubic.finite_sum import FiniteSumProblem, OracleCounter
+from vrcubic.finite_sum import OracleCounter, from_components
 from vrcubic.objectives import make_binary_logreg, make_synthetic, parse_libsvm
 
 
 def quadratic_bowl(d=3):
     """F(x) = 0.5 ||x||^2: stationary PSD origin."""
-    return FiniteSumProblem(
+    return from_components(
         n=2,
         dim=d,
-        component_value=lambda i, x: 0.5 * float(x @ x),
-        component_grad=lambda i, x: x.copy(),
-        component_hess=lambda i, x: np.eye(d),
+        value=lambda i, x: 0.5 * float(x @ x),
+        grad=lambda i, x: x.copy(),
+        hess=lambda i, x: np.eye(d),
         lipschitz_grad=1.0,
         lipschitz_hess=1.0,
     )
@@ -31,12 +31,12 @@ def linear_problem(g):
     """F(x) = g.x: constant gradient, zero Hessian."""
     g = np.asarray(g, dtype=float)
     d = g.size
-    return FiniteSumProblem(
+    return from_components(
         n=1,
         dim=d,
-        component_value=lambda i, x: float(g @ x),
-        component_grad=lambda i, x: g.copy(),
-        component_hess=lambda i, x: np.zeros((d, d)),
+        value=lambda i, x: float(g @ x),
+        grad=lambda i, x: g.copy(),
+        hess=lambda i, x: np.zeros((d, d)),
         lipschitz_grad=1.0,
         lipschitz_hess=1.0,
     )
@@ -46,12 +46,12 @@ def saddle_problem(lam_min=-0.2, d=2):
     """Zero gradient at origin, Hessian diag(lam_min, 1, ..., 1)."""
     D = np.eye(d)
     D[0, 0] = lam_min
-    return FiniteSumProblem(
+    return from_components(
         n=1,
         dim=d,
-        component_value=lambda i, x: 0.5 * float(x @ D @ x),
-        component_grad=lambda i, x: D @ x,
-        component_hess=lambda i, x: D.copy(),
+        value=lambda i, x: 0.5 * float(x @ D @ x),
+        grad=lambda i, x: D @ x,
+        hess=lambda i, x: D.copy(),
         lipschitz_grad=1.0,
         lipschitz_hess=1.0,
     )
@@ -106,12 +106,12 @@ class TestMuCriterion:
         # gradient norm 1 -> 1.0; curvature -2 with rho=1 -> 8.0
         D = np.diag([-2.0, 1.0])
         g = np.array([1.0, 0.0])
-        problem = FiniteSumProblem(
+        problem = from_components(
             n=1,
             dim=2,
-            component_value=lambda i, x: float(g @ x) + 0.5 * float(x @ D @ x),
-            component_grad=lambda i, x: g + D @ x,
-            component_hess=lambda i, x: D.copy(),
+            value=lambda i, x: float(g @ x) + 0.5 * float(x @ D @ x),
+            grad=lambda i, x: g + D @ x,
+            hess=lambda i, x: D.copy(),
             lipschitz_grad=2.0,
             lipschitz_hess=1.0,
         )
@@ -128,7 +128,8 @@ class TestMuCriterion:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.standard_normal(4)
-            g = np.mean([problem.component_grad(i, x) for i in range(problem.n)], axis=0)
+            # component i is the kernel on [i]
+            g = np.mean([problem.batch_grad_fn(np.array([i]), x) for i in range(problem.n)], axis=0)
             mu = mu_criterion(problem, x, rho=1.0)
             if np.linalg.norm(g) > 1e-8:
                 assert mu > 0.0
@@ -142,12 +143,12 @@ class TestMuCriterion:
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
 
         def make(gv, Hm):
-            return FiniteSumProblem(
+            return from_components(
                 n=1,
                 dim=d,
-                component_value=lambda i, x: float(gv @ x) + 0.5 * float(x @ Hm @ x),
-                component_grad=lambda i, x: gv + Hm @ x,
-                component_hess=lambda i, x: Hm.copy(),
+                value=lambda i, x: float(gv @ x) + 0.5 * float(x @ Hm @ x),
+                grad=lambda i, x: gv + Hm @ x,
+                hess=lambda i, x: Hm.copy(),
                 lipschitz_grad=10.0,
                 lipschitz_hess=1.0,
             )
@@ -158,12 +159,12 @@ class TestMuCriterion:
 
     def test_matvec_only_problem_uses_lanczos(self):
         D = np.diag([-0.3, 0.7, 1.2])
-        problem = FiniteSumProblem(
+        problem = from_components(
             n=1,
             dim=3,
-            component_value=lambda i, x: 0.5 * float(x @ D @ x),
-            component_grad=lambda i, x: D @ x,
-            component_hvp=lambda i, x, v: D @ v,
+            value=lambda i, x: 0.5 * float(x @ D @ x),
+            grad=lambda i, x: D @ x,
+            hvp=lambda i, x, v: D @ v,
             lipschitz_grad=1.2,
             lipschitz_hess=1.0,
         )
@@ -180,12 +181,12 @@ class TestMuCriterion:
         rng = np.random.default_rng(0)
         G = rng.standard_normal((n, d, d))
         A = (G + np.transpose(G, (0, 2, 1))) / (2.0 * math.sqrt(d))
-        problem = FiniteSumProblem(
+        problem = from_components(
             n=n,
             dim=d,
-            component_value=lambda i, x: 0.5 * float(x @ A[i] @ x),
-            component_grad=lambda i, x: A[i] @ x,
-            component_hvp=lambda i, x, v: A[i] @ v,
+            value=lambda i, x: 0.5 * float(x @ A[i] @ x),
+            grad=lambda i, x: A[i] @ x,
+            hvp=lambda i, x, v: A[i] @ v,
         )
         x = rng.standard_normal(d)
         outcomes = set()
@@ -260,11 +261,11 @@ class TestFiniteDiffCheck:
 
     def test_corrupted_gradient_is_flagged(self):
         base = make_binary_logreg(parse_libsvm(BINARY_LINES), lam=0.1)
-        broken = FiniteSumProblem(
+        broken = from_components(  # component i is the kernel on [i]
             n=base.n,
             dim=base.dim,
-            component_value=base.component_value,
-            component_grad=lambda i, x: base.component_grad(i, x) + 1.0,
+            value=lambda i, x: base.batch_value_fn(np.array([i]), x),
+            grad=lambda i, x: base.batch_grad_fn(np.array([i]), x) + 1.0,
             lipschitz_grad=base.lipschitz_grad,
             lipschitz_hess=base.lipschitz_hess,
         )

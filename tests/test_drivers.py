@@ -19,7 +19,7 @@ from vrcubic.drivers import (
     run_srvrc_free,
 )
 from vrcubic.estimators import PracticalBatchRule, TheoreticalBatchRule
-from vrcubic.finite_sum import FiniteSumProblem
+from vrcubic.finite_sum import from_components
 from vrcubic.objectives import make_synthetic
 
 
@@ -27,12 +27,12 @@ def bowl_problem(center, n=3):
     """All components equal to 0.5 ||x - center||^2; minimizer is the center."""
     c = np.asarray(center, dtype=float)
     d = c.size
-    return FiniteSumProblem(
+    return from_components(
         n=n,
         dim=d,
-        component_value=lambda i, x: 0.5 * float(np.sum((x - c) ** 2)),
-        component_grad=lambda i, x: x - c,
-        component_hess=lambda i, x: np.eye(d),
+        value=lambda i, x: 0.5 * float(np.sum((x - c) ** 2)),
+        grad=lambda i, x: x - c,
+        hess=lambda i, x: np.eye(d),
         lipschitz_grad=1.0,
         lipschitz_hess=1.0,
         grad_bound=np.inf,
@@ -52,12 +52,12 @@ def nan_after_first_step_problem(kind):
     def hess(i, x):
         return np.full((2, 2), np.nan) if kind == "Hessian" and moved(x) else np.eye(2)
 
-    return FiniteSumProblem(
+    return from_components(
         n=3,
         dim=2,
-        component_value=lambda i, x: 0.5 * float(np.sum((x - c) ** 2)),
-        component_grad=grad,
-        component_hess=hess,
+        value=lambda i, x: 0.5 * float(np.sum((x - c) ** 2)),
+        grad=grad,
+        hess=hess,
         lipschitz_grad=1.0,
         lipschitz_hess=1.0,
         grad_bound=np.inf,
@@ -82,12 +82,12 @@ def assert_same_run(a, b):
 
 def cosine_problem():
     """Single 1-D component cos(x): maximum at 0, minima at odd multiples of pi."""
-    return FiniteSumProblem(
+    return from_components(
         n=1,
         dim=1,
-        component_value=lambda i, x: float(np.cos(x[0])),
-        component_grad=lambda i, x: np.array([-np.sin(x[0])]),
-        component_hess=lambda i, x: np.array([[-np.cos(x[0])]]),
+        value=lambda i, x: float(np.cos(x[0])),
+        grad=lambda i, x: np.array([-np.sin(x[0])]),
+        hess=lambda i, x: np.array([[-np.cos(x[0])]]),
         lipschitz_grad=1.0,
         lipschitz_hess=1.0,
         grad_bound=np.inf,
@@ -485,8 +485,8 @@ class TestMatvecDriver:
         config = SolverConfig(eps=1e-2, T=60, x0=np.full(5, 1.0))
         result = run_srvrc_free(problem, config)
         assert result.exit == "converged"
-        grad = np.mean(
-            [problem.component_grad(i, result.x_out) for i in range(problem.n)], axis=0
+        grad = np.mean(  # component i is the kernel on [i]
+            [problem.batch_grad_fn(np.array([i]), result.x_out) for i in range(problem.n)], axis=0
         )
         assert np.linalg.norm(grad) <= 10 * config.eps
 
@@ -584,12 +584,12 @@ class TestValidation:
             run_cr(problem, config)
 
     def test_nonfinite_objective_raises(self):
-        problem = FiniteSumProblem(
+        problem = from_components(
             n=2,
             dim=2,
-            component_value=lambda i, x: float("inf"),
-            component_grad=lambda i, x: np.zeros(2),
-            component_hess=lambda i, x: np.eye(2),
+            value=lambda i, x: float("inf"),
+            grad=lambda i, x: np.zeros(2),
+            hess=lambda i, x: np.eye(2),
             lipschitz_grad=1.0,
             lipschitz_hess=1.0,
         )

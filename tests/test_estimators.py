@@ -220,13 +220,13 @@ class TestGradientEstimator:
         # linear components: gradient differences vanish, so any batch works
         n, d = 12, 3
         G = np.random.default_rng(4).standard_normal((n, d))
-        from vrcubic.finite_sum import FiniteSumProblem
+        from vrcubic.finite_sum import from_components
 
-        p = FiniteSumProblem(
+        p = from_components(
             n=n,
             dim=d,
-            component_value=lambda i, x: float(G[i] @ x),
-            component_grad=lambda i, x: G[i],
+            value=lambda i, x: float(G[i] @ x),
+            grad=lambda i, x: G[i],
             lipschitz_grad=1.0,
             lipschitz_hess=1.0,
         )
@@ -310,15 +310,15 @@ class TestHessianEstimator:
         # non-reset update from U_prev with J={0} gives exactly
         # A_0 - A_0 + U_prev = U_prev; with distinct points and the synthetic
         # regularizer the difference term is the penalty curvature change
-        from vrcubic.finite_sum import FiniteSumProblem
+        from vrcubic.finite_sum import from_components
 
         A = [np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.0, 0.0], [0.0, 4.0]])]
-        p = FiniteSumProblem(
+        p = from_components(
             n=2,
             dim=2,
-            component_value=lambda i, x: 0.5 * float(x @ A[i] @ x),
-            component_grad=lambda i, x: A[i] @ x,
-            component_hess=lambda i, x: A[i],
+            value=lambda i, x: 0.5 * float(x @ A[i] @ x),
+            grad=lambda i, x: A[i] @ x,
+            hess=lambda i, x: A[i],
             lipschitz_grad=4.0,
             lipschitz_hess=1.0,
         )

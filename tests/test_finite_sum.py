@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import vrcubic
 from vrcubic.diagnostics import mu_criterion
 from vrcubic.drivers import AdaptivePenalty, SolverConfig, run_srvrc, run_srvrc_free
 from vrcubic.estimators import PracticalBatchRule
@@ -15,6 +16,7 @@ from vrcubic.finite_sum import (
     batch_hessian,
     batch_hvp,
     batch_value,
+    from_components,
     full_index,
     sample_multiset,
 )
@@ -25,13 +27,13 @@ def quadratic_problem(coeffs):
     """f_i(x) = 0.5 * a_i * ||x||^2 on d=3; every derivative is hand-checkable."""
     a = np.asarray(coeffs, dtype=float)
     d = 3
-    return FiniteSumProblem(
+    return from_components(
         n=len(a),
         dim=d,
-        component_value=lambda i, x: 0.5 * a[i] * float(x @ x),
-        component_grad=lambda i, x: a[i] * x,
-        component_hess=lambda i, x: a[i] * np.eye(d),
-        component_hvp=lambda i, x, v: a[i] * v,
+        value=lambda i, x: 0.5 * a[i] * float(x @ x),
+        grad=lambda i, x: a[i] * x,
+        hess=lambda i, x: a[i] * np.eye(d),
+        hvp=lambda i, x, v: a[i] * v,
         lipschitz_grad=float(np.max(np.abs(a))),
         lipschitz_hess=1.0,
     )
@@ -148,11 +150,11 @@ class TestBatchOracles:
             batch_gradient(p, np.zeros(3), np.array([], dtype=int), OracleCounter())
 
     def test_missing_hessian_oracle_reported(self):
-        p = FiniteSumProblem(
+        p = from_components(
             n=1,
             dim=2,
-            component_value=lambda i, x: float(x @ x),
-            component_grad=lambda i, x: 2.0 * x,
+            value=lambda i, x: float(x @ x),
+            grad=lambda i, x: 2.0 * x,
             lipschitz_grad=2.0,
             lipschitz_hess=1.0,
         )
@@ -194,34 +196,26 @@ class TestCounters:
         batch_gradient(p, np.zeros(3), idx, c)
         assert c.grad_calls == 7
 
-    def test_snapshot_is_independent_copy(self):
-        c = OracleCounter(grad_calls=4, hvp_calls=2)
-        snap = c.snapshot()
-        c.grad_calls += 10
-        assert snap.grad_calls == 4
-        assert snap.hvp_calls == 2
-        assert snap.value_calls == 0
-
 
 class TestValidation:
     def test_bad_problem_sizes(self):
         with pytest.raises(ValueError):
-            FiniteSumProblem(
+            from_components(
                 n=0,
                 dim=2,
-                component_value=lambda i, x: 0.0,
-                component_grad=lambda i, x: np.zeros(2),
+                value=lambda i, x: 0.0,
+                grad=lambda i, x: np.zeros(2),
                 lipschitz_grad=1.0,
                 lipschitz_hess=1.0,
             )
 
     def test_nonpositive_lipschitz_rejected(self):
         with pytest.raises(ValueError):
-            FiniteSumProblem(
+            from_components(
                 n=1,
                 dim=2,
-                component_value=lambda i, x: 0.0,
-                component_grad=lambda i, x: np.zeros(2),
+                value=lambda i, x: 0.0,
+                grad=lambda i, x: np.zeros(2),
                 lipschitz_grad=1.0,
                 lipschitz_hess=0.0,
             )
@@ -248,19 +242,25 @@ def _pen_curv(x):
     return (1.0 - 3.0 * x * x) / (1.0 + x * x) ** 3
 
 
+def component_oracles(n=40, d=4):
+    """The penalized quadratics' per-component oracles, written out by hand."""
+    A, b = penalized_quadratics(n, d)
+    return {
+        "value": lambda i, x: 0.5 * float(x @ A[i] @ x) + float(b[i] @ x) + _pen_value(x),
+        "grad": lambda i, x: A[i] @ x + b[i] + _pen_grad(x),
+        "hess": lambda i, x: A[i] + np.diag(_pen_curv(x)),
+        "hvp": lambda i, x, v: A[i] @ v + _pen_curv(x) * v,
+    }
+
+
 def component_problem(hess=True, hvp=True, n=40, d=4):
     """The penalized quadratics given by per-component oracles only."""
-    A, b = penalized_quadratics(n, d)
-    return FiniteSumProblem(
-        n=n,
-        dim=d,
-        component_value=lambda i, x: 0.5 * float(x @ A[i] @ x) + float(b[i] @ x) + _pen_value(x),
-        component_grad=lambda i, x: A[i] @ x + b[i] + _pen_grad(x),
-        component_hess=(lambda i, x: A[i] + np.diag(_pen_curv(x))) if hess else None,
-        component_hvp=(lambda i, x, v: A[i] @ v + _pen_curv(x) * v) if hvp else None,
-        lipschitz_grad=3.0,
-        lipschitz_hess=2.5,
-    )
+    oracles = component_oracles(n, d)
+    if not hess:
+        del oracles["hess"]
+    if not hvp:
+        del oracles["hvp"]
+    return from_components(n=n, dim=d, lipschitz_grad=3.0, lipschitz_hess=2.5, **oracles)
 
 
 def kernel_problem(n=40, d=4):
@@ -305,6 +305,14 @@ COMPONENT_GOLDEN_RUNS = {
 
 
 class TestOracleProtocol:
+    def test_problem_fields_are_pinned(self):
+        # one protocol: a second oracle form or a new knob has to be added here as well
+        assert [f.name for f in dataclasses.fields(FiniteSumProblem)] == [
+            "n", "dim", "lipschitz_grad", "lipschitz_hess", "grad_bound",
+            "batch_value_fn", "batch_grad_fn", "batch_hess_fn", "batch_hvp_fn", "name", "extra",
+        ]
+        assert "from_components" in vrcubic.__all__
+
     def test_kernel_only_problem_runs_both_drivers(self):
         p = kernel_problem()
         config = SolverConfig(eps=1e-2, T=60, x0=np.full(4, 0.8), batch=PracticalBatchRule(20, 10, 3))
@@ -313,40 +321,48 @@ class TestOracleProtocol:
             assert result.exit == "converged"
             assert np.isfinite(result.x_out).all()
 
-    def test_component_views_are_singleton_kernels(self):
-        p = kernel_problem()
+    @pytest.mark.parametrize("build", [kernel_problem, component_problem], ids=["kernels", "components"])
+    def test_kernel_on_one_index_is_that_component(self, build):
+        p, oracles = build(), component_oracles()
         x = np.array([0.3, -1.2, 0.7, 2.0])
         v = np.array([1.0, 0.5, -0.25, 2.0])
         for i in (0, 17, p.n - 1):
             one = np.array([i])
-            assert p.component_value(i, x) == p.batch_value_fn(one, x)
-            assert np.array_equal(p.component_grad(i, x), p.batch_grad_fn(one, x))
-            assert np.array_equal(p.component_hess(i, x), p.batch_hess_fn(one, x))
-            assert np.array_equal(p.component_hvp(i, x, v), p.batch_hvp_fn(one, x, v))
+            assert_allclose(batch_value(p, x, one), oracles["value"](i, x), rtol=1e-14)
+            assert_allclose(batch_gradient(p, x, one), oracles["grad"](i, x), rtol=1e-14)
+            assert_allclose(batch_hessian(p, x, one), oracles["hess"](i, x), rtol=1e-14)
+            assert_allclose(batch_hvp(p, x, one, v), oracles["hvp"](i, x, v), rtol=1e-14)
 
     @pytest.mark.parametrize("missing", ["value", "grad"])
     def test_missing_value_or_gradient_oracle_rejected(self, missing):
         oracles = {
-            "value": {"component_value": lambda i, x: 0.0},
+            "value": {"batch_value_fn": lambda idx, x: 0.0},
             "grad": {"batch_grad_fn": lambda idx, x: np.zeros(2)},
         }
         with pytest.raises(ValueError, match=missing):
             FiniteSumProblem(n=1, dim=2, **oracles["grad" if missing == "value" else "value"])
 
+    def test_components_and_kernels_do_not_mix(self):
+        with pytest.raises(TypeError, match="batch_hess_fn"):
+            from_components(
+                n=1, dim=2, value=lambda i, x: 0.0, grad=lambda i, x: np.zeros(2),
+                batch_hess_fn=lambda idx, x: np.eye(2),
+            )
+
     @pytest.mark.parametrize("hvp", [True, False], ids=["hess+hvp", "hess-only"])
     def test_component_only_batches_are_index_order_means(self, hvp):
         p = component_problem(hvp=hvp)
-        q = component_problem()  # its oracles are the hand-written reference
+        q = component_oracles()  # the hand-written reference
         x = np.array([0.3, -1.2, 0.7, 2.0])
         v = np.array([1.0, 0.5, -0.25, 2.0])
         idx = np.array([0, 3, 3, 9, 21, 39])
-        assert batch_value(p, x, idx) == index_order_mean(q.component_value, idx, x)
-        assert np.array_equal(batch_gradient(p, x, idx), index_order_mean(q.component_grad, idx, x))
-        assert np.array_equal(batch_hessian(p, x, idx), index_order_mean(q.component_hess, idx, x))
+        assert batch_value(p, x, idx) == index_order_mean(q["value"], idx, x)
+        assert np.array_equal(batch_gradient(p, x, idx), index_order_mean(q["grad"], idx, x))
+        assert np.array_equal(batch_hessian(p, x, idx), index_order_mean(q["hess"], idx, x))
         if hvp:
-            expected = index_order_mean(q.component_hvp, idx, x, v)
+            expected = index_order_mean(q["hvp"], idx, x, v)
         else:
-            expected = index_order_mean(q.component_hess, idx, x) @ v
+            expected = index_order_mean(q["hess"], idx, x) @ v
         assert np.array_equal(batch_hvp(p, x, idx, v), expected)
 
     def test_missing_hvp_oracle_raises_before_charging(self):
@@ -384,13 +400,13 @@ def diagonal_problem(d, hvp=True, hess_log=None):
             hess_log.append(i)
         return np.diag(D)
 
-    return FiniteSumProblem(
+    return from_components(
         n=1,
         dim=d,
-        component_value=lambda i, x: 0.5 * float(x @ (D * x)),
-        component_grad=lambda i, x: D * x,
-        component_hess=hess,
-        component_hvp=(lambda i, x, v: D * v) if hvp else None,
+        value=lambda i, x: 0.5 * float(x @ (D * x)),
+        grad=lambda i, x: D * x,
+        hess=hess,
+        hvp=(lambda i, x, v: D * v) if hvp else None,
         lipschitz_grad=2.0,
         lipschitz_hess=1.0,
     ), D
@@ -412,7 +428,6 @@ class TestDenseLimit:
         multiclass = multiclass_logreg_from_arrays(np.zeros((1, d)), np.array([0]), 1)
         for p in (component, kernel, binary, multiclass):
             assert (p.batch_hess_fn is not None) == kept
-            assert (p.component_hess is not None) == kept
         assert binary.batch_hvp_fn is not None and multiclass.batch_hvp_fn is not None
 
     def test_hessian_only_problem_keeps_hvp_above_limit(self):
@@ -619,7 +634,8 @@ class TestHessianKernelOnly:
         x, v = np.array([0.3, -1.2, 0.7, 2.0]), np.array([1.0, 0.5, -0.25, 2.0])
         idx = np.array([0, 3, 3, 9, 21, 39])
         assert np.array_equal(batch_hvp(p, x, idx, v), p.batch_hess_fn(idx, x) @ v)
-        assert np.array_equal(p.component_hvp(3, x, v), p.batch_hess_fn(np.array([3]), x) @ v)
+        one = np.array([3])  # the product kernel on [3] is component 3's Hessian times v
+        assert np.array_equal(batch_hvp(p, x, one, v), p.batch_hess_fn(one, x) @ v)
 
     def test_srvrc_free_converges(self):
         p = hessian_kernel_problem(d=3)
