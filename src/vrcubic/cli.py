@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import gzip
 import json
+import math
 import os
 import sys
 import typing
@@ -120,12 +121,14 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], where: str
 
 
 def _fits(value, kind) -> bool:
-    """Whether a JSON value has the declared type; an integer is a number, a bool is neither."""
+    """Whether a JSON value has the declared type; an integer is a number, a bool, NaN or inf is not."""
     if kind is np.ndarray:
         return isinstance(value, list) and all(_fits(v, float) for v in value)
     if isinstance(value, bool) or kind is bool:
         return isinstance(value, bool) and kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 def _read(section: dict, types: dict, required: set[str], where: str) -> dict:

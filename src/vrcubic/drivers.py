@@ -158,6 +158,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
+        if self.rho is not None and not self.rho > 0:
+            raise ValueError("rho must be positive")
         if self.T < 0:
             raise ValueError("iteration budget must be nonnegative")
         if not 0 < self.xi < 1:
@@ -229,8 +231,6 @@ def budget_from_gap(delta_f: float, eps: float, rho: float, algorithm: str = "sr
 
 def _resolve(problem: FiniteSumProblem, config: SolverConfig):
     rho = config.rho if config.rho is not None else problem.lipschitz_hess
-    if not rho > 0:
-        raise ValueError("rho must be positive")
     return config.eps, rho, problem.lipschitz_grad, config.xi, config.T
 
 
@@ -324,6 +324,7 @@ def _run(
     diag = OracleCounter()
     x = _initial_point(problem, config)
     x_prev: np.ndarray | None = None
+    f_t: float | None = None  # F(x), once evaluated; each value is billed once
     disp_norm: float | None = None
     trace: list[TraceRow] = []
     exit_status = "budget-exhausted"
@@ -346,7 +347,8 @@ def _run(
         for name, estimate in (("gradient", v), ("Hessian", U)):
             if estimate is not None and not np.isfinite(estimate).all():
                 raise FloatingPointError(f"{name} estimate is not finite at iteration {t}")
-        f_t = batch_value(problem, x, full, diag)
+        if f_t is None:
+            f_t = batch_value(problem, x, full, diag)
         if not math.isfinite(f_t):
             raise FloatingPointError(f"objective is not finite at iteration {t}")
         model = CubicModel(b=v, A=A, penalty=penalty, hess_norm_bound=L)
@@ -368,6 +370,7 @@ def _run(
         if not free:
             terminal = h_norm <= radius
         x_trial = x + sol.h  # evaluated here, and the next iterate if taken
+        f_trial = None
         accepted = True
         penalty_next = penalty
         if not terminal and adaptive:
@@ -404,18 +407,15 @@ def _run(
                 )
             )
         x_prev = x
+        if accepted:  # a terminal step is always taken
+            x, f_t = x_trial, f_trial
         if terminal:
-            x = x_trial
             exit_status = "converged"
             break
-        if accepted:
-            x = x_trial
-            disp_norm = h_norm
-        else:
-            disp_norm = 0.0
+        disp_norm = h_norm if accepted else 0.0
         penalty = penalty_next
 
-    f_out = batch_value(problem, x, full, diag)
+    f_out = f_t if f_t is not None else batch_value(problem, x, full, diag)
     return RunResult(
         x_out=x,
         exit=exit_status,

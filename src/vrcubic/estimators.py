@@ -5,9 +5,13 @@ boundaries (t divisible by the epoch length) the estimate is rebuilt from a
 fresh subsample; in between, a shared multiset J evaluated at both the
 current and the previous iterate corrects the running estimate,
 
-    v_t = g_J(x_t) - g_J(x_{t-1}) + v_{t-1},
+    v_t = g_J(x_t) - g_J(x_{t-1}) + v_{t-1}.
 
-which keeps the estimate exact whenever the batches are full.
+A full-batch correction is a reset instead, deviating from the paper: it
+charges n, not 2n, and gives the full derivative without carried roundoff.
+At an unmoved point (x_t == x_{t-1}, as after a rejected adaptive step) a
+correction keeps v_{t-1} and queries nothing, and so does a full-batch reset
+when v_{t-1} was formed from the full batch.  J is drawn either way.
 
 Two schedules are provided.  "theoretical" sizes batches from the problem
 constants (L, rho, M), the target accuracy and the failure probability, and
@@ -52,6 +56,8 @@ class EstimatorState:
     t: int = 0
     v: np.ndarray | None = None
     U: np.ndarray | None = None
+    v_exact: bool = False  # v was formed from the full batch
+    U_exact: bool = False  # U was formed from the full batch
 
     @property
     def grad_reset_due(self) -> bool:
@@ -175,21 +181,27 @@ def practical_batch(rule: PracticalBatchRule, t: int) -> tuple[int, int]:
     return max(1, rule.B_g // rule.S), max(1, rule.B_h // rule.S)
 
 
-def _recursive_update(state, problem, x_t, x_prev, B, rng, counter, reset_due, previous, oracle):
+def _recursive_update(state, name, problem, x_t, x_prev, B, rng, counter, reset_due, oracle):
     """One step of the recursion shared by both estimators; returns the new estimate.
 
-    Epoch resets rebuild from scratch and never touch x_prev or the previous
-    estimate.  Off-epoch steps evaluate one shared multiset at both points
-    (2B charges), x_prev first: the kernel answered the previous step's last
-    query at x_prev, so a full-batch J is answered from its memory.
+    ``name`` is the estimate's field in ``state``, "v" or "U", which is
+    updated with its exact flag.  A correction queries J at both points (2B
+    charges); a reset queries x_t alone, and an unmoved point may query none.
     """
+    previous, exact = getattr(state, name), getattr(state, f"{name}_exact")
     J = sample_multiset(rng, problem.n, B)
-    if reset_due:
-        return oracle(problem, x_t, J, counter)
-    if previous is None or x_prev is None:
+    full = J.size == problem.n
+    if not reset_due and (previous is None or x_prev is None):
         raise ValueError(f"step {state.t} continues an epoch but no previous estimate is set")
-    at_prev = oracle(problem, x_prev, J, counter)
-    return oracle(problem, x_t, J, counter) - at_prev + previous
+    if x_prev is not None and np.array_equal(x_t, x_prev) and (not reset_due or full and exact):
+        return previous  # the state holds it already
+    if reset_due or full:
+        estimate = oracle(problem, x_t, J, counter)
+    else:
+        estimate = oracle(problem, x_t, J, counter) - oracle(problem, x_prev, J, counter) + previous
+    setattr(state, name, estimate)
+    setattr(state, f"{name}_exact", full)
+    return estimate
 
 
 def update_gradient_estimator(
@@ -202,10 +214,9 @@ def update_gradient_estimator(
     counter: OracleCounter | None = None,
 ) -> np.ndarray:
     """Advance the gradient recursion at the current state clock; returns v_t."""
-    state.v = _recursive_update(
-        state, problem, x_t, x_prev, B, rng, counter, state.grad_reset_due, state.v, batch_gradient
+    return _recursive_update(
+        state, "v", problem, x_t, x_prev, B, rng, counter, state.grad_reset_due, batch_gradient
     )
-    return state.v
 
 
 def update_hessian_estimator(
@@ -218,7 +229,6 @@ def update_hessian_estimator(
     counter: OracleCounter | None = None,
 ) -> np.ndarray:
     """Advance the Hessian recursion at the current state clock; returns U_t."""
-    state.U = _recursive_update(
-        state, problem, x_t, x_prev, B, rng, counter, state.hess_reset_due, state.U, batch_hessian
+    return _recursive_update(
+        state, "U", problem, x_t, x_prev, B, rng, counter, state.hess_reset_due, batch_hessian
     )
-    return state.U

@@ -38,10 +38,11 @@ class OracleCounter:
     """Running totals of the component-oracle evaluations asked for.
 
     Counts are cumulative and only ever increase.  A batch of size B charges
-    B calls to the corresponding counter, also when the kernel answers a
-    repeated (idx, x) from memory: the bill counts the algorithm's queries,
-    as the paper does.  Value evaluations are tracked too so diagnostic
-    bookkeeping can stay separate from the stochastic budget.
+    B calls to the corresponding counter: the bill counts the component
+    evaluations asked of a kernel, as the paper does.  A caller that already
+    holds an answer reuses it and asks nothing.  Value evaluations are
+    tracked too so diagnostic bookkeeping can stay separate from the
+    stochastic budget.
     """
 
     grad_calls: int = 0
@@ -64,13 +65,11 @@ class FiniteSumProblem:
         component values, gradients, Hessians or Hessian-vector products in
         one shot.  Signature is (idx, x) resp. (idx, x, v) with idx an
         integer array of 0-based component indices; the kernel on [i] is
-        component i.  Every kernel must be a pure function of its
-        arguments: the value, gradient and Hessian kernels are wrapped to
-        answer a repeat of their last (idx, x) from memory, and the built-in
-        Hessian-vector kernels keep the point-dependent part of their last
-        (idx, x) and reuse it while the same (idx, x) comes back with new
-        vectors v.  A repeat is still billed, and a caller always gets an
-        array of its own.
+        component i.  Each query calls its kernel once.  Hessian-vector
+        kernels must be pure functions of (idx, x): the built-in ones, and
+        the one derived from a Hessian kernel, keep the point-dependent part
+        of their last (idx, x) and reuse it while the same (idx, x) comes
+        back with new vectors v.
 
     The value and gradient kernels are required, the Hessian and
     Hessian-vector ones are optional.  When no Hessian-vector kernel is
@@ -117,10 +116,6 @@ class FiniteSumProblem:
             self.batch_hvp_fn = _linearized(lambda idx, x: batch_hess(idx, x).__matmul__)
         if self.dim > DENSE_LIMIT:
             self.batch_hess_fn = None
-        for kind in ("value", "grad", "hess"):
-            kernel = getattr(self, f"batch_{kind}_fn")
-            if kernel is not None:
-                setattr(self, f"batch_{kind}_fn", _last_query(kernel))
 
 
 def from_components(n: int, dim: int, value, grad, hess=None, hvp=None, **constants) -> FiniteSumProblem:
@@ -144,45 +139,26 @@ def from_components(n: int, dim: int, value, grad, hess=None, hvp=None, **consta
     return FiniteSumProblem(n=n, dim=dim, **kernels, **constants)
 
 
-def _last_query(fn):
-    """``fn(idx, x)`` that answers a repeat of its last (idx, x) from memory.
-
-    The key is a copy of idx, compared by value, and the bytes of x, so an
-    argument mutated in place is a new query, and -0.0 is not 0.0.  An array
-    answer is copied into the memo and out of it: the caller owns what it
-    gets, and mutating it cannot change a later answer.  A scalar or a
-    linearization is immutable and handed out as it is.  The entry is one
-    tuple, read once per call, so no call pairs one query's key with another
-    query's answer.  This is sound only because a kernel is a pure function
-    of (idx, x).
-    """
-    memo = None, None, None  # idx copy, x bytes, answer
-
-    def kernel(idx, x):
-        nonlocal memo
-        kept_idx, kept_key, kept = memo
-        key = np.asarray(x).tobytes()
-        if key == kept_key and np.array_equal(idx, kept_idx):
-            return _owned(kept)
-        answer = fn(idx, x)
-        memo = np.array(idx, copy=True), key, _owned(answer)
-        return answer
-
-    return kernel
-
-
-def _owned(answer):
-    return answer.copy() if isinstance(answer, np.ndarray) else answer
-
-
 def _linearized(linearize):
     """Hessian-vector kernel from ``linearize(idx, x) -> (v -> mean Hv)``.
 
     The linearization of the last (idx, x) is kept, so a closure that applies
-    one (idx, x) to many vectors pays its point-dependent work once.
+    one (idx, x) to many vectors pays its point-dependent work once.  The key
+    is a copy of idx, compared by value, and the bytes of x, so an argument
+    mutated in place is a new query, and -0.0 is not 0.0.
     """
-    linearization = _last_query(linearize)
-    return lambda idx, x, v: linearization(idx, x)(v)
+    kept = None, None, None  # idx copy, x bytes, linearization
+
+    def kernel(idx, x, v):
+        nonlocal kept
+        kept_idx, kept_key, linearization = kept
+        key = np.asarray(x).tobytes()
+        if key != kept_key or not np.array_equal(idx, kept_idx):
+            linearization = linearize(idx, x)
+            kept = np.array(idx, copy=True), key, linearization
+        return linearization(v)
+
+    return kernel
 
 
 def _index_order_mean(oracle, shape):
@@ -228,6 +204,8 @@ def _charge(problem: FiniteSumProblem, idx: np.ndarray, counter: OracleCounter |
     idx = np.asarray(idx)
     if idx.size == 0:
         raise ValueError("empty index multiset")
+    if idx.dtype.kind not in "iu":
+        raise IndexError(f"component indices must be integers, got dtype {idx.dtype}")
     if idx.min() < 0 or idx.max() >= problem.n:
         raise IndexError(
             f"component index out of range [0, {problem.n}): "

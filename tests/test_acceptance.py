@@ -74,6 +74,8 @@ def test_criterion_01_exact_solver_matches_grid_search():
     sq32 = u32 * u32
     UV = np.outer(u32, u32)
     R3 = (np.add.outer(sq32, sq32)) ** np.float32(1.5)
+    val = np.empty((pts, pts), dtype=np.float32)
+    block = 32  # rows evaluated at a time, so each row's temporaries stay in cache
 
     rng = np.random.default_rng(7)
     worst_gap = -math.inf
@@ -86,11 +88,14 @@ def test_criterion_01_exact_solver_matches_grid_search():
         # fast float32 pass over the scaled unit mesh
         col = (np.float32(b[0] * R) * u32 + np.float32(0.5 * A[0, 0] * R * R) * sq32)[:, None]
         row = (np.float32(b[1] * R) * u32 + np.float32(0.5 * A[1, 1] * R * R) * sq32)[None, :]
-        val = col + row
-        val += np.float32(A[0, 1] * R * R) * UV
-        val += np.float32(tau / 6.0 * R**3) * R3
+        cross, cubic = np.float32(A[0, 1] * R * R), np.float32(tau / 6.0 * R**3)
+        for k in range(0, pts, block):
+            rows = val[k:k + block]
+            np.add(col[k:k + block], row, out=rows)
+            rows += cross * UV[k:k + block]
+            rows += cubic * R3[k:k + block]
         min32 = float(val.min())
-        margin = 4e-5 * max(1.0, float(np.abs(val).max()))
+        margin = 4e-5 * max(1.0, -min32, float(val.max()))  # max(1, max |val|)
         ii, jj = np.nonzero(val <= np.float32(min32 + margin))
 
         # exact re-evaluation of every near-minimal cell

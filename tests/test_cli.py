@@ -519,6 +519,12 @@ class TestEntryPointsAgree:
         "gap-negative": ({"budget_gap": -1.0},
                          r"config\.solver\.budget_gap: objective gap must be nonnegative"),
         "seed-negative": ({"seed": -1}, r"config\.solver: seed must be nonnegative"),
+        "rho-negative": ({"rho": -1}, r"config\.solver: rho must be positive"),
+        "gap-nan": ({"budget_gap": float("nan")}, r"solver\.budget_gap: expected a number, got NaN"),
+        "gap-infinite": ({"budget_gap": float("inf")},
+                         r"solver\.budget_gap: expected a number, got Infinity"),
+        "eps-infinite": ({"eps": float("inf")}, r"solver\.eps: expected a number, got Infinity"),
+        "x0-nan": ({"x0": [float("nan"), 0, 0, 0]}, r"solver\.x0: expected a list of numbers"),
     }
     PROBLEM_FAULTS = {
         "n-zero": ({"n": 0}, r"config\.problem\.synthetic\.n: must be at least 1"),

@@ -201,6 +201,24 @@ class TestGradientEstimator:
         state.t = 1
         v1 = update_gradient_estimator(state, self.p, x, x, 6, rng, c)
         assert_allclose(v1, v0, rtol=1e-14)
+        assert v1.tobytes() == v0.tobytes()
+        assert c.grad_calls == 40  # the correction asked nothing
+
+    @pytest.mark.parametrize("first_batch, charged", [(40, 0), (8, 40)],
+                             ids=["after-full-batch", "after-subsample"])
+    def test_full_reset_at_unmoved_point(self, first_batch, charged):
+        # a full-batch reset at x_{t-1} reuses v_{t-1} if that was formed from the full batch
+        state = EstimatorState(S_g=1, S_h=1, t=0)
+        rng = np.random.default_rng(3)
+        c = OracleCounter()
+        x = 0.3 * np.ones(5)
+        v0 = update_gradient_estimator(state, self.p, x, None, first_batch, rng, c)
+        state.t = 1
+        v1 = update_gradient_estimator(state, self.p, x.copy(), x, 40, rng, c)
+        assert c.grad_calls == first_batch + charged
+        assert v1.tobytes() == self.full_grad(x).tobytes()
+        if not charged:
+            assert v1 is v0
 
     def test_full_batches_track_exact_gradient(self):
         state = EstimatorState(S_g=4, S_h=4, t=0)
@@ -215,6 +233,7 @@ class TestGradientEstimator:
             assert np.linalg.norm(v - g) <= 1e-10 * (1 + np.linalg.norm(g))
             x_prev = x
             x = x + 0.05 * np.sin(np.arange(5) + t)
+        assert c.grad_calls == 10 * 40  # a full-batch correction is billed as a reset
 
     def test_constant_gradients_freeze_estimate(self):
         # linear components: gradient differences vanish, so any batch works
@@ -282,6 +301,7 @@ class TestHessianEstimator:
             assert np.linalg.norm(U - H, 2) <= 1e-10 * (1 + np.linalg.norm(H, 2))
             x_prev = x
             x = x + 0.1 * np.cos(np.arange(4) * (t + 1))
+        assert c.hess_calls == 7 * 25  # a full-batch correction is billed as a reset
 
     def test_output_symmetric(self):
         state = EstimatorState(S_g=3, S_h=3, t=0)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import vrcubic
 from vrcubic.diagnostics import mu_criterion
-from vrcubic.drivers import AdaptivePenalty, SolverConfig, run_srvrc, run_srvrc_free
+from vrcubic.drivers import AdaptivePenalty, SolverConfig, run_cr, run_srvrc, run_srvrc_free
 from vrcubic.estimators import PracticalBatchRule
 from vrcubic.finite_sum import (
     DENSE_LIMIT,
@@ -21,6 +21,8 @@ from vrcubic.finite_sum import (
     sample_multiset,
 )
 from vrcubic.objectives import binary_logreg_from_arrays, make_synthetic, multiclass_logreg_from_arrays
+
+from test_drivers import GOLDEN_RUNS, cosine_problem
 
 
 def quadratic_problem(coeffs):
@@ -140,9 +142,14 @@ class TestBatchOracles:
         assert_allclose(hv, H @ v, rtol=1e-12, atol=1e-12)
 
     def test_out_of_range_index_rejected(self):
-        p = quadratic_problem([1.0, 2.0])
-        with pytest.raises(IndexError):
-            batch_gradient(p, np.zeros(3), np.array([2]), OracleCounter())
+        # a float or boolean array is not an index multiset either; none is charged
+        bad = ([3], [-1], [0.5, 2.7], [True, True, False])
+        for p in (quadratic_problem([1.0, 2.0, 3.0]), make_synthetic(0, 3, 3)):
+            for idx in bad:
+                c = OracleCounter()
+                with pytest.raises(IndexError):
+                    batch_gradient(p, np.zeros(3), np.array(idx), c)
+                assert c == OracleCounter(), idx
 
     def test_empty_batch_rejected(self):
         p = quadratic_problem([1.0, 2.0])
@@ -293,12 +300,13 @@ def index_order_mean(oracle, idx, *args):
 
 # (exit, iterations, oracle counters, diagnostic counters) of seeded runs on
 # the component-only, Hessian-only problem, captured before batch kernels
-# became the only oracle path.
+# became the only oracle path; bills re-captured once full-batch corrections
+# became resets and the loop stopped re-asking queries it holds.
 COMPONENT_GOLDEN_RUNS = {
     "srvrc-adaptive": (
         run_srvrc,
         {"penalty": AdaptivePenalty()},
-        ("converged", 14, (208, 104, 0, 0), (0, 0, 0, 1120)),
+        ("converged", 14, (148, 74, 0, 0), (0, 0, 0, 600)),
     ),
     "srvrc_free": (run_srvrc_free, {}, ("converged", 36, (528, 0, 950, 0), (0, 0, 0, 1480))),
 }
@@ -548,50 +556,58 @@ class TestLinearizedHvp:
         assert log == [3, 3]
 
 
-def counted(kernel, log):
-    """``kernel`` that appends the bytes of every x it is evaluated at to log."""
+def logging_queries(problem, logs):
+    """problem with its value, gradient and Hessian kernels logging (idx, x) bytes by kind."""
 
-    def counting(idx, x):
-        log.append(x.tobytes())
-        return kernel(idx, x)
+    def logged(kernel, log):
+        def logging(idx, x):
+            log.append((idx.tobytes(), x.tobytes()))
+            return kernel(idx, x)
 
-    return counting
+        return logging
 
-
-def counting_problem(logs, n=40, d=4):
-    """kernel_problem whose value, gradient and Hessian evaluations are logged by kind."""
-    reference = kernel_problem(n, d)
-    kernels = {
-        f"batch_{kind}_fn": counted(getattr(reference, f"batch_{kind}_fn"), logs.setdefault(kind, []))
-        for kind in ("value", "grad", "hess")
-    }
-    return FiniteSumProblem(n=n, dim=d, lipschitz_grad=3.0, lipschitz_hess=2.5, **kernels)
+    for kind in ("value", "grad", "hess"):
+        kernel = getattr(problem, f"batch_{kind}_fn")
+        setattr(problem, f"batch_{kind}_fn", logged(kernel, logs.setdefault(kind, [])))
+    return problem
 
 
 class TestLastQueryMemo:
+    """A kernel keeps no answer but its last Hessian-vector linearization.
+
+    The estimators and the driver reuse what they hold instead: a full-batch
+    correction is a reset, an unmoved point keeps its estimate, and a value
+    the loop has computed is not asked again.
+    """
+
     def test_full_batch_corrections_evaluate_each_iterate_once(self):
         logs = {}
-        p = counting_problem(logs)
+        p = logging_queries(kernel_problem(), logs)
         # B = 3n clamps every batch, corrections included, to the full index
         rule = PracticalBatchRule(3 * p.n, 3 * p.n, 3)
         result = run_srvrc(p, SolverConfig(eps=1e-6, T=7, x0=np.full(4, 0.8), seed=2, batch=rule))
         assert (result.exit, result.iterations) == ("budget-exhausted", 7)
-        # the bill counts queries: n per reset (t = 0, 3, 6) and 2n per correction
-        assert dataclasses.astuple(result.counters) == (440, 440, 0, 0)
+        # a full-batch correction is billed as a reset: n per step
+        assert dataclasses.astuple(result.counters) == (280, 280, 0, 0)
         for kind in ("grad", "hess"):
             assert len(logs[kind]) == len(set(logs[kind])) == result.iterations, kind
 
     def test_no_kernel_is_evaluated_twice_in_a_row_at_one_query(self):
-        logs = {}
-        p = counting_problem(logs)
-        config = SolverConfig(
-            eps=1e-3, T=60, x0=np.full(4, 0.8), seed=3, batch=PracticalBatchRule(120, 120, 3),
-            penalty=AdaptivePenalty(),
-        )
-        result = run_srvrc(p, config)
-        assert result.diag_counters.value_calls > p.n * len(logs["value"])  # f_trial was reused
-        for kind, log in logs.items():
-            assert all(a != b for a, b in zip(log, log[1:])), kind
+        golden = dict(eps=1e-3, T=40, x0=np.full(8, 0.8), seed=5)
+        runs = [
+            (runner, make_synthetic(3, 400, 8), SolverConfig(**golden, **options))
+            for runner, options, _ in GOLDEN_RUNS.values()
+        ]
+        # rejected steps leave x unmoved, and run_cr resets at full batch every step
+        cosine = SolverConfig(eps=1e-4, T=100, x0=np.array([0.1]), penalty=AdaptivePenalty(m0=1e-8))
+        runs.append((run_cr, cosine_problem(), cosine))
+        for runner, problem, config in runs:
+            logs = {}
+            result = runner(logging_queries(problem, logs), config)
+            for kind, log in logs.items():
+                assert all(a != b for a, b in zip(log, log[1:])), (runner.__name__, kind)
+            assert result.diag_counters.value_calls == problem.n * len(logs["value"])
+        assert len(logs["grad"]) < result.iterations  # the cosine run skipped queries
 
     @pytest.mark.parametrize("name", sorted(LINEARIZED))
     def test_callers_own_their_answers(self, name):
