@@ -43,6 +43,7 @@ from .drivers import (
     SolverConfig,
     TheoreticalPenalty,
     TraceRow,
+    _ALGORITHMS,
     budget_from_gap,
     run_cr,
     run_scr,
@@ -80,8 +81,6 @@ __all__ = [
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 COMPARE_COLUMNS = ("config", "algorithm", "status", "f_gap", "mu", "grad_calls", "hess_calls",
                    "hvp_calls", "wall_ms")
-
-_ALGORITHMS = ("srvrc", "srvrc_free", "cr", "scr")
 
 # Every solver key but budget_gap names a SolverConfig field, and every
 # penalty or batch key names a field of its mode's class, so the dataclasses
@@ -397,7 +396,7 @@ def check_problem(problem: FiniteSumProblem) -> tuple[bool, dict]:
         if problem.batch_hess_fn is not None and problem.batch_hvp_fn is not None:
             v = rng.standard_normal(problem.dim)
             H = batch_hessian(problem, x, full, counter)
-            hv = batch_hvp(problem, x, full, v, counter)
+            hv = batch_hvp(problem, x, full, counter)(v)
             denom = 1.0 + float(np.linalg.norm(H @ v))
             max_hvp_err = max(max_hvp_err, float(np.linalg.norm(hv - H @ v)) / denom)
     report = {"max_grad_err": max_grad_err, "max_hvp_err": max_hvp_err, "points": points}

@@ -70,22 +70,24 @@ def _lambda_min_via_hvp(
     x: np.ndarray,
     counter: OracleCounter,
 ) -> float:
-    full = full_index(problem)
+    hvp = batch_hvp(problem, x, full_index(problem), counter)
     d = problem.dim
     if d == 1:
-        e = np.ones(1)
-        return float(batch_hvp(problem, x, full, e, counter)[0])
-    op = LinearOperator(
-        (d, d),
-        matvec=lambda v: batch_hvp(problem, x, full, np.asarray(v, dtype=float).ravel(), counter),
-        dtype=float,
-    )
+        return float(hvp(np.ones(1))[0])
+    op = LinearOperator((d, d), matvec=lambda v: hvp(np.asarray(v, dtype=float).ravel()), dtype=float)
     v0 = np.random.default_rng(0).standard_normal(d)  # ARPACK's own start is unseeded
     try:
         vals = eigsh(op, k=1, which="SA", tol=1e-10, v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise EigensolverError("Lanczos smallest-eigenvalue solve did not converge") from exc
     return float(vals[0])
+
+
+def _check_positive(**params: float) -> None:
+    """Raise ValueError naming the first parameter that is not finite and > 0."""
+    for name, value in params.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _mu_parts(
@@ -95,8 +97,7 @@ def _mu_parts(
     counter: OracleCounter,
 ) -> tuple[float, float, float]:
     """(mu, grad_norm, lambda_min) at x, using full-batch oracles."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    _check_positive(rho=rho)
     x = np.asarray(x, dtype=float)
     full = full_index(problem)
     g = batch_gradient(problem, x, full, counter)
@@ -139,10 +140,7 @@ def certify_local_min(
     A True verdict certifies an (eps, sqrt(rho*eps))-approximate local
     minimum up to the constant c.
     """
-    if not c > 0:
-        raise ValueError("guarantee constant c must be positive")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_positive(c=c, eps=eps)
     counter = counter if counter is not None else OracleCounter()
     mu, grad_norm, lam = _mu_parts(problem, x, rho, counter)
     cert = LocalMinCertificate(

@@ -5,7 +5,7 @@ curvature of the cubic model is formed and how the step is solved:
 
 * run_srvrc      -- recursive gradient and Hessian estimators, exact solve.
 * run_srvrc_free -- recursive gradient, per-step subsampled Hessian-vector
-                    closure, budgeted approximate solve; terminates through a
+                    operator, budgeted approximate solve; terminates through a
                     model-decrease branch plus a polishing gradient run.
 * run_cr         -- run_srvrc with full batches, reset every step.
 * run_scr        -- run_srvrc with fixed-size batches, reset every step.
@@ -18,6 +18,7 @@ that grows the penalty and rejects the step when the model over-promises.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -60,14 +61,21 @@ __all__ = [
     "run_scr",
 ]
 
+_ALGORITHMS = ("srvrc", "srvrc_free", "cr", "scr")  # the drivers' names, as configs give them
+
+
+def _finite_positive(value: float) -> bool:
+    """value > 0 and finite; False for NaN and +inf."""
+    return value > 0 and math.isfinite(value)
+
 
 @dataclass(frozen=True)
 class FixedPenalty:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("fixed penalty must be positive")
+        if not _finite_positive(self.value):
+            raise ValueError("fixed penalty must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -77,8 +85,8 @@ class TheoreticalPenalty:
     factor: float = 4.0
 
     def __post_init__(self):
-        if not self.factor > 0:
-            raise ValueError("penalty factor must be positive")
+        if not _finite_positive(self.factor):
+            raise ValueError("penalty factor must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -156,10 +164,12 @@ class SolverConfig:
     gradient_recursion: bool = True
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not _finite_positive(self.eps):
+            raise ValueError("eps must be positive and finite")
+        if self.rho is not None and not _finite_positive(self.rho):
+            raise ValueError("rho must be positive and finite")
+        if not isinstance(self.T, numbers.Integral):
+            raise TypeError(f"iteration budget T must be an integer, got {self.T!r}")
         if self.T < 0:
             raise ValueError("iteration budget must be nonnegative")
         if not 0 < self.xi < 1:
@@ -170,8 +180,8 @@ class SolverConfig:
             raise TypeError("batch must be a PracticalBatchRule or None (the theoretical schedule)")
         if self.subsolver_max_iters is not None and self.subsolver_max_iters < 0:
             raise ValueError("subsolver_max_iters must be nonnegative")
-        if self.finalsolver_eps_g is not None and not self.finalsolver_eps_g > 0:
-            raise ValueError("finalsolver_eps_g must be positive")
+        if self.finalsolver_eps_g is not None and not _finite_positive(self.finalsolver_eps_g):
+            raise ValueError("finalsolver_eps_g must be positive and finite")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
 
@@ -221,8 +231,10 @@ def budget_from_gap(delta_f: float, eps: float, rho: float, algorithm: str = "sr
     """Outer-iteration budget from an objective-gap estimate.
 
     T = ceil(c * delta_f * sqrt(rho) / eps^{3/2}) with c = 25 for the
-    Hessian-free driver and 40 otherwise.
+    Hessian-free driver and 40 for the other three.
     """
+    if algorithm not in _ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}: expected one of {_ALGORITHMS}")
     if delta_f < 0:
         raise ValueError("objective gap must be nonnegative")
     coef = 25.0 if algorithm == "srvrc_free" else 40.0
@@ -295,7 +307,7 @@ def _run(
 
     "srvrc" forms the curvature by the recursive dense Hessian estimator and
     solves exactly (radius test); "srvrc_free" forms it as a Hessian-vector
-    closure over a fresh sample and solves with the subsolver, falling back
+    operator over a fresh sample and solves with the subsolver, falling back
     to the finalsolver on its last step (decrease test).
     """
     free = variant == "srvrc_free"
@@ -337,11 +349,7 @@ def _run(
         v = update_gradient_estimator(state, problem, x, x_prev, Bg, rng, oracle)
         if free:
             U = None
-            I = sample_multiset(rng, problem.n, Bh)
-
-            def A(vec, idx=I, point=x):
-                return batch_hvp(problem, point, idx, vec, oracle)
-
+            A = batch_hvp(problem, x, sample_multiset(rng, problem.n, Bh), oracle)
         else:
             U = A = update_hessian_estimator(state, problem, x, x_prev, Bh, rng, oracle)
         for name, estimate in (("gradient", v), ("Hessian", U)):
@@ -448,10 +456,10 @@ def run_srvrc_free(
     rng: np.random.Generator | None = None,
     callback=None,
 ) -> RunResult:
-    """Recursive gradient + per-step Hessian-vector closures, matvec-only solve.
+    """Recursive gradient + per-step Hessian-vector operators, matvec-only solve.
 
     Each iteration draws a fresh Hessian subsample whose averaged product
-    closure backs the budgeted subsolver.  While the model decrease beats
+    operator backs the budgeted subsolver.  While the model decrease beats
     -4 eps^{3/2} / sqrt(rho) the step is taken and the loop continues; the
     first time it does not, the polishing solver drives the model gradient
     below eps, that last step is taken, and the run reports converged.

@@ -62,21 +62,20 @@ class FiniteSumProblem:
     lipschitz_hess : rho > 0, Hessian Lipschitz constant of every f_i.
     grad_bound : bound on ||grad f_i(x) - grad F(x)||_2, np.inf if none holds.
     batch_*_fn : vectorized kernels computing the multiset mean of the
-        component values, gradients, Hessians or Hessian-vector products in
-        one shot.  Signature is (idx, x) resp. (idx, x, v) with idx an
-        integer array of 0-based component indices; the kernel on [i] is
-        component i.  Each query calls its kernel once.  Hessian-vector
-        kernels must be pure functions of (idx, x): the built-in ones, and
-        the one derived from a Hessian kernel, keep the point-dependent part
-        of their last (idx, x) and reuse it while the same (idx, x) comes
-        back with new vectors v.
+        component values, gradients or Hessians in one shot, called as
+        (idx, x) with idx an integer array of 0-based component indices;
+        the kernel on [i] is component i.  Each query calls its kernel once.
+        The Hessian-vector kernel, called as (idx, x), returns the
+        linearization at that point: an operator v -> mean of
+        grad^2 f_i(x) @ v over idx, which does its point-dependent work once
+        and is then applied to many vectors (see :func:`batch_hvp`).
 
     The value and gradient kernels are required, the Hessian and
     Hessian-vector ones are optional.  When no Hessian-vector kernel is
-    given, the products come from the Hessian kernel:
-    ``batch_hess_fn(idx, x) @ v``, with the batch Hessian formed once per
-    (idx, x).  Per-component oracles enter through :func:`from_components`,
-    which lifts all of them; a problem takes no mix of the two forms.
+    given, the operator comes from the Hessian kernel:
+    ``batch_hess_fn(idx, x).__matmul__``, one batch Hessian per operator.
+    Per-component oracles enter through :func:`from_components`, which
+    lifts all of them; a problem takes no mix of the two forms.
 
     Above ``DENSE_LIMIT`` dimensions the problem has no Hessian oracle: the
     Hessian kernel is dropped after the Hessian-vector products are derived,
@@ -92,7 +91,7 @@ class FiniteSumProblem:
     batch_value_fn: Callable[[np.ndarray, np.ndarray], float] | None = None
     batch_grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     batch_hess_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    batch_hvp_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    batch_hvp_fn: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
     name: str = "finite-sum"
     extra: dict = field(default_factory=dict)
 
@@ -113,7 +112,7 @@ class FiniteSumProblem:
                 )
         batch_hess = self.batch_hess_fn
         if self.batch_hvp_fn is None and batch_hess is not None:
-            self.batch_hvp_fn = _linearized(lambda idx, x: batch_hess(idx, x).__matmul__)
+            self.batch_hvp_fn = lambda idx, x: batch_hess(idx, x).__matmul__
         if self.dim > DENSE_LIMIT:
             self.batch_hess_fn = None
 
@@ -122,10 +121,11 @@ def from_components(n: int, dim: int, value, grad, hess=None, hvp=None, **consta
     """Problem from per-component oracles, called as (i, x) resp. (i, x, v).
 
     Each given oracle is lifted to a kernel that takes the mean over idx,
-    summed in index order; ``constants`` are the other FiniteSumProblem
-    fields (``lipschitz_grad``, ``name``, ...).  A Hessian oracle alone
-    gives products (index-order mean Hessian) @ v.  Kernels cannot be
-    mixed in: a ``batch_*_fn`` among the constants is a TypeError.
+    summed in index order; the products of a lifted ``hvp`` are such means
+    too.  ``constants`` are the other FiniteSumProblem fields
+    (``lipschitz_grad``, ``name``, ...).  A Hessian oracle alone gives
+    products (index-order mean Hessian) @ v.  Kernels cannot be mixed in: a
+    ``batch_*_fn`` among the constants is a TypeError.
     """
     if mixed := sorted(key for key in constants if key.startswith("batch_")):
         raise TypeError(f"from_components takes no kernels, got {', '.join(mixed)}")
@@ -136,29 +136,10 @@ def from_components(n: int, dim: int, value, grad, hess=None, hvp=None, **consta
         for kind, (oracle, shape) in given.items()
         if oracle is not None
     }
+    if hvp is not None:
+        mean_hvp = kernels["batch_hvp_fn"]
+        kernels["batch_hvp_fn"] = lambda idx, x: lambda v: mean_hvp(idx, x, v)
     return FiniteSumProblem(n=n, dim=dim, **kernels, **constants)
-
-
-def _linearized(linearize):
-    """Hessian-vector kernel from ``linearize(idx, x) -> (v -> mean Hv)``.
-
-    The linearization of the last (idx, x) is kept, so a closure that applies
-    one (idx, x) to many vectors pays its point-dependent work once.  The key
-    is a copy of idx, compared by value, and the bytes of x, so an argument
-    mutated in place is a new query, and -0.0 is not 0.0.
-    """
-    kept = None, None, None  # idx copy, x bytes, linearization
-
-    def kernel(idx, x, v):
-        nonlocal kept
-        kept_idx, kept_key, linearization = kept
-        key = np.asarray(x).tobytes()
-        if key != kept_key or not np.array_equal(idx, kept_idx):
-            linearization = linearize(idx, x)
-            kept = np.array(idx, copy=True), key, linearization
-        return linearization(v)
-
-    return kernel
 
 
 def _index_order_mean(oracle, shape):
@@ -258,9 +239,21 @@ def batch_hvp(
     problem: FiniteSumProblem,
     x: np.ndarray,
     idx: np.ndarray,
-    v: np.ndarray,
     counter: OracleCounter | None = None,
-) -> np.ndarray:
-    """Multiset mean of grad^2 f_i(x) @ v; charges |idx| product calls."""
-    fn, idx = _charge(problem, idx, counter, "hvp")
-    return np.asarray(fn(idx, x, v), dtype=float)
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Operator v -> multiset mean of grad^2 f_i(x) @ v over idx.
+
+    idx is checked, and the kernel called once on copies of idx and x, when
+    the operator is built: a bad idx or a missing oracle raises then, with
+    nothing charged, and later changes to the caller's arrays do not reach
+    the operator.  Each product charges |idx| Hessian-vector calls.
+    """
+    fn, idx = _charge(problem, idx, None, "hvp")
+    linearization = fn(idx.copy(), np.array(x, dtype=float))
+
+    def product(v: np.ndarray) -> np.ndarray:
+        if counter is not None:
+            counter.hvp_calls += idx.size
+        return np.asarray(linearization(v), dtype=float)
+
+    return product

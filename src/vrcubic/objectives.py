@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_sum import FiniteSumProblem, _linearized
+from .finite_sum import FiniteSumProblem
 
 __all__ = [
     "LibsvmParseError",
@@ -253,7 +253,7 @@ def binary_logreg_from_arrays(
         batch_value_fn=bval,
         batch_grad_fn=bgrad,
         batch_hess_fn=bhess,
-        batch_hvp_fn=_linearized(hvp_at),
+        batch_hvp_fn=hvp_at,
         name="binary-logreg",
         extra={"lam": lam},
     )
@@ -349,7 +349,7 @@ def multiclass_logreg_from_arrays(
         batch_value_fn=bval,
         batch_grad_fn=bgrad,
         batch_hess_fn=bhess,
-        batch_hvp_fn=_linearized(hvp_at),
+        batch_hvp_fn=hvp_at,
         name="multiclass-logreg",
         extra={"lam": lam, "num_classes": m},
     )
@@ -430,7 +430,7 @@ def make_synthetic(
         batch_value_fn=bval,
         batch_grad_fn=bgrad,
         batch_hess_fn=bhess,
-        batch_hvp_fn=_linearized(hvp_at),
+        batch_hvp_fn=hvp_at,
         name=f"synthetic-{difficulty}",
         extra={"A": A, "b": b, "alpha": alpha, "seed": seed},
     )

@@ -244,7 +244,7 @@ def test_criterion_06_logreg_derivative_correctness():
             v = rng.standard_normal(problem.dim)
             fd = finite_diff_grad_check(problem, x)
             H = batch_hessian(problem, x, full, scratch)
-            hv = batch_hvp(problem, x, full, v, scratch)
+            hv = batch_hvp(problem, x, full, scratch)(v)
             hvp_err = float(np.linalg.norm(hv - H @ v)) / (1.0 + float(np.linalg.norm(H @ v)))
             worst_fd, worst_hvp = max(worst_fd, fd), max(worst_hvp, hvp_err)
             assert fd <= 1e-5

@@ -203,8 +203,10 @@ class TestMuCriterion:
         assert counter.hess_calls == problem.n
 
     def test_rho_must_be_positive(self):
-        with pytest.raises(ValueError, match="rho"):
-            mu_criterion(quadratic_bowl(), np.zeros(3), rho=0.0)
+        # rho = inf would scale the curvature term to 0, so a saddle would read mu = 0
+        for rho in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rho"):
+                mu_criterion(quadratic_bowl(), np.zeros(3), rho=rho)
 
 
 class TestCertify:
@@ -246,6 +248,19 @@ class TestCertify:
             certify_local_min(problem, np.zeros(3), eps=0.0, rho=1.0)
         with pytest.raises(ValueError, match="c "):
             certify_local_min(problem, np.zeros(3), eps=1e-2, rho=1.0, c=0.0)
+        # f = (x0^2 - x1^2) / 2 at the origin: gradient 0, lambda_min = -1, a strict saddle
+        saddle = from_components(
+            n=1, dim=2, value=lambda i, x: 0.5 * (x[0] ** 2 - x[1] ** 2),
+            grad=lambda i, x: np.array([x[0], -x[1]]), hess=lambda i, x: np.diag([1.0, -1.0]),
+        )
+        ok, cert = certify_local_min(saddle, np.zeros(2), eps=1e-2, rho=1.0)
+        assert not ok and cert.lambda_min == -1.0
+        # an infinite eps, rho or c would certify it
+        for name in ("eps", "rho", "c"):
+            for bad in (math.inf, math.nan):
+                params = {"eps": 1e-2, "rho": 1.0, "c": 600.0, name: bad}
+                with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                    certify_local_min(saddle, np.zeros(2), **params)
 
 
 class TestFiniteDiffCheck:

@@ -137,6 +137,11 @@ class TestAdaptivePenaltyUpdate:
             AdaptivePenalty(m0=0.0)
         with pytest.raises(ValueError):
             AdaptivePenalty(floor=2.0, cap=1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="fixed penalty must be positive and finite"):
+                FixedPenalty(bad)
+            with pytest.raises(ValueError, match="penalty factor must be positive and finite"):
+                TheoreticalPenalty(bad)
 
 
 class TestBudgetFromGap:
@@ -155,6 +160,12 @@ class TestBudgetFromGap:
         with pytest.raises(ValueError):
             budget_from_gap(-1.0, 1e-3, 1.0)
 
+    def test_unknown_algorithm_rejected(self):
+        # a misspelt name would silently take the coefficient of the other drivers
+        with pytest.raises(ValueError, match="unknown algorithm 'srvrc-free'"):
+            budget_from_gap(1.0, 1e-2, 1.0, algorithm="srvrc-free")
+        assert budget_from_gap(1.0, 1e-2, 1.0, algorithm="srvrc_free") == 25000
+
 
 class TestSolverConfigValidation:
     def test_eps_positive(self):
@@ -163,10 +174,19 @@ class TestSolverConfigValidation:
         for eps_g in (0.0, -1e-8):
             with pytest.raises(ValueError, match="finalsolver_eps_g must be positive"):
                 SolverConfig(eps=1e-3, finalsolver_eps_g=eps_g)
+        # refused when built, not as an overflow in the batch rule or a skipped polish
+        for name in ("eps", "rho", "finalsolver_eps_g"):
+            for bad in (math.inf, math.nan):
+                settings = {"eps": 1e-3, name: bad}
+                with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                    SolverConfig(**settings)
 
     def test_budget_nonnegative(self):
         with pytest.raises(ValueError):
             SolverConfig(eps=1e-3, T=-1)
+        with pytest.raises(TypeError, match="T must be an integer"):
+            SolverConfig(eps=1e-3, T=2.5)
+        assert SolverConfig(eps=1e-3, T=np.int64(3)).T == 3
         with pytest.raises(ValueError, match="subsolver_max_iters must be nonnegative"):
             SolverConfig(eps=1e-3, subsolver_max_iters=-1)
         assert SolverConfig(eps=1e-3, subsolver_max_iters=0).subsolver_max_iters == 0

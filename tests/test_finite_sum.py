@@ -122,13 +122,13 @@ class TestBatchOracles:
 
     def test_hvp_zero_vector(self):
         p = quadratic_problem([3.0, 4.0])
-        hv = batch_hvp(p, np.ones(3), full_index(p), np.zeros(3), OracleCounter())
+        hv = batch_hvp(p, np.ones(3), full_index(p), OracleCounter())(np.zeros(3))
         assert_allclose(hv, np.zeros(3))
 
     def test_hvp_identity_hessian(self):
         p = quadratic_problem([1.0, 1.0])
         v = np.array([0.3, -2.0, 1.0])
-        hv = batch_hvp(p, np.zeros(3), full_index(p), v, OracleCounter())
+        hv = batch_hvp(p, np.zeros(3), full_index(p), OracleCounter())(v)
         assert_allclose(hv, v)
 
     def test_hvp_matches_hessian_product(self):
@@ -137,24 +137,27 @@ class TestBatchOracles:
         x, v = rng.standard_normal(3), rng.standard_normal(3)
         idx = np.array([0, 2])
         c = OracleCounter()
-        hv = batch_hvp(p, x, idx, v, c)
+        hv = batch_hvp(p, x, idx, c)(v)
         H = batch_hessian(p, x, idx, c)
         assert_allclose(hv, H @ v, rtol=1e-12, atol=1e-12)
 
     def test_out_of_range_index_rejected(self):
-        # a float or boolean array is not an index multiset either; none is charged
+        # a float or boolean array is not an index multiset either; none is charged,
+        # and a Hessian-vector operator is refused when it is built
         bad = ([3], [-1], [0.5, 2.7], [True, True, False])
         for p in (quadratic_problem([1.0, 2.0, 3.0]), make_synthetic(0, 3, 3)):
             for idx in bad:
                 c = OracleCounter()
-                with pytest.raises(IndexError):
-                    batch_gradient(p, np.zeros(3), np.array(idx), c)
+                for oracle in (batch_gradient, batch_hvp):
+                    with pytest.raises(IndexError):
+                        oracle(p, np.zeros(3), np.array(idx), c)
                 assert c == OracleCounter(), idx
 
     def test_empty_batch_rejected(self):
         p = quadratic_problem([1.0, 2.0])
-        with pytest.raises(ValueError):
-            batch_gradient(p, np.zeros(3), np.array([], dtype=int), OracleCounter())
+        for oracle in (batch_gradient, batch_hvp):
+            with pytest.raises(ValueError):
+                oracle(p, np.zeros(3), np.array([], dtype=int), OracleCounter())
 
     def test_missing_hessian_oracle_reported(self):
         p = from_components(
@@ -189,7 +192,7 @@ class TestCounters:
         batch_gradient(p, x, np.array([0, 1]), c)
         batch_gradient(p, x, np.array([2]), c)
         batch_hessian(p, x, full_index(p), c)
-        batch_hvp(p, x, np.array([0]), np.ones(3), c)
+        batch_hvp(p, x, np.array([0]), c)(np.ones(3))
         batch_value(p, x, np.array([0, 0]), c)
         assert c.grad_calls == 3
         assert c.hess_calls == 3
@@ -284,7 +287,7 @@ def kernel_problem(n=40, d=4):
         batch_value_fn=value,
         batch_grad_fn=lambda idx, x: A[idx].mean(axis=0) @ x + b[idx].mean(axis=0) + _pen_grad(x),
         batch_hess_fn=lambda idx, x: A[idx].mean(axis=0) + np.diag(_pen_curv(x)),
-        batch_hvp_fn=lambda idx, x, v: A[idx].mean(axis=0) @ v + _pen_curv(x) * v,
+        batch_hvp_fn=lambda idx, x: lambda v: A[idx].mean(axis=0) @ v + _pen_curv(x) * v,
         lipschitz_grad=3.0,
         lipschitz_hess=2.5,
     )
@@ -339,7 +342,7 @@ class TestOracleProtocol:
             assert_allclose(batch_value(p, x, one), oracles["value"](i, x), rtol=1e-14)
             assert_allclose(batch_gradient(p, x, one), oracles["grad"](i, x), rtol=1e-14)
             assert_allclose(batch_hessian(p, x, one), oracles["hess"](i, x), rtol=1e-14)
-            assert_allclose(batch_hvp(p, x, one, v), oracles["hvp"](i, x, v), rtol=1e-14)
+            assert_allclose(batch_hvp(p, x, one)(v), oracles["hvp"](i, x, v), rtol=1e-14)
 
     @pytest.mark.parametrize("missing", ["value", "grad"])
     def test_missing_value_or_gradient_oracle_rejected(self, missing):
@@ -371,13 +374,13 @@ class TestOracleProtocol:
             expected = index_order_mean(q["hvp"], idx, x, v)
         else:
             expected = index_order_mean(q["hess"], idx, x) @ v
-        assert np.array_equal(batch_hvp(p, x, idx, v), expected)
+        assert np.array_equal(batch_hvp(p, x, idx)(v), expected)
 
     def test_missing_hvp_oracle_raises_before_charging(self):
         p = component_problem(hess=False, hvp=False)
         c = OracleCounter()
         with pytest.raises(ValueError, match="Hessian-vector"):
-            batch_hvp(p, np.zeros(4), full_index(p), np.ones(4), c)
+            batch_hvp(p, np.zeros(4), full_index(p), c)
         with pytest.raises(ValueError, match="Hessian"):
             batch_hessian(p, np.zeros(4), full_index(p), c)
         assert c == OracleCounter()
@@ -442,7 +445,7 @@ class TestDenseLimit:
         p, D = diagonal_problem(DENSE_LIMIT + 1, hvp=False)
         v = np.arange(p.dim, dtype=float)
         c = OracleCounter()
-        assert np.array_equal(batch_hvp(p, np.zeros(p.dim), full_index(p), v, c), D * v)
+        assert np.array_equal(batch_hvp(p, np.zeros(p.dim), full_index(p), c)(v), D * v)
         assert c == OracleCounter(hvp_calls=1)
 
     def test_hessian_requests_raise_before_charging_above_limit(self):
@@ -500,8 +503,9 @@ def _logreg_data(classes=None, n=30, d=4, seed=12):
     return X, labels if classes else labels.astype(float)
 
 
-# Builders of problems whose kernels keep their last answer (a linearization,
-# for Hessian-vector kernels); each call builds a fresh problem, i.e. cold kernels.
+# Builders of the problems whose Hessian-vector kernels linearize: gathered
+# rows, a sigmoid or softmax, a mean matrix, or a batch Hessian kept in the
+# operator; each call builds a fresh problem.
 LINEARIZED = {
     "binary-logreg": lambda: binary_logreg_from_arrays(*_logreg_data(), lam=0.1),
     "multiclass-logreg": lambda: multiclass_logreg_from_arrays(*_logreg_data(3), 3, lam=0.1),
@@ -509,50 +513,71 @@ LINEARIZED = {
     "synthetic-convex": lambda: make_synthetic(3, 30, 4, "convex"),
     "hessian-kernel": lambda: hessian_kernel_problem(n=30, signed_zero=True),
 }
+# and a lifted component oracle, whose operator reads idx and x on every product
+HVP_PROBLEMS = {**LINEARIZED, "components": component_problem}
+
+
+def naive_lift_problem():
+    """The component problem with its products lifted by hand, as in from_components."""
+    hvp = component_oracles()["hvp"]
+    p = component_problem()
+    p.batch_hvp_fn = lambda idx, x: lambda v: index_order_mean(hvp, idx, x, v)
+    return p
+
+
+def operator_mismatches(make, operator):
+    """(before, after) counts of products that differ in their bytes from a fresh problem's.
+
+    ``operator(problem, x, idx)`` is built once and applied to three vectors,
+    then again after the caller has changed idx and x in place.
+    """
+    p, rng = make(), np.random.default_rng(4)
+    idx, x = np.array([0, 2, 2, 5, 29]), rng.standard_normal(p.dim)
+    A = operator(p, x, idx)
+    fresh = batch_hvp(make(), x.copy(), idx.copy())
+    vs = rng.standard_normal((3, p.dim))
+    before = sum(A(v).tobytes() != fresh(v).tobytes() for v in vs)
+    x[1] += 0.5
+    idx[0] = 7
+    after = sum(A(v).tobytes() != fresh(v).tobytes() for v in vs)
+    return before, after
 
 
 class TestLinearizedHvp:
-    @pytest.mark.parametrize("name", sorted(LINEARIZED))
+    """batch_hvp returns the linearization at (idx, x) as an operator the caller holds."""
+
+    @pytest.mark.parametrize("name", sorted(HVP_PROBLEMS))
     def test_kept_linearization_matches_cold_kernel(self, name):
-        warm = LINEARIZED[name]()
-        rng = np.random.default_rng(4)
+        assert operator_mismatches(HVP_PROBLEMS[name], batch_hvp) == (0, 0)
+        # the other kernels keep nothing: asked again after the caller's arrays change, they answer afresh
+        warm, cold = HVP_PROBLEMS[name](), HVP_PROBLEMS[name]()
+        idx, x = np.array([0, 2, 2, 5, 29]), np.full(warm.dim, 0.4)
+        for kind in ("value", "grad", "hess"):
+            kernel = getattr(warm, f"batch_{kind}_fn")
+            kernel(idx, x)
+            x[1] += 0.5
+            idx[0] += 1
+            want = getattr(cold, f"batch_{kind}_fn")(idx.copy(), x.copy())
+            assert np.asarray(kernel(idx, x)).tobytes() == np.asarray(want).tobytes(), kind
 
-        def check(idx, x):
-            v = rng.standard_normal(warm.dim)
-            got = warm.batch_hvp_fn(idx, x, v)
-            cold = LINEARIZED[name]()
-            want = cold.batch_hvp_fn(idx.copy(), x.copy(), v)
-            assert got.tobytes() == want.tobytes()
-            for kind in ("value", "grad", "hess"):
-                got = getattr(warm, f"batch_{kind}_fn")(idx, x)
-                want = getattr(cold, f"batch_{kind}_fn")(idx.copy(), x.copy())
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), kind
-
-        a, b = np.array([0, 2, 2, 5, 29]), np.array([1, 3, 3, 3, 8])
-        x = rng.standard_normal(warm.dim)
-        for _ in range(3):  # one (idx, x), many vectors
-            check(a, x)
-        check(b, x)  # a new idx
-        check(a, x)  # an earlier idx again
-        x[1] += 0.5  # x mutated in place
-        check(a, x)
-        a[0] = 7  # idx mutated in place
-        check(a, x)
-        zero = np.zeros(warm.dim)
-        check(a, zero)
-        zero *= -1.0  # -0.0 has other bytes than 0.0
-        check(a, zero)
+    def test_operator_holds_copies_of_idx_and_x(self):
+        # the kernel alone closes over the caller's arrays: changing them changes its products
+        kernel = lambda p, x, idx: p.batch_hvp_fn(idx, x)  # noqa: E731
+        assert operator_mismatches(naive_lift_problem, kernel) == (0, 3)
+        assert operator_mismatches(naive_lift_problem, batch_hvp) == (0, 0)
 
     def test_hessian_formed_once_per_point(self):
         log = []
         p = hessian_kernel_problem(hess_log=log)
         x, idx = np.full(p.dim, 0.3), np.array([1, 4, 4])
         c = OracleCounter()
+        A = batch_hvp(p, x, idx, c)
+        assert log == [3] and c == OracleCounter()  # built: one Hessian, nothing billed yet
         for k in range(5):
-            batch_hvp(p, x, idx, np.eye(p.dim)[k % p.dim], c)
+            A(np.eye(p.dim)[k % p.dim])
         assert log == [3]
-        assert c == OracleCounter(hvp_calls=15)  # each application is still billed
-        batch_hvp(p, x + 1.0, idx, np.ones(p.dim), c)
+        assert c == OracleCounter(hvp_calls=15)  # each product is billed |idx|
+        batch_hvp(p, x, idx, c)  # a new operator forms its own Hessian
         assert log == [3, 3]
 
 
@@ -573,7 +598,7 @@ def logging_queries(problem, logs):
 
 
 class TestLastQueryMemo:
-    """A kernel keeps no answer but its last Hessian-vector linearization.
+    """No kernel keeps an answer.
 
     The estimators and the driver reuse what they hold instead: a full-batch
     correction is a reset, an unmoved point keeps its estimate, and a value
@@ -649,9 +674,9 @@ class TestHessianKernelOnly:
         p = hessian_kernel_problem()
         x, v = np.array([0.3, -1.2, 0.7, 2.0]), np.array([1.0, 0.5, -0.25, 2.0])
         idx = np.array([0, 3, 3, 9, 21, 39])
-        assert np.array_equal(batch_hvp(p, x, idx, v), p.batch_hess_fn(idx, x) @ v)
+        assert np.array_equal(batch_hvp(p, x, idx)(v), p.batch_hess_fn(idx, x) @ v)
         one = np.array([3])  # the product kernel on [3] is component 3's Hessian times v
-        assert np.array_equal(batch_hvp(p, x, one, v), p.batch_hess_fn(one, x) @ v)
+        assert np.array_equal(batch_hvp(p, x, one)(v), p.batch_hess_fn(one, x) @ v)
 
     def test_srvrc_free_converges(self):
         p = hessian_kernel_problem(d=3)

@@ -166,7 +166,7 @@ class TestBinaryLogreg:
         w = rng.standard_normal(4)
         v = rng.standard_normal(4)
         H = batch_hessian(self.p, w, full_index(self.p), COUNTER)
-        hv = batch_hvp(self.p, w, full_index(self.p), v, COUNTER)
+        hv = batch_hvp(self.p, w, full_index(self.p), COUNTER)(v)
         assert_allclose(hv, H @ v, rtol=1e-10, atol=1e-12)
 
     def test_hessians_symmetric(self):
@@ -277,7 +277,7 @@ class TestMulticlassLogreg:
         w = rng.standard_normal(self.m * self.d)
         v = rng.standard_normal(self.m * self.d)
         H = batch_hessian(self.p, w, full_index(self.p), COUNTER)
-        hv = batch_hvp(self.p, w, full_index(self.p), v, COUNTER)
+        hv = batch_hvp(self.p, w, full_index(self.p), COUNTER)(v)
         denom = 1.0 + np.linalg.norm(H @ v)
         assert np.linalg.norm(hv - H @ v) / denom <= 1e-10
 
@@ -339,7 +339,7 @@ class TestMulticlassHessian:
         H = batch_hessian(self.p, self.w, self.idx, COUNTER)
         min_eigenvalue(H)  # raises unless H passes the symmetry check
         v = np.random.default_rng(22).standard_normal(self.m * self.d)
-        assert_allclose(batch_hvp(self.p, self.w, self.idx, v, COUNTER), H @ v, rtol=0, atol=1e-12)
+        assert_allclose(batch_hvp(self.p, self.w, self.idx, COUNTER)(v), H @ v, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(MULTICLASS_GOLDEN_RUNS))
     def test_golden_bills(self, name):
@@ -396,7 +396,7 @@ class TestSynthetic:
         rng = np.random.default_rng(1)
         w, v = rng.standard_normal(4), rng.standard_normal(4)
         H = batch_hessian(p, w, full_index(p), COUNTER)
-        hv = batch_hvp(p, w, full_index(p), v, COUNTER)
+        hv = batch_hvp(p, w, full_index(p), COUNTER)(v)
         assert_allclose(hv, H @ v, rtol=1e-10, atol=1e-12)
         assert_allclose(H, H.T, rtol=1e-12)
 
@@ -433,7 +433,7 @@ class TestDerivativeSweep:
             rel = np.max(np.abs(g - fd_gradient(p, w, step=1e-5)) / (1 + np.abs(g)))
             assert rel <= 1e-5
             H = batch_hessian(p, w, full, COUNTER)
-            hv = batch_hvp(p, w, full, v, COUNTER)
+            hv = batch_hvp(p, w, full, COUNTER)(v)
             assert np.linalg.norm(hv - H @ v) / (1 + np.linalg.norm(v)) <= 1e-10
 
 
@@ -516,7 +516,7 @@ def test_kernels_agree_with_index_order_means(case):
         assert close(batch_value(p, x, idx, COUNTER), value), name
         assert close(batch_gradient(p, x, idx, COUNTER), grad), name
         assert close(batch_hessian(p, x, idx, COUNTER), hess), name
-        assert close(batch_hvp(p, x, idx, v, COUNTER), hvp), name
+        assert close(batch_hvp(p, x, idx, COUNTER)(v), hvp), name
 
 
 def test_full_batch_kernels_read_component_data_in_place():
