@@ -1,18 +1,27 @@
 """Cubic-regularized model m(h) = b.h + h.A[h]/2 + tau/6 ||h||^3 and its solvers.
 
-Three solvers with different oracle requirements:
+Four solvers with different oracle requirements:
 
 * solve_exact      -- explicit symmetric A, eigendecomposition + secular
                       root finding, global minimizer including the hard case.
-* cubic_subsolver  -- A available only through matrix-vector products.
-                      Cauchy-point test, then perturbed gradient descent with
-                      a fixed iteration budget; aims for a target decrease,
-                      not for the exact minimizer.
-* cubic_finalsolver-- gradient descent on the unperturbed model down to a
-                      gradient-norm tolerance, used to polish a last step.
+* cubic_krylov     -- A available only through matrix-vector products.
+                      Lanczos from b with full reorthogonalization; step k
+                      minimizes the model over the k-dimensional Krylov span
+                      with solve_exact on the tridiagonal.  It stops at a
+                      value target or a gradient-norm tolerance, and restarts
+                      once from a perturbed b when its first step (the Cauchy
+                      point) misses the target.  The Hessian-free driver's
+                      solver (Carmon & Duchi, NeurIPS 2018).
+* cubic_subsolver  -- matvec-only reference solver of the paper: Cauchy-point
+                      test, then perturbed gradient descent with a fixed
+                      iteration budget; aims for a target decrease, not for
+                      the exact minimizer.
+* cubic_finalsolver-- matvec-only reference polisher of the paper: gradient
+                      descent on the unperturbed model down to a
+                      gradient-norm tolerance.
 
-The matvec solvers share one descent loop (_descend) and one value and one
-gradient formula; they differ only in linear term, iteration limit and stop rule.
+The gradient solvers share one descent loop (_descend); all matvec solvers
+share one value and one gradient formula and one perturbation of b.
 """
 
 from __future__ import annotations
@@ -32,13 +41,14 @@ __all__ = [
     "cubic_gradient",
     "cauchy_point",
     "solve_exact",
+    "cubic_krylov",
     "cubic_subsolver",
     "cubic_finalsolver",
 ]
 
 
 class SolverDivergenceError(RuntimeError):
-    """A descent iterate overflowed or became non-finite."""
+    """A descent iterate or a Lanczos product overflowed or became non-finite."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -93,8 +103,10 @@ class CubicSolution:
     h: np.ndarray
     m_value: float
     lam: float | None
-    status: str  # "exact" | "subsolver-early-exit" | "subsolver-iterated" | "finalsolver"
-    iterations: int = 0
+    # "exact" | "krylov" | "krylov-perturbed" | "subsolver-early-exit" | "subsolver-iterated"
+    # | "finalsolver"
+    status: str
+    iterations: int = 0  # gradient steps, or Lanczos steps (one product each)
 
 
 # value and gradient at h of the model with linear term b, from the product Ah = A @ h
@@ -233,6 +245,139 @@ def solve_exact(model: CubicModel) -> CubicSolution:
     return finish(h)
 
 
+def _perturbed(model: CubicModel, zeta: float, eps_quality: float, rng: np.random.Generator) -> np.ndarray:
+    """b plus the subsolver's one random perturbation: a uniform direction of norm
+    eps_quality tau^2 zeta^3 / (576 (beta + tau zeta)), small enough to barely move
+    the model value, large enough to put weight on the bottom eigenvector."""
+    tau = model.penalty
+    sigma = eps_quality * tau**2 * zeta**3 / (576.0 * (model.hess_norm_bound + tau * zeta))
+    q = rng.standard_normal(model.dim)
+    q /= np.linalg.norm(q)
+    return model.b + sigma * q
+
+
+def _lanczos(apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray, steps: int):
+    """Lanczos with full reorthogonalization from ``start``, one product per step.
+
+    After step k it yields (alpha, beta, Q, AQ): the tridiagonal T_k = Q^T A Q as
+    its diagonal alpha and off-diagonal beta[:-1], the residual norm
+    beta[-1] = ||A q_k - Q T_k e_k||, the orthonormal basis Q (k rows) and the
+    products AQ = (A q_j) (k rows).  The arrays are views, valid until the next
+    step.  It stops after ``steps`` steps, or once the residual vanishes against
+    T_k (the span is invariant under A).  A non-finite product raises
+    FloatingPointError before any arithmetic uses it.
+    """
+    d = start.size
+    cap = min(steps, 16)  # rows held; doubled as needed, so a short run stays small
+    Q, AQ = np.empty((cap + 1, d)), np.empty((cap, d))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    Q[0] = start / np.linalg.norm(start)
+    for k in range(steps):
+        if k == cap:
+            cap = min(2 * cap, steps)
+            Q = np.concatenate((Q, np.empty((cap - k, d))))
+            AQ = np.concatenate((AQ, np.empty((cap - k, d))))
+        w = apply(Q[k].copy())  # a copy: an operator may write to its argument
+        if not np.isfinite(w).all():
+            raise FloatingPointError(f"product {k + 1} is not finite")
+        AQ[k] = w
+        alpha[k] = Q[k] @ w
+        basis = Q[: k + 1]
+        for _ in range(2):  # classical Gram-Schmidt twice keeps the basis orthonormal
+            w = w - (basis @ w) @ basis
+        beta[k] = np.linalg.norm(w)
+        yield alpha[: k + 1], beta[: k + 1], basis, AQ[: k + 1]
+        scale = max(float(np.max(np.abs(alpha[: k + 1]))), float(np.max(beta[:k], initial=0.0)))
+        if beta[k] <= 1e-12 * scale:
+            return
+        Q[k + 1] = w / beta[k]
+
+
+def _krylov_run(model: CubicModel, b: np.ndarray, steps: int, grad_tol, target):
+    """Up to ``steps`` Lanczos steps on the model with linear term b; returns
+    (h, m, residual, k).
+
+    Step k minimizes the model over the Krylov span of b by solve_exact on the
+    k x k tridiagonal (in closed form at k = 1); ||grad|| at the lifted step
+    h = Q^T y is beta_k |y_k|.  m is the value of ``model`` itself (its own b)
+    at h, read from the stored products.  Stops once m <= target or the
+    residual <= grad_tol.  b = 0 takes no step.
+    """
+    tau = model.penalty
+    bnorm = float(np.linalg.norm(b))
+    h, m, residual, k = np.zeros(model.dim), 0.0, bnorm, 0
+    if bnorm == 0.0:
+        return h, m, residual, k
+    for alpha, beta, Q, AQ in _lanczos(model.apply, b, steps):
+        k = alpha.size
+        T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+        e1 = np.zeros(k)
+        e1[0] = bnorm
+        small = CubicModel(b=e1, A=T, penalty=tau, hess_norm_bound=model.hess_norm_bound)
+        # a 1-D model's minimizer is its Cauchy point, in closed form
+        y = cauchy_point(small) if k == 1 else solve_exact(small).h
+        residual = float(beta[-1] * abs(y[-1]))
+        h = y @ Q
+        m = _value(tau, model.b, h, y @ AQ)
+        if (target is not None and m <= target) or (grad_tol is not None and residual <= grad_tol):
+            break
+    return h, m, residual, k
+
+
+def cubic_krylov(
+    model: CubicModel,
+    grad_tol: float | None = None,
+    target: float | None = None,
+    max_iters: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> CubicSolution:
+    """Krylov-subspace (Lanczos) solve needing only products A @ v, one per step.
+
+    Step k minimizes the model over the span of b, Ab, ..., A^{k-1} b, so step 1
+    is the Cauchy point.  Stops at the first of: the model value reaches
+    ``target``, ||grad m|| reaches ``grad_tol``, the span is invariant, or
+    min(dim, max_iters) steps (at least one) are done.  With ``rng`` and a
+    target, the run from b stops after step 1; if that misses the target, one
+    perturbation of b is drawn as cubic_subsolver draws it (quality 1/2, its
+    radius zeta from target = -tau zeta^3 / 24) and the Lanczos run restarts from
+    the perturbed b, which reaches the bottom eigenvector in the hard case.  The
+    better of the two steps on the true model is returned.  The reported value
+    is the true model value, taken from the stored products.
+
+    A grad_tol that is not reached (unless the target was) raises
+    BudgetExceededError with the residual; a non-finite product or an overflow
+    raises SolverDivergenceError.
+    """
+    if grad_tol is None and target is None:
+        raise ValueError("cubic_krylov needs a grad_tol or a target")
+    if grad_tol is not None and not grad_tol > 0:
+        raise ValueError("grad_tol must be positive")
+    steps = model.dim if max_iters is None else max(1, min(model.dim, max_iters))
+    perturb = rng is not None and target is not None
+    status, start = "krylov", "b"
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            h, m, residual, products = _krylov_run(model, model.b, 1 if perturb else steps,
+                                                   grad_tol, target)
+            if perturb and not m <= target:
+                zeta = (-24.0 * target / model.penalty) ** (1.0 / 3.0)
+                status, start = "krylov-perturbed", "the perturbed b"
+                hp, mp, rp, kp = _krylov_run(model, _perturbed(model, zeta, 0.5, rng), steps,
+                                             grad_tol, target)
+                products += kp
+                if mp <= m:
+                    h, m, residual = hp, mp, rp
+    except FloatingPointError as exc:
+        raise SolverDivergenceError(f"cubic krylov diverged in the Lanczos run from {start}: {exc}") from exc
+    reached = (target is not None and m <= target) or (grad_tol is not None and residual <= grad_tol)
+    if grad_tol is not None and not reached:
+        raise BudgetExceededError(
+            f"cubic krylov stopped after {products} Lanczos steps with model gradient norm "
+            f"{residual:.3e} above tolerance {grad_tol}"
+        )
+    return CubicSolution(h=h, m_value=m, lam=None, status=status, iterations=products)
+
+
 def _descend(model, b, eta, x, limit, done, name):
     """Up to ``limit`` gradient steps from x on the model with linear term b; returns
     (x, steps taken), where ``done(k, x, A @ x, grad)`` may stop before step k + 1.
@@ -280,7 +425,6 @@ def cubic_subsolver(
         raise ValueError("eta and zeta must be positive")
 
     tau = model.penalty
-    beta = model.hess_norm_bound
     d = model.dim
     target = -(1.0 - eps_quality) * tau * zeta**3 / 12.0
 
@@ -296,10 +440,7 @@ def cubic_subsolver(
     if max_iters is not None:
         budget = min(budget, max_iters)
 
-    sigma = eps_quality * tau**2 * zeta**3 / (576.0 * (beta + tau * zeta))
-    q = rng.standard_normal(d)
-    q /= np.linalg.norm(q)
-    b_pert = model.b + sigma * q
+    b_pert = _perturbed(model, zeta, eps_quality, rng)
 
     def done(k, x, Ax, grad) -> bool:
         # the perturbed value passes the target, or x is numerically stationary

@@ -5,8 +5,9 @@ curvature of the cubic model is formed and how the step is solved:
 
 * run_srvrc      -- recursive gradient and Hessian estimators, exact solve.
 * run_srvrc_free -- recursive gradient, per-step subsampled Hessian-vector
-                    operator, budgeted approximate solve; terminates through a
-                    model-decrease branch plus a polishing gradient run.
+                    operator, Lanczos (Krylov) solve to a decrease target;
+                    terminates through a model-decrease branch plus a Lanczos
+                    solve to a model-gradient tolerance.
 * run_cr         -- run_srvrc with full batches, reset every step.
 * run_scr        -- run_srvrc with fixed-size batches, reset every step.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cubic import CubicModel, SolverDivergenceError, cubic_finalsolver, cubic_subsolver, solve_exact
+from .cubic import BudgetExceededError, CubicModel, SolverDivergenceError, cubic_krylov, solve_exact
 from .estimators import (
     EstimatorState,
     PracticalBatchRule,
@@ -136,18 +137,21 @@ def adaptive_penalty_update(
 
 @dataclass
 class SolverConfig:
-    """Driver settings; L, M and the subsolver's constants are derived, not set.
+    """Driver settings; L, M and the step solver's constants are derived, not set.
 
     eps                 target accuracy (gradient norm, sqrt(rho*eps) curvature)
     rho                 Hessian-Lipschitz constant; None takes the problem's
-    xi                  failure probability of the batch rule and the subsolver
+    xi                  failure probability of the theoretical batch rule (the
+                        free driver's Lanczos step solve does not use it)
     T                   iteration budget
     penalty             cubic penalty policy
     batch               fixed batch sizes; None is the paper's theoretical schedule
     seed                seed of the sampling generator when none is passed
-    x0                  starting point; None is the origin
-    subsolver_max_iters cap on subsolver gradient steps; None keeps its budget
-    finalsolver_eps_g   gradient tolerance of the polishing solver; None is eps
+    x0                  starting point; None is the origin; must be finite
+    subsolver_max_iters cap on the Lanczos steps of the free driver's per-iteration
+                        solve (each run, at least one); None is the dimension
+    finalsolver_eps_g   model-gradient tolerance of the free driver's terminal
+                        step; None is eps
     gradient_recursion  False re-samples the gradient every step, in every driver
     """
 
@@ -168,8 +172,10 @@ class SolverConfig:
             raise ValueError("eps must be positive and finite")
         if self.rho is not None and not _finite_positive(self.rho):
             raise ValueError("rho must be positive and finite")
-        if not isinstance(self.T, numbers.Integral):
-            raise TypeError(f"iteration budget T must be an integer, got {self.T!r}")
+        for name in ("T", "seed", "subsolver_max_iters"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.T < 0:
             raise ValueError("iteration budget must be nonnegative")
         if not 0 < self.xi < 1:
@@ -184,6 +190,8 @@ class SolverConfig:
             raise ValueError("finalsolver_eps_g must be positive and finite")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
+            if not np.isfinite(self.x0).all():
+                raise ValueError("x0 must be finite")
 
 
 @dataclass
@@ -307,12 +315,13 @@ def _run(
 
     "srvrc" forms the curvature by the recursive dense Hessian estimator and
     solves exactly (radius test); "srvrc_free" forms it as a Hessian-vector
-    operator over a fresh sample and solves with the subsolver, falling back
-    to the finalsolver on its last step (decrease test).
+    operator over a fresh sample and solves by Lanczos to the subsolver's
+    decrease target, then, on its last step (decrease test), by Lanczos on
+    the unperturbed model to the model-gradient tolerance.
     """
     free = variant == "srvrc_free"
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    eps, rho, L, xi, T = _resolve(problem, config)
+    eps, rho, L, _, T = _resolve(problem, config)
     rule = config.batch or _theoretical_rule(problem, config, variant)
     if isinstance(rule, TheoreticalBatchRule):
         S_g, S_h = rule.S_g, rule.S_h
@@ -325,9 +334,6 @@ def _run(
     penalty = _initial_penalty(policy, rho)
     adaptive = isinstance(policy, AdaptivePenalty)
     radius = math.sqrt(eps / rho)
-    # the subsolver constants of Tripuraneni et al. (2018): step, quality 1/2, failure odds
-    eta = 1.0 / (16.0 * L)
-    fail_prob = xi / (3.0 * max(T, 1))
     eps_g = config.finalsolver_eps_g if config.finalsolver_eps_g is not None else eps
     decrease_floor = -4.0 * eps**1.5 / math.sqrt(rho)
 
@@ -361,15 +367,15 @@ def _run(
             raise FloatingPointError(f"objective is not finite at iteration {t}")
         model = CubicModel(b=v, A=A, penalty=penalty, hess_norm_bound=L)
         if free:
+            # the subsolver's target of Tripuraneni et al. (2018), quality 1/2
+            target = -0.5 * penalty * radius**3 / 12.0
             try:
-                sol = cubic_subsolver(
-                    model, eta, radius, 0.5, fail_prob, rng, max_iters=config.subsolver_max_iters
-                )
+                sol = cubic_krylov(model, target=target, max_iters=config.subsolver_max_iters, rng=rng)
                 terminal = not (sol.m_value < decrease_floor)
                 if terminal:
-                    sol = cubic_finalsolver(model, eta, eps_g)
-            except SolverDivergenceError as exc:
-                raise SolverDivergenceError(f"iteration {t} (penalty {penalty:g}): {exc}") from exc
+                    sol = cubic_krylov(model, grad_tol=eps_g)
+            except (SolverDivergenceError, BudgetExceededError) as exc:
+                raise type(exc)(f"iteration {t} (penalty {penalty:g}): {exc}") from exc
         else:
             sol = solve_exact(model)
             if not np.isfinite(sol.h).all():
@@ -458,11 +464,18 @@ def run_srvrc_free(
 ) -> RunResult:
     """Recursive gradient + per-step Hessian-vector operators, matvec-only solve.
 
-    Each iteration draws a fresh Hessian subsample whose averaged product
-    operator backs the budgeted subsolver.  While the model decrease beats
-    -4 eps^{3/2} / sqrt(rho) the step is taken and the loop continues; the
-    first time it does not, the polishing solver drives the model gradient
-    below eps, that last step is taken, and the run reports converged.
+    Each iteration draws a fresh Hessian subsample and builds one averaged
+    product operator.  cubic_krylov solves the model with it to the decrease
+    target -tau zeta^3 / 24 (zeta = sqrt(eps/rho)), at most
+    ``subsolver_max_iters`` Lanczos steps; its first step is the Cauchy point,
+    and only a Cauchy step that misses the target draws a perturbation from
+    the run's generator.  While the model decrease beats -4 eps^{3/2} / sqrt(rho)
+    the step is taken and the loop continues; the first time it does not,
+    cubic_krylov solves the unperturbed model to ||grad m|| <= finalsolver_eps_g
+    (BudgetExceededError if the dimension comes first), that last step is
+    taken, and the run reports converged.  The paper proves this driver's bound
+    with the gradient Cubic-Subsolver and Cubic-Finalsolver instead
+    (cubic_subsolver and cubic_finalsolver, kept as reference solvers).
     With ``gradient_recursion=False`` the gradient is re-sampled every step.
     """
     return _run(problem, config, rng, callback, "srvrc_free")

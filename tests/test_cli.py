@@ -601,8 +601,7 @@ class TestTracedImportSites:
         "update_gradient_estimator",
         "update_hessian_estimator",
         "solve_exact",
-        "cubic_subsolver",
-        "cubic_finalsolver",
+        "cubic_krylov",
         "adaptive_penalty_update",
         "sample_multiset",
         "batch_value",
@@ -620,8 +619,7 @@ class TestTracedImportSites:
             "run_srvrc_free",
             "update_gradient_estimator",
             "sample_multiset",
-            "cubic_subsolver",
-            "cubic_finalsolver",
+            "cubic_krylov",
             "adaptive_penalty_update",
             "batch_value",
         },

@@ -13,9 +13,11 @@ from vrcubic.cubic import (
     cubic_finalsolver,
     cubic_function,
     cubic_gradient,
+    cubic_krylov,
     cubic_subsolver,
     solve_exact,
 )
+from vrcubic.cubic import _krylov_run
 
 # closed-form 1-D solution of b=1, A=0, tau=6: stationarity 1 + 3*h*|h| = 0
 # gives h* = -1/sqrt(3) and m(h*) = -(2/3)/sqrt(3)
@@ -335,6 +337,89 @@ class TestFinalsolver:
         assert len(applies) == 13
 
 
+class TestKrylov:
+    def test_cauchy_exit_draws_nothing(self):
+        m, applies = counted_model(0, 4)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        sol = cubic_krylov(m, target=subsolver_target(m, 0.1), rng=rng)
+        assert (sol.status, sol.iterations, len(applies)) == ("krylov", 1, 1)
+        assert rng.bit_generator.state == state
+        assert_allclose(sol.h, cauchy_point(m), rtol=1e-10)
+
+    def test_perturbation_is_one_draw_of_the_subsolver_perturbation(self):
+        # the perturbed run starts from the same b + sigma q as cubic_subsolver's
+        m, _ = counted_model(1, 4, bscale=1e-3)
+        for seed in range(5):
+            rng_k, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
+            cubic_krylov(m, target=subsolver_target(m, 1.0), rng=rng_k)
+            cubic_subsolver(m, eta=1 / (16 * m.hess_norm_bound), zeta=1.0, eps_quality=0.5,
+                            fail_prob=0.1, rng=rng_s, max_iters=1)
+            assert rng_k.bit_generator.state == rng_s.bit_generator.state
+
+    def test_hard_case_needs_the_perturbation(self):
+        # b has no component on the bottom eigenvector e1, so every Krylov
+        # span of b misses it: only the perturbed restart reaches the target
+        A = np.diag([-1.0, 1.0, 2.0, 3.0])
+        m = CubicModel(b=np.array([0.0, 1e-3, -1e-3, 5e-4]), A=A, penalty=1.0, hess_norm_bound=3.0)
+        target = subsolver_target(m, 0.5)
+        plain = cubic_krylov(m, target=target)
+        assert plain.m_value > target
+        assert plain.h[0] == 0.0 and plain.iterations == 3  # the span of b is invariant
+        for seed in range(20):
+            sol = cubic_krylov(m, target=target, rng=np.random.default_rng(seed))
+            assert sol.status == "krylov-perturbed"
+            assert sol.m_value <= target
+            assert_allclose(sol.m_value, cubic_function(m, sol.h), rtol=1e-12)
+
+    def test_agrees_with_exact_solver(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            m = random_model(rng, 6)
+            sol = cubic_krylov(m, grad_tol=1e-10)
+            exact = solve_exact(m)
+            assert abs(sol.m_value - exact.m_value) <= 1e-8
+            assert np.linalg.norm(sol.h - exact.h) <= 1e-8
+            assert np.linalg.norm(cubic_gradient(m, sol.h)) <= 1e-10 * (1 + np.linalg.norm(m.b))
+
+    def test_lanczos_residual_is_the_model_gradient_norm(self):
+        # beta_k |y_k| = ||grad m(h)||, and the value read from stored products
+        # is the model value at h
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            m = random_model(rng, 7)
+            for steps in range(1, 8):
+                h, value, residual, k = _krylov_run(m, m.b, steps, None, None)
+                assert k == steps
+                assert_allclose(residual, np.linalg.norm(cubic_gradient(m, h)), rtol=1e-8, atol=1e-12)
+                assert_allclose(value, cubic_function(m, h), rtol=1e-12, atol=1e-14)
+
+    def test_zero_b_is_stationary_without_products(self):
+        m, applies = counted_model(4, 3, bscale=0.0)
+        sol = cubic_krylov(m, grad_tol=1e-8)
+        assert_allclose(sol.h, np.zeros(3))
+        assert (sol.m_value, sol.iterations, len(applies)) == (0.0, 0, 0)
+
+    def test_nonfinite_product_is_divergence(self):
+        products = []
+
+        def hvp(v):
+            products.append(1)
+            return np.full_like(v, np.inf) if len(products) == 2 else np.diag([1.0, 2.0, 3.0]) @ v
+
+        m = CubicModel(b=np.ones(3), A=hvp, penalty=1.0, hess_norm_bound=3.0)
+        with pytest.raises(SolverDivergenceError,
+                           match=r"^cubic krylov diverged in the Lanczos run from b: product 2 is not finite$"):
+            cubic_krylov(m, grad_tol=1e-8)
+
+    def test_parameter_validation(self):
+        m = random_model(np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="grad_tol or a target"):
+            cubic_krylov(m)
+        with pytest.raises(ValueError, match="grad_tol must be positive"):
+            cubic_krylov(m, grad_tol=0.0)
+
+
 class TestSolverInvariants:
     def test_all_solvers_keep_model_nonpositive(self):
         rng = np.random.default_rng(12)
@@ -345,6 +430,8 @@ class TestSolverInvariants:
                                   zeta=0.3, eps_quality=0.5, fail_prob=0.1,
                                   rng=np.random.default_rng(0))
             assert sub.m_value <= 1e-12
+            krylov = cubic_krylov(m, target=subsolver_target(m, 0.3), rng=np.random.default_rng(0))
+            assert krylov.m_value <= 1e-12
 
     def test_exact_dominates_subsolver(self):
         rng = np.random.default_rng(13)
@@ -355,6 +442,8 @@ class TestSolverInvariants:
                                   zeta=0.3, eps_quality=0.5, fail_prob=0.1,
                                   rng=np.random.default_rng(1)).m_value
             assert exact <= sub + 1e-8
+            krylov = cubic_krylov(m, target=subsolver_target(m, 0.3), rng=np.random.default_rng(1))
+            assert exact <= krylov.m_value + 1e-8
 
 
 def counted_model(seed, d, shift=0.0, bscale=1.0):
@@ -385,11 +474,22 @@ def run_finalsolver(model, max_iters=10**6):
                              max_iters=max_iters)
 
 
+def subsolver_target(model, zeta):
+    return -0.5 * model.penalty * zeta**3 / 12.0
+
+
+def run_krylov(model, seed, zeta, max_iters=None):
+    """cubic_krylov to the subsolver's target, perturbing from a seeded generator."""
+    return cubic_krylov(model, target=subsolver_target(model, zeta), max_iters=max_iters,
+                        rng=np.random.default_rng(seed))
+
+
 # One seeded model per way a matvec solver can end: (model seed, d, shift,
 # bscale), the solver call, and its status (or error), iterations and number of
 # products A·v.  The subsolver's count includes the Cauchy point's two products
 # and the final value's one; the finalsolver's its Cauchy product and its final
-# value's one.
+# value's one.  cubic_krylov takes one product per Lanczos step and none for
+# its value; a perturbed solve counts the Cauchy step before it.
 SOLVER_EXITS = {
     "cauchy-early-exit": ((0, 4, 0.0, 1.0), lambda m: run_subsolver(m, 0, zeta=0.1),
                           ("subsolver-early-exit", 0, 2)),
@@ -403,6 +503,18 @@ SOLVER_EXITS = {
     "finalsolver-converged": ((3, 4, 0.0, 1.0), run_finalsolver, ("finalsolver", 908, 911)),
     "finalsolver-budget": ((3, 4, 0.0, 1.0), lambda m: run_finalsolver(m, max_iters=4),
                            (BudgetExceededError, None, 6)),
+    # the same models through the Lanczos solver
+    "krylov-cauchy-exit": ((0, 4, 0.0, 1.0), lambda m: run_krylov(m, 0, zeta=0.1), ("krylov", 1, 1)),
+    "krylov-perturbed-target": ((1, 4, 0.0, 1e-3), lambda m: run_krylov(m, 1, zeta=1.0),
+                                ("krylov-perturbed", 4, 4)),
+    # convex model whose minimum lies above the target: the perturbed run spans R^4
+    "krylov-perturbed-missed": ((2, 4, 4.0, 1.0), lambda m: run_krylov(m, 2, zeta=3.0),
+                                ("krylov-perturbed", 5, 5)),
+    "krylov-perturbed-cap": ((1, 4, 0.0, 1e-3), lambda m: run_krylov(m, 1, zeta=1.0, max_iters=1),
+                             ("krylov-perturbed", 2, 2)),
+    "krylov-grad-tol": ((3, 4, 0.0, 1.0), lambda m: cubic_krylov(m, grad_tol=1e-6), ("krylov", 4, 4)),
+    "krylov-cap": ((3, 4, 0.0, 1.0), lambda m: cubic_krylov(m, grad_tol=1e-6, max_iters=2),
+                   (BudgetExceededError, None, 2)),
 }
 
 

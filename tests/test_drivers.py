@@ -20,7 +20,7 @@ from vrcubic.drivers import (
 )
 from vrcubic.estimators import PracticalBatchRule, TheoreticalBatchRule
 from vrcubic.finite_sum import from_components
-from vrcubic.objectives import make_synthetic
+from vrcubic.objectives import binary_logreg_from_arrays, make_synthetic
 
 
 def bowl_problem(center, n=3):
@@ -184,12 +184,22 @@ class TestSolverConfigValidation:
     def test_budget_nonnegative(self):
         with pytest.raises(ValueError):
             SolverConfig(eps=1e-3, T=-1)
-        with pytest.raises(TypeError, match="T must be an integer"):
-            SolverConfig(eps=1e-3, T=2.5)
-        assert SolverConfig(eps=1e-3, T=np.int64(3)).T == 3
+        # integers, not floats or bools, as load_config requires: a float cap
+        # failed only once the subsolver iterated, and True was taken as 1
+        for name in ("T", "seed", "subsolver_max_iters"):
+            for bad in (2.5, 2.0, True, False):
+                with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad!r}$"):
+                    SolverConfig(eps=1e-3, **{name: bad})
+            assert getattr(SolverConfig(eps=1e-3, **{name: np.int64(3)}), name) == 3
         with pytest.raises(ValueError, match="subsolver_max_iters must be nonnegative"):
             SolverConfig(eps=1e-3, subsolver_max_iters=-1)
         assert SolverConfig(eps=1e-3, subsolver_max_iters=0).subsolver_max_iters == 0
+
+    def test_x0_finite(self):
+        # refused when built, not as a non-finite gradient estimate at iteration 0
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^x0 must be finite$"):
+                SolverConfig(eps=1e-3, x0=[0.0, bad])
 
     def test_xi_open_interval(self):
         with pytest.raises(ValueError):
@@ -302,6 +312,7 @@ class TestEquivalences:
 # (exit, iterations, oracle bill, diagnostic bill) of seeded runs on
 # make_synthetic(3, 400, 8); a bill is (grad, hess, hvp, value) calls.  A
 # full-batch correction is billed as a reset, and no value is billed twice.
+# The srvrc_free HVP bills are those of the Lanczos step solve.
 GOLDEN_RUNS = {
     "srvrc-theoretical": (
         run_srvrc, {},
@@ -321,17 +332,17 @@ GOLDEN_RUNS = {
     ),
     "srvrc_free-theoretical": (
         run_srvrc_free, {"subsolver_max_iters": 300},
-        ("converged", 9, (3600, 0, 8400, 0), (0, 0, 0, 4000)),
+        ("converged", 9, (3600, 0, 4000, 0), (0, 0, 0, 4000)),
     ),
     "srvrc_free-practical": (
         run_srvrc_free, {"batch": PracticalBatchRule(100, 40, 4), "subsolver_max_iters": 300},
-        ("converged", 11, (700, 0, 1000, 0), (0, 0, 0, 4800)),
+        ("converged", 11, (700, 0, 480, 0), (0, 0, 0, 4800)),
     ),
     "srvrc_free-fresh-gradient": (
         run_srvrc_free,
         {"batch": PracticalBatchRule(100, 40, 4), "subsolver_max_iters": 300,
          "gradient_recursion": False},
-        ("budget-exhausted", 40, (1750, 0, 3200, 0), (0, 0, 0, 16400)),
+        ("budget-exhausted", 40, (1750, 0, 1600, 0), (0, 0, 0, 16400)),
     ),
 }
 
@@ -528,41 +539,58 @@ class TestMatvecDriver:
         result = run_srvrc_free(problem, config)
         assert all(row.Bh == 16 for row in result.trace)
 
-    def test_divergence_names_iteration_and_penalty(self):
-        # rejections grow the adaptive penalty until the fixed subsolver step
-        # 1/(16 L) no longer keeps the gradient iteration stable
-        problem = make_synthetic(3, 400, 8)
-        config = SolverConfig(
-            eps=1e-3,
-            T=40,
-            x0=np.full(8, 0.8),
-            seed=0,
-            batch=PracticalBatchRule(60, 30, 3),
-            penalty=AdaptivePenalty(),
-            gradient_recursion=False,
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SolverDivergenceError, match=r"iteration 26 \(penalty 32768\)") as info:
-                run_srvrc_free(problem, config)
-        assert isinstance(info.value.__cause__, SolverDivergenceError)
-        assert "diverged at gradient step" in str(info.value)
+    @pytest.mark.parametrize(
+        "problem_name,eps,seed,gradient_recursion,exit",
+        [
+            ("synthetic", 1e-3, 0, False, "converged"),
+            ("synthetic", 1e-3, 1, True, "budget-exhausted"),
+            ("logistic", 1e-3, 0, True, "converged"),
+            ("logistic", 1e-2, 0, True, "converged"),
+        ],
+    )
+    def test_adaptive_penalty_runs_reach_an_exit(self, problem_name, eps, seed, gradient_recursion, exit):
+        # with the paper's gradient subsolver and its fixed step 1/(16 L) these
+        # runs ended in SolverDivergenceError (synthetic at iterations 26 and
+        # 37, logistic at eps 1e-3) or in the finalsolver's step-size
+        # ValueError (logistic at eps 1e-2) once the adaptive penalty had moved
+        # far from L; the Lanczos step solve has no step size.  Tier-1 turns
+        # warnings into errors, so no overflow may happen on the way either.
+        if problem_name == "synthetic":
+            problem = make_synthetic(3, 400, 8)
+        else:
+            rng = np.random.default_rng(5)
+            X = rng.standard_normal((200, 5))
+            y = (rng.uniform(size=200) < 1 / (1 + np.exp(-X @ np.linspace(-1, 1, 5)))).astype(float)
+            problem = binary_logreg_from_arrays(X, y, lam=1e-2)
+        config = SolverConfig(eps=eps, T=40, x0=np.full(problem.dim, 0.8), seed=seed,
+                              batch=PracticalBatchRule(60, 30, 3), penalty=AdaptivePenalty(),
+                              gradient_recursion=gradient_recursion)
+        result = run_srvrc_free(problem, config)
+        assert result.exit == exit
+        assert result.iterations == len(result.trace)
+        assert np.isfinite(result.x_out).all()
 
-    def test_divergence_surfaces_under_warnings_as_errors(self):
-        # no errstate here: tier-1 turns warnings into errors, and the
-        # overflow must still surface as the divergence of a named step
+    def test_nonfinite_product_names_iteration_and_penalty(self):
+        # the operator built at iteration 3 returns inf: the step solve stops
+        # there, before any arithmetic (and so any warning) touches it
         problem = make_synthetic(3, 400, 8)
-        config = SolverConfig(
-            eps=1e-3,
-            T=40,
-            x0=np.full(8, 0.8),
-            seed=1,
-            batch=PracticalBatchRule(60, 30, 3),
-            penalty=AdaptivePenalty(),
-        )
-        with pytest.raises(SolverDivergenceError, match=r"iteration 37 \(penalty 65536\)") as info:
+        kernel, built = problem.batch_hvp_fn, []
+
+        def poisoned(idx, x):
+            built.append(1)
+            if len(built) == 4:
+                return lambda v: np.full_like(v, np.inf)
+            return kernel(idx, x)
+
+        problem.batch_hvp_fn = poisoned
+        config = SolverConfig(eps=1e-3, T=40, x0=np.full(8, 0.8), seed=0,
+                              batch=PracticalBatchRule(60, 30, 3), penalty=FixedPenalty(5.0))
+        with pytest.raises(SolverDivergenceError, match=r"^iteration 3 \(penalty 5\): cubic krylov "
+                           r"diverged in the Lanczos run from b: product 1 is not finite$") as info:
             run_srvrc_free(problem, config)
-        assert "cubic subsolver diverged at gradient step" in str(info.value)
+        assert isinstance(info.value.__cause__, SolverDivergenceError)
         assert isinstance(info.value.__cause__.__cause__, FloatingPointError)
+        assert len(built) == 4
 
 
 class TestDeterminism:

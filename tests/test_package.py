@@ -11,6 +11,10 @@ def test_package_republishes_every_module_export():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(vrcubic, name) is getattr(module, name), name
+    # the four cubic solvers: the Lanczos solver the free driver uses, the
+    # exact one, and the paper's two gradient solvers kept as references
+    for name in ("cubic_krylov", "solve_exact", "cubic_subsolver", "cubic_finalsolver"):
+        assert name in cubic.__all__ and getattr(vrcubic, name) is getattr(cubic, name)
 
 
 def test_cli_stays_out_of_the_package_namespace():
