@@ -157,10 +157,11 @@ def finite_diff_grad_check(problem: FiniteSumProblem, x: np.ndarray, step: float
     """Max over coordinates of |central difference - analytic| / (1 + |analytic|).
 
     Uses full-batch value and gradient oracles; counts are kept local since
-    this is a verification utility, not part of any algorithm's budget.
+    this is a verification utility, not part of any algorithm's budget.  A
+    coordinate whose difference or gradient is not finite raises ValueError:
+    it cannot be read as agreement.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    _check_positive(step=step)
     x = np.asarray(x, dtype=float)
     counter = OracleCounter()
     full = full_index(problem)
@@ -172,5 +173,11 @@ def finite_diff_grad_check(problem: FiniteSumProblem, x: np.ndarray, step: float
         fp = batch_value(problem, x + e, full, counter)
         fm = batch_value(problem, x - e, full, counter)
         fd = (fp - fm) / (2.0 * step)
-        worst = max(worst, abs(fd - g[i]) / (1.0 + abs(g[i])))
+        err = abs(fd - g[i]) / (1.0 + abs(g[i]))
+        if not math.isfinite(err):
+            raise ValueError(
+                f"coordinate {i}: central difference {fd!r} against gradient {float(g[i])!r} "
+                f"is not finite at step {step!r}"
+            )
+        worst = max(worst, err)
     return worst

@@ -7,6 +7,7 @@ a bounded penalty that keeps every objective smooth while breaking convexity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,8 @@ def parse_libsvm(source) -> LibsvmDataset:
 
     ``source`` is a string or an iterable of lines.  Feature indices are
     1-based and must be strictly increasing within a row; labels and values
-    must be finite.  Blank lines are skipped; errors report the 1-based line
-    number.
+    must be finite, and numbers take no digit-group underscores ("1_0").
+    Blank lines are skipped; errors report the 1-based line number.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -141,6 +142,10 @@ def parse_libsvm(source) -> LibsvmDataset:
         if not stripped:
             continue
         tokens = stripped.split()
+        if "_" in stripped:  # int() and float() read digit-group underscores; libsvm does not
+            bad = next(tok for tok in tokens if "_" in tok)
+            what = "bad label" if bad is tokens[0] else "bad feature token"
+            raise LibsvmParseError(f"line {lineno}: {what} {bad!r}")
         try:
             label = float(tokens[0])
         except ValueError:
@@ -377,7 +382,19 @@ def make_synthetic(
 
     The gradient deviation ||grad f_i - grad F|| grows with ||x||, so no
     finite grad_bound is reported (np.inf): resets fall back to full batches.
+
+    The full-batch means of A_i and b_i do not depend on x, so they are
+    computed once here; a batch whose in-place weights are uniform (the full
+    index set in any order) reads them instead of all n components.  The
+    answer is the one the in-place sum gives, and a full query still bills n.
+    ``extra["A"]`` and ``extra["b"]`` are read-only, so those means cannot go
+    stale.
     """
+    for name, size, what in (("n", n, "at least one component"), ("d", d, "positive dimension")):
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {size!r}")
+        if size < 1:
+            raise ValueError(f"need {what}, got {name}={size}")
     if difficulty not in SYNTHETIC_DIFFICULTIES:
         raise ValueError(f"unknown difficulty {difficulty!r}")
     rng = np.random.default_rng(seed)
@@ -391,13 +408,19 @@ def make_synthetic(
             S = S @ S.T
         A[i] = 0.9 * S / max(np.linalg.norm(S, 2), 1e-12)
     b = rng.standard_normal((n, d)) / math.sqrt(d)
+    A.setflags(write=False)
+    b.setflags(write=False)
 
     A2 = A.reshape(n, d * d)
+    uniform = _in_place_weights(np.arange(n), n, _SYNTHETIC_IN_PLACE)
+    Afull, bfull = (uniform @ A2).reshape(d, d), uniform @ b
 
     def means(idx):
         c = _in_place_weights(idx, n, _SYNTHETIC_IN_PLACE)
         if c is None:
             return A[idx].mean(axis=0), b[idx].mean(axis=0)
+        if np.array_equal(c, uniform):
+            return Afull.copy(), bfull.copy()
         return (c @ A2).reshape(d, d), c @ b
 
     def bval(idx, x):

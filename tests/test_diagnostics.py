@@ -291,3 +291,33 @@ class TestFiniteDiffCheck:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="step"):
             finite_diff_grad_check(quadratic_bowl(), np.zeros(3), step=0.0)
+
+    def test_step_must_be_finite(self):
+        for step in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="^step must be positive and finite"):
+                finite_diff_grad_check(quadratic_bowl(), np.zeros(3), step=step)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_nonfinite_difference_is_not_agreement(self):
+        base = make_binary_logreg(parse_libsvm(BINARY_LINES), lam=0.1)
+        broken = from_components(  # every gradient coordinate is off by 5
+            n=base.n,
+            dim=base.dim,
+            value=lambda i, x: base.batch_value_fn(np.array([i]), x),
+            grad=lambda i, x: base.batch_grad_fn(np.array([i]), x) + 5.0,
+            lipschitz_grad=base.lipschitz_grad,
+            lipschitz_hess=base.lipschitz_hess,
+        )
+        x = 0.5 * np.random.default_rng(6).standard_normal(base.dim)
+        assert finite_diff_grad_check(broken, x) >= 0.5
+        for step in (1e200, 1e300):  # x +- step overflows the penalty: the difference is nan
+            with pytest.raises(ValueError, match="^coordinate 0: central difference nan"):
+                finite_diff_grad_check(broken, x, step=step)
+
+    def test_nonfinite_gradient_is_not_agreement(self):
+        nan_grad = from_components(  # coordinate 1 of the gradient is nan
+            n=2, dim=3, value=lambda i, x: 0.5 * float(x @ x),
+            grad=lambda i, x: np.where(np.arange(3) == 1, np.nan, x),
+        )
+        with pytest.raises(ValueError, match="^coordinate 1: .* not finite"):
+            finite_diff_grad_check(nan_grad, np.zeros(3))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,15 @@ class TestLibsvmParsing:
         for bad in ("x", "nan", "inf", "-Infinity"):
             with pytest.raises(LibsvmParseError, match="line 3"):
                 parse_libsvm(f"1 1:1\n0 1:1\n{bad} 1:1\n")
+
+    def test_digit_group_underscores_rejected(self):
+        for text, what in (("1 1_0:2\n", "bad feature token '1_0:2'"),
+                           ("1 1:0.5 3:1_5\n", "bad feature token '3:1_5'"),
+                           ("1_000 1:1\n", "bad label '1_000'"),
+                           ("1 1:1\n-1_0 2:1\n", "bad label '-1_0'")):
+            line = text.count("\n")
+            with pytest.raises(LibsvmParseError, match=f"^line {line}: {what}$"):
+                parse_libsvm(text)
 
     def test_roundtrip_through_serializer(self):
         text = "1 1:0.5 3:2.0\n-1 2:-1.25\n1 1:1e-3\n"
@@ -409,6 +419,35 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             make_synthetic(seed=0, n=0, d=2)
 
+    @pytest.mark.parametrize("n, d, error, message", [
+        (0, 2, ValueError, "need at least one component, got n=0"),
+        (-1, 3, ValueError, "need at least one component, got n=-1"),
+        (3, 0, ValueError, "need positive dimension, got d=0"),
+        (3, -1, ValueError, "need positive dimension, got d=-1"),
+        (2.5, 2, TypeError, "n must be an integer, got 2.5"),
+        (True, 2, TypeError, "n must be an integer, got True"),
+        (3, True, TypeError, "d must be an integer, got True"),
+        (3, 2.0, TypeError, "d must be an integer, got 2.0"),
+    ])
+    def test_sizes_checked_before_drawing(self, monkeypatch, n, d, error, message):
+        def no_draws(seed):
+            raise AssertionError("drew component data before checking the sizes")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make_synthetic(0, n, d)
+
+    def test_numpy_integer_sizes_accepted(self):
+        p = make_synthetic(seed=0, n=np.int64(4), d=np.int32(2))
+        assert (p.n, p.dim) == (4, 2)
+
+    def test_component_data_is_read_only(self):
+        p = make_synthetic(seed=0, n=5, d=2)
+        with pytest.raises(ValueError, match="read-only"):
+            p.extra["A"][0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.extra["b"][0] += 1.0
+
 
 class TestDerivativeSweep:
     """Every generated problem passes gradient and HVP checks at random points."""
@@ -533,3 +572,55 @@ def test_full_batch_kernels_read_component_data_in_place():
     finally:
         tracemalloc.stop()
     assert peak < p.extra["A"].nbytes / 2
+
+
+def in_place_reference(p, idx, x, v):
+    """Value, gradient, Hessian and HVP of the synthetic problem as the weighted
+    in-place sum over all n components, with the weights of ``idx``."""
+    A, b, alpha = p.extra["A"], p.extra["b"], p.extra["alpha"]
+    n, d = p.n, p.dim
+    c = np.bincount(idx, minlength=n) / idx.size
+    Abar, bbar = (c @ A.reshape(n, d * d)).reshape(d, d), c @ b
+    H = Abar.copy()
+    if alpha:
+        H[np.diag_indices(d)] += alpha * objectives._reg_curv(x)
+    value = 0.5 * float(x @ Abar @ x) + float(bbar @ x) + alpha * objectives._reg_value(x)
+    hv = Abar @ v + alpha * objectives._reg_curv(x) * v if alpha else Abar @ v
+    return value, Abar @ x + bbar + alpha * objectives._reg_grad(x), H, hv
+
+
+@pytest.mark.parametrize("difficulty", ["nonconvex", "convex"])
+def test_full_batch_answers_equal_the_in_place_sum_bytewise(difficulty):
+    """The precomputed full-batch mean changes no answer, in any index order."""
+    p = make_synthetic(seed=27, n=60, d=6, difficulty=difficulty)
+    rng = np.random.default_rng(28)
+    batches = {
+        "full": np.arange(p.n),
+        "permuted": rng.permutation(p.n),
+        "full-twice": np.tile(np.arange(p.n), 2),
+        "n-with-repeats": rng.integers(0, p.n, size=p.n),
+    }
+    for _ in range(3):
+        x, v = rng.standard_normal(p.dim), rng.standard_normal(p.dim)
+        for name, idx in batches.items():
+            value, grad, hess, hv = in_place_reference(p, idx, x, v)
+            counter = OracleCounter()
+            assert batch_value(p, x, idx, counter) == value, name
+            assert batch_gradient(p, x, idx, counter).tobytes() == grad.tobytes(), name
+            assert batch_hessian(p, x, idx, counter).tobytes() == hess.tobytes(), name
+            assert batch_hvp(p, x, idx, counter)(v).tobytes() == hv.tobytes(), name
+            assert counter == OracleCounter(idx.size, idx.size, idx.size, idx.size), name
+
+
+@pytest.mark.parametrize("difficulty", ["nonconvex", "convex"])
+def test_mutating_a_full_batch_answer_changes_no_later_answer(difficulty):
+    p = make_synthetic(seed=29, n=30, d=4, difficulty=difficulty)
+    x, v, full = np.full(4, 0.3), np.arange(4.0), full_index(p)
+    before = [batch_gradient(p, x, full, COUNTER), batch_hessian(p, x, full, COUNTER),
+              batch_hvp(p, x, full, COUNTER)(v), batch_value(p, x, full, COUNTER)]
+    for answer in (batch_gradient(p, x, full, COUNTER), batch_hessian(p, x, full, COUNTER)):
+        answer += 1e3
+    after = [batch_gradient(p, x, full, COUNTER), batch_hessian(p, x, full, COUNTER),
+             batch_hvp(p, x, full, COUNTER)(v), batch_value(p, x, full, COUNTER)]
+    for old, new in zip(before, after):
+        assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
