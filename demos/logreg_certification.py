@@ -37,7 +37,7 @@ for i in range(n):
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "two_class.libsvm"
     path.write_text("\n".join(lines) + "\n")
-    dataset = parse_libsvm(path.read_text().splitlines())
+    dataset = parse_libsvm(path.read_bytes())
 
 problem = make_binary_logreg(dataset, lam=0.1)
 print(f"dataset: n={problem.n}, d={problem.dim}")

@@ -251,11 +251,11 @@ def _resolve_dataset_path(raw: str) -> Path:
     return p
 
 
-def _read_maybe_gzip(path: Path) -> str:
+def _read_maybe_gzip(path: Path) -> bytes:
     if path.suffix == ".gz":
-        with gzip.open(path, "rt") as fh:
+        with gzip.open(path, "rb") as fh:
             return fh.read()
-    return path.read_text()
+    return path.read_bytes()
 
 
 def build_problem(prob_cfg: dict) -> FiniteSumProblem:

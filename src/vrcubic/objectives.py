@@ -79,21 +79,31 @@ class LibsvmParseError(ValueError):
 
 @dataclass
 class LibsvmDataset:
-    """Parsed svmlight/libsvm data: raw labels plus sparse 1-based features."""
+    """Parsed svmlight/libsvm data: raw labels plus sparse 1-based features in CSR form.
+
+    Row i holds the features ``indices[indptr[i]:indptr[i + 1]]`` (strictly
+    increasing, 1-based) with values ``data[indptr[i]:indptr[i + 1]]``.
+    """
 
     labels: np.ndarray
-    rows: list[list[tuple[int, float]]]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     num_features: int
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.labels.size
+
+    @property
+    def rows(self) -> list[list[tuple[int, float]]]:
+        """Each row as a list of (index, value) pairs."""
+        idx, val, bounds = self.indices.tolist(), self.data.tolist(), self.indptr.tolist()
+        return [list(zip(idx[a:b], val[a:b])) for a, b in zip(bounds, bounds[1:])]
 
     def to_dense(self) -> np.ndarray:
         X = np.zeros((self.n, self.num_features))
-        for i, row in enumerate(self.rows):
-            for j, val in row:
-                X[i, j - 1] = val
+        X[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices - 1] = self.data
         return X
 
     def binary_labels(self) -> np.ndarray:
@@ -121,78 +131,197 @@ class LibsvmDataset:
         return ids
 
 
+# Lines parsed at a time: bounds the transient token list and byte masks.
+_BLOCK_LINES = 256
+# Feature indices are decoded from their ASCII digits in int64; an index needs
+# fewer digits than this, leading zeros aside.
+_INDEX_DIGITS = 18
+_POW10 = np.array([10**k for k in range(_INDEX_DIGITS)], dtype=np.int64)
+# The ASCII bytes that str.split() splits on.
+_SPACE = np.array([chr(b).isspace() for b in range(128)] + [False] * 128)
+
+
 def parse_libsvm(source) -> LibsvmDataset:
     """Parse svmlight/libsvm text: one "<label> <idx>:<val> ..." row per line.
 
-    ``source`` is a string or an iterable of lines.  Feature indices are
-    1-based and must be strictly increasing within a row; labels and values
-    must be finite, and numbers take no digit-group underscores ("1_0").
-    Blank lines are skipped; errors report the 1-based line number.
+    ``source`` is a str or bytes (split into lines as ``str.splitlines``
+    splits), or an iterable of str or bytes lines.  Only ASCII is accepted.
+    Feature indices are 1-based, below 10**18 and strictly increasing within
+    a row; labels and values are what ``float()`` reads, finite, and take no
+    digit-group underscores ("1_0").  Blank lines are skipped; errors report
+    the 1-based line number of the first bad line.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = list(source)
-
-    labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
-    max_idx = 0
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        if "_" in stripped:  # int() and float() read digit-group underscores; libsvm does not
-            bad = next(tok for tok in tokens if "_" in tok)
-            what = "bad label" if bad is tokens[0] else "bad feature token"
-            raise LibsvmParseError(f"line {lineno}: {what} {bad!r}")
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise LibsvmParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
-        if not math.isfinite(label):
-            raise LibsvmParseError(f"line {lineno}: label {tokens[0]!r} is not finite")
-        row: list[tuple[int, float]] = []
-        prev_idx = 0
-        for tok in tokens[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise LibsvmParseError(f"line {lineno}: bad feature token {tok!r}")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise LibsvmParseError(
-                    f"line {lineno}: bad feature token {tok!r}"
-                ) from None
-            if not math.isfinite(val):
-                raise LibsvmParseError(f"line {lineno}: feature value {tok!r} is not finite")
-            if idx < 1:
-                raise LibsvmParseError(
-                    f"line {lineno}: feature index must be >= 1, got {idx}"
-                )
-            if idx <= prev_idx:
-                raise LibsvmParseError(
-                    f"line {lineno}: feature indices must be strictly increasing "
-                    f"({idx} after {prev_idx})"
-                )
-            row.append((idx, val))
-            prev_idx = idx
-        labels.append(label)
-        rows.append(row)
-        max_idx = max(max_idx, prev_idx)
-
-    if not rows:
+    lines, non_ascii = _ascii_lines(source)
+    blocks = [_parse_block(lines[at:at + _BLOCK_LINES], at + 1)
+              for at in range(0, len(lines), _BLOCK_LINES)]
+    if non_ascii:
+        raise LibsvmParseError(non_ascii)
+    if not any(block[0].size for block in blocks):
         raise LibsvmParseError("line 1: empty input, no data rows")
-    return LibsvmDataset(np.asarray(labels, dtype=float), rows, max_idx)
+    labels, counts, indices, data = map(np.concatenate, zip(*blocks))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    num_features = int(indices.max()) if indices.size else 0
+    return LibsvmDataset(labels, indptr, indices, data, num_features)
+
+
+def _ascii_lines(source) -> tuple[list[str], str | None]:
+    """The lines of source before its first non-ASCII character, and the error naming it.
+
+    The error is None when all of source is ASCII.
+    """
+    if isinstance(source, (str, bytes)):
+        at = _non_ascii_at(source)
+        head = source[:at]
+        text = head.decode("ascii") if isinstance(head, bytes) else head
+        if at == len(source):
+            return text.splitlines(), None
+        lineno = len((text + "x").splitlines())
+        return text.splitlines()[:lineno - 1], _non_ascii_error(lineno, source, at)
+    lines = list(source)
+    for k, line in enumerate(lines):
+        at = _non_ascii_at(line)
+        if at < len(line):
+            return _ascii_lines(lines[:k])[0], _non_ascii_error(k + 1, line, at)
+        if isinstance(line, bytes):
+            lines[k] = line.decode("ascii")
+    return lines, None
+
+
+def _non_ascii_at(text) -> int:
+    """Position of the first non-ASCII character of a str or bytes, or its length."""
+    if text.isascii():
+        return len(text)
+    try:
+        text.decode("ascii") if isinstance(text, bytes) else text.encode("ascii")
+    except UnicodeError as exc:
+        return exc.start
+    return len(text)
+
+
+def _non_ascii_error(lineno: int, text, at: int) -> str:
+    return f"line {lineno}: non-ASCII character {text[at:at + 1]!r}"
+
+
+def _parse_block(lines: list[str], first: int):
+    """Labels, features per row, indices and values of the rows in ``lines``.
+
+    ``first`` is the line number of lines[0].  When a bulk check fails, the
+    lines are walked one at a time to raise the first bad line's error.
+    """
+    parts = _bulk_parse(lines)
+    if parts is not None:
+        return parts
+    for k, line in enumerate(lines):
+        message = _line_error(line)
+        if message:
+            raise LibsvmParseError(f"line {first + k}: {message}")
+    raise AssertionError("a bulk libsvm check failed on lines that parse")
+
+
+def _bulk_parse(lines: list[str]):
+    """_parse_block's arrays from whole-block array operations, or None on any bad line."""
+    raw = "\n".join(lines).encode("ascii")
+    if b"_" in raw:
+        return None
+    buf = np.frombuffer(raw, np.uint8)
+    text = buf.copy()  # what float() reads: labels and values, all else blanked
+    # Tokens.  Above " " every byte is a token byte; at or below, all but the
+    # bytes.split() separators (space and \t\n\v\f\r) are rare, so they are
+    # classified one by one.
+    word = np.zeros(buf.size + 2, bool)
+    word[1:-1] = buf > ord(" ")
+    rare = np.flatnonzero((buf < ord("\t")) | (buf - 14 < 18))
+    space = _SPACE[buf[rare]]
+    word[rare + 1] = ~space
+    text[rare[space]] = ord(" ")
+    start, end = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T
+    # The first token at or after each line's start is a label (the next
+    # line's, when the line is blank).
+    step = np.fromiter(map(len, lines), np.intp, len(lines)) + 1
+    label = np.zeros(start.size + 1, bool)
+    label[np.searchsorted(start, np.cumsum(step) - step)] = True
+    label = label[:-1]
+    feature = np.flatnonzero(~label)
+
+    # Colons sit one inside each feature token and in no label, so the k-th
+    # colon belongs to the k-th feature.
+    colon = np.flatnonzero(buf == ord(":"))
+    fstart = start[feature]
+    if colon.size != feature.size or not ((fstart < colon) & (colon < end[feature] - 1)).all():
+        return None
+
+    # An index that parses is +?[0-9]+ (a "-" makes it negative or no
+    # number).  Decode its digits, then blank it and its colon out of the text.
+    width = colon + 1 - fstart
+    offset = np.cumsum(width) - width
+    at = np.arange(width.sum()) + np.repeat(fstart - offset, width)
+    digit = buf[at] - ord("0")
+    plus = np.count_nonzero(buf[fstart] == ord("+"))
+    if np.count_nonzero(digit > 9) != plus + feature.size:  # no other byte but "+" and ":"
+        return None
+    digit[digit > 9] = 0
+    place = np.repeat(colon, width) - at - 1
+    if (digit[place >= _INDEX_DIGITS] > 0).any():
+        return None
+    index = np.add.reduceat(
+        digit * _POW10[np.clip(place, 0, _INDEX_DIGITS - 1)], offset
+    ) if feature.size else np.zeros(0, np.int64)
+    first_of_row = label[feature - 1]
+    if not ((index >= 1).all() and ((np.diff(index) > 0) | first_of_row[1:]).all()):
+        return None
+    text[at] = ord(" ")
+
+    # Labels and values, in token order.
+    try:
+        numbers = np.fromiter(map(float, text.tobytes().split()), float, start.size)
+    except ValueError:
+        return None
+    if not np.isfinite(numbers).all():
+        return None
+    counts = np.diff(np.flatnonzero(label), append=start.size) - 1
+    return numbers[label], counts, index, numbers[feature]
+
+
+def _line_error(line: str) -> str | None:
+    """The grammar error on one line (without its line number), or None if it parses."""
+    tokens = line.split()
+    if not tokens:
+        return None
+    if "_" in line:  # int() and float() read digit-group underscores; libsvm does not
+        bad = next(tok for tok in tokens if "_" in tok)
+        return f"bad label {bad!r}" if bad is tokens[0] else f"bad feature token {bad!r}"
+    try:
+        label = float(tokens[0])
+    except ValueError:
+        return f"bad label {tokens[0]!r}"
+    if not math.isfinite(label):
+        return f"label {tokens[0]!r} is not finite"
+    prev_idx = 0
+    for tok in tokens[1:]:
+        idx_s, _, val_s = tok.partition(":")  # no colon leaves val_s empty
+        try:
+            idx, val = int(idx_s), float(val_s)
+        except ValueError:
+            return f"bad feature token {tok!r}"
+        if not math.isfinite(val):
+            return f"feature value {tok!r} is not finite"
+        if idx < 1:
+            return f"feature index must be >= 1, got {idx}"
+        if idx >= 10**_INDEX_DIGITS:
+            return f"feature index {idx} is too large"
+        if idx <= prev_idx:
+            return f"feature indices must be strictly increasing ({idx} after {prev_idx})"
+        prev_idx = idx
+    return None
 
 
 def serialize_libsvm(dataset: LibsvmDataset) -> str:
     """Inverse of parse_libsvm on the parsed representation."""
+    idx, val, bounds = dataset.indices.tolist(), dataset.data.tolist(), dataset.indptr.tolist()
     out = []
-    for label, row in zip(dataset.labels, dataset.rows):
-        parts = [repr(float(label))]
-        parts.extend(f"{idx}:{repr(float(val))}" for idx, val in row)
+    for label, a, b in zip(dataset.labels.tolist(), bounds, bounds[1:]):
+        parts = [repr(label)]
+        parts.extend(f"{j}:{v!r}" for j, v in zip(idx[a:b], val[a:b]))
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 

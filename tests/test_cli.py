@@ -18,6 +18,7 @@ from vrcubic.cli import (
     validate_config,
 )
 from vrcubic.finite_sum import from_components
+from vrcubic.objectives import LibsvmParseError
 
 LIBSVM_BINARY = "\n".join(
     [
@@ -258,6 +259,14 @@ class TestBuildProblem:
             {"dataset": {"path": str(p), "objective": "binary_logreg"}}
         )
         assert problem.n == 8
+
+    @pytest.mark.parametrize("name", ["bad.libsvm", "bad.libsvm.gz"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, name):
+        p = tmp_path / name
+        data = b"+1 1:0.9 2:-0.3\n-1 1:-0.7 2:\xff\n"
+        p.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        with pytest.raises(LibsvmParseError, match=r"^line 2: non-ASCII character b'\\xff'$"):
+            build_problem({"dataset": {"path": str(p), "objective": "binary_logreg"}})
 
     def test_data_root_resolves_relative_paths(self, tmp_path, monkeypatch):
         (tmp_path / "data").mkdir()

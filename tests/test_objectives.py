@@ -128,6 +128,203 @@ class TestLibsvmParsing:
             ds.class_ids(3)
 
 
+def reference_parse_libsvm(source):
+    """The per-token libsvm parser that the array parser replaced, kept as a
+    test oracle: (labels, rows, num_features), or LibsvmParseError."""
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    labels, rows, max_idx = [], [], 0
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        tokens = stripped.split()
+        if "_" in stripped:
+            bad = next(tok for tok in tokens if "_" in tok)
+            what = "bad label" if bad is tokens[0] else "bad feature token"
+            raise LibsvmParseError(f"line {lineno}: {what} {bad!r}")
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise LibsvmParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise LibsvmParseError(f"line {lineno}: label {tokens[0]!r} is not finite")
+        row, prev_idx = [], 0
+        for tok in tokens[1:]:
+            idx_s, sep, val_s = tok.partition(":")
+            if not sep:
+                raise LibsvmParseError(f"line {lineno}: bad feature token {tok!r}")
+            try:
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise LibsvmParseError(f"line {lineno}: bad feature token {tok!r}") from None
+            if not math.isfinite(val):
+                raise LibsvmParseError(f"line {lineno}: feature value {tok!r} is not finite")
+            if idx < 1:
+                raise LibsvmParseError(f"line {lineno}: feature index must be >= 1, got {idx}")
+            if idx <= prev_idx:
+                raise LibsvmParseError(
+                    f"line {lineno}: feature indices must be strictly increasing "
+                    f"({idx} after {prev_idx})"
+                )
+            row.append((idx, val))
+            prev_idx = idx
+        labels.append(label)
+        rows.append(row)
+        max_idx = max(max_idx, prev_idx)
+    if not rows:
+        raise LibsvmParseError("line 1: empty input, no data rows")
+    return labels, rows, max_idx
+
+
+def parse_outcome(parse, source):
+    """Labels, CSR arrays and dense X as bytes, or the error message."""
+    try:
+        result = parse(source)
+    except LibsvmParseError as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        labels, rows, num_features = result
+        result = objectives.LibsvmDataset(
+            np.array(labels, dtype=float),
+            np.cumsum([0] + [len(row) for row in rows]),
+            np.array([j for row in rows for j, _ in row], dtype=np.int64),
+            np.array([v for row in rows for _, v in row], dtype=float),
+            num_features,
+        )
+    arrays = [result.labels, result.indptr, result.indices, result.data]
+    if result.num_features < 1000:
+        arrays.append(result.to_dense())
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], result.num_features
+
+
+# ASCII whitespace that str.split() splits on; \x0b, \x0c and \x1c-\x1e also end a
+# line, so only GAPS separate the tokens of one row.
+GAPS = [" ", " ", "\t", "  ", " \t", "\x1f"]
+SPACES = GAPS + ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+ENDINGS = ["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+LABELS = ["1", "-1", "+1", "0", "2", "3", "1.0", "-2.5e1", "+4E-1", ".5", "7."]
+VALUES = ["0.5", "-1.25", "+2", "1e-3", "-4.5E+2", "3", ".25", "6.", "0", "-0", "1E5"]
+# (label, feature tokens) of bad rows; together they raise each line error the reference names.
+BAD_ROWS = [
+    ("x", ["1:1"]), ("nan", []), ("-Infinity", ["1:1"]), ("1:2", ["3:1"]),
+    ("1_0", ["1:1"]), ("1", ["1_0:2"]), ("1", ["1:0.5", "3:1_5"]),
+    ("1", ["3"]), ("1", ["3:"]), ("1", [":3"]), ("1", ["3::4"]), ("1", ["3:4:5"]),
+    ("1", ["a3:1"]), ("1", ["3a:1"]), ("1", ["1e2:1"]), ("1", ["0x1:1"]), ("1", ["+:1"]),
+    ("1", ["2:abc"]), ("1", ["2:nan"]), ("1", ["2:-inf"]), ("1", ["2:0x1p3"]),
+    ("1", ["0:1"]), ("1", ["-3:1"]), ("1", ["-0:1"]), ("1", ["3:1", "3:2"]),
+    ("1", ["4:1", "2:1"]), ("1", ["2:1", "5:1", "+4:1"]),
+    ("1:2", ["3"]), ("1", ["3", "4:5:6"]), ("1", ["2:3:", "4"]), ("1", ["-:1"]),
+    ("1", ["+0:1"]), ("1", ["00:1"]), ("1", ["1:2\x01"]), ("\x1b1", []), ("1", ["2\x00:1"]),
+    ("1", ["1:1", "\x01"]),
+]
+
+
+def random_row(rng, bad=False, edges=SPACES):
+    """One row; its leading and trailing whitespace is drawn from edges."""
+    if bad:
+        label, feats = BAD_ROWS[rng.integers(len(BAD_ROWS))]
+    else:
+        label = LABELS[rng.integers(len(LABELS))]
+        idx = np.cumsum(rng.integers(1, 4, size=rng.integers(0, 6)))
+        feats = [f"{['', '+', '0', '00'][rng.integers(4)]}{j}:{VALUES[rng.integers(len(VALUES))]}"
+                 for j in idx]
+    body = edges[rng.integers(len(edges))] * rng.integers(2) + label
+    for tok in feats:
+        body += GAPS[rng.integers(len(GAPS))] + tok
+    return body + edges[rng.integers(len(edges))] * rng.integers(2)
+
+
+def random_document(rng, lines, bad_share):
+    out = []
+    for _ in range(lines):
+        kind = rng.random()
+        if kind < 0.1:
+            out.append(SPACES[rng.integers(len(SPACES))] * rng.integers(3))  # blank line
+        else:
+            out.append(random_row(rng, bad=kind > 1 - bad_share))
+        out.append(ENDINGS[rng.integers(len(ENDINGS))])
+    return "".join(out[: -1 if rng.random() < 0.3 else None])
+
+
+class TestLibsvmDifferential:
+    """The array parser against the per-token reference on a seeded corpus."""
+
+    def check(self, text, every_form=True):
+        """Compare on text as str and, with every_form, as bytes and as a list of lines."""
+        expected = parse_outcome(reference_parse_libsvm, text)
+        assert parse_outcome(parse_libsvm, text) == expected
+        if every_form:
+            assert parse_outcome(parse_libsvm, text.encode("ascii")) == expected
+            pieces = text.splitlines(keepends=True)
+            assert parse_outcome(parse_libsvm, pieces) == parse_outcome(reference_parse_libsvm, pieces)
+        return expected
+
+    def test_seeded_corpus(self):
+        rng = np.random.default_rng(2024)
+        errors = 0
+        for doc in range(300):
+            text = random_document(rng, int(rng.integers(0, 25)), bad_share=0.03 * (doc % 3))
+            errors += isinstance(self.check(text), str)
+        assert 50 < errors < 250  # both outcomes are exercised
+
+    @pytest.fixture(scope="class")
+    def good_block(self):
+        rng = np.random.default_rng(11)
+        return [random_row(rng, edges=GAPS) for _ in range(objectives._BLOCK_LINES + 1)]
+
+    @pytest.mark.parametrize("row", range(len(BAD_ROWS)))
+    def test_each_error_at_a_block_boundary(self, row, good_block):
+        label, feats = BAD_ROWS[row]
+        bad = " ".join([label, *feats])
+        for before in (objectives._BLOCK_LINES - 1, objectives._BLOCK_LINES):
+            lines = [*good_block[:before], bad, good_block[-1]]
+            message = self.check("\r\n".join(lines) + "\n", every_form=False)
+            assert message.startswith(f"line {before + 1}: "), message
+
+    def test_long_documents_span_blocks(self):
+        rng = np.random.default_rng(7)
+        text = random_document(rng, 3 * objectives._BLOCK_LINES + 5, bad_share=0.0)
+        assert not isinstance(self.check(text), str)
+
+    def test_index_digits_and_signs(self):
+        for text in ("1 007:1 +8:2 0009:3\n", "1 " + "0" * 40 + "5:1\n",
+                     f"1 {10**17}:1\n", f"1 {10**18 - 1}:1\n"):
+            self.check(text)
+
+    def test_indices_from_1e18_rejected(self):
+        # The reference reads any Python int; CSR indices are int64.
+        for text in (f"1 {10**18}:1\n", f"1 1:1 {10**30}:1\n", f"1 +{10**18}:1\n"):
+            with pytest.raises(LibsvmParseError, match="^line 1: feature index .* too large$"):
+                parse_libsvm(text)
+
+
+class TestLibsvmAscii:
+    def test_non_ascii_digits_rejected(self):
+        with pytest.raises(LibsvmParseError, match="^line 1: non-ASCII character '１'$"):
+            parse_libsvm("１ ３:２\n")
+
+    def test_non_ascii_byte_names_its_line(self):
+        with pytest.raises(LibsvmParseError, match=r"^line 2: non-ASCII character b'\\xff'$"):
+            parse_libsvm(b"1 1:1\n-1 2:\xff\n1 1:2\n")
+
+    def test_unicode_line_breaks_are_refused(self):
+        # str.splitlines() would end a line at each of these.
+        for text, line in (("1 1:1\u20282 1:1\n", 1), ("1 1:1\n\x852 1:1\n", 2),
+                           ("1 1:1\r\n1 2:1\u2029", 2)):
+            with pytest.raises(LibsvmParseError, match=f"^line {line}: non-ASCII"):
+                parse_libsvm(text)
+
+    def test_earlier_bad_line_reported_first(self):
+        with pytest.raises(LibsvmParseError, match="^line 1: bad label 'x'$"):
+            parse_libsvm("x 1:1\n1 1:1 é\n")
+
+    def test_lines_as_str_or_bytes(self):
+        ds = parse_libsvm([b"1 1:0.5 3:2\n", "-1 2:1\n"])
+        assert ds.rows == [[(1, 0.5), (3, 2.0)], [(2, 1.0)]]
+        with pytest.raises(LibsvmParseError, match=r"^line 3: non-ASCII character b'\\x80'$"):
+            parse_libsvm(["1 1:1", b"", b"1 \x80:1"])
+
+
 class TestColumnScaling:
     def test_columns_land_in_unit_interval(self):
         rng = np.random.default_rng(0)
