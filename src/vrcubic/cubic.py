@@ -293,6 +293,11 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray, steps
         Q[k + 1] = w / beta[k]
 
 
+def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """T_k from the alpha and beta that _lanczos yields after step k."""
+    return np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+
+
 def _krylov_run(model: CubicModel, b: np.ndarray, steps: int, grad_tol, target):
     """Up to ``steps`` Lanczos steps on the model with linear term b; returns
     (h, m, residual, k).
@@ -310,7 +315,7 @@ def _krylov_run(model: CubicModel, b: np.ndarray, steps: int, grad_tol, target):
         return h, m, residual, k
     for alpha, beta, Q, AQ in _lanczos(model.apply, b, steps):
         k = alpha.size
-        T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+        T = _tridiagonal(alpha, beta)
         e1 = np.zeros(k)
         e1[0] = bnorm
         small = CubicModel(b=e1, A=T, penalty=tau, hess_norm_bound=model.hess_norm_bound)

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from .cubic import _lanczos, _tridiagonal
 from .finite_sum import (
     FiniteSumProblem,
     OracleCounter,
@@ -28,17 +28,12 @@ from .finite_sum import (
 )
 
 __all__ = [
-    "EigensolverError",
     "LocalMinCertificate",
     "min_eigenvalue",
     "mu_criterion",
     "certify_local_min",
     "finite_diff_grad_check",
 ]
-
-
-class EigensolverError(RuntimeError):
-    """Iterative eigenvalue computation failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -59,28 +54,33 @@ def min_eigenvalue(H: np.ndarray) -> float:
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise ValueError("matrix is not finite")
     scale = float(np.max(np.abs(H))) if H.size else 0.0
     if not np.allclose(H, H.T, atol=1e-8 * (1.0 + scale)):
         raise ValueError("matrix is not symmetric")
     return float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
 
 
-def _lambda_min_via_hvp(
-    problem: FiniteSumProblem,
-    x: np.ndarray,
-    counter: OracleCounter,
-) -> float:
+def _lambda_min_via_hvp(problem: FiniteSumProblem, x: np.ndarray, counter: OracleCounter) -> float:
+    """Smallest eigenvalue of the full-batch Hessian, by Lanczos on its products.
+
+    ``cubic._lanczos`` runs on one full-batch operator from the seeded start
+    default_rng(0).standard_normal(d), at most d steps, holding 2 k d floats at
+    step k.  Every ceil(k/8) steps the smallest eigenvalue theta of T_k is taken
+    once its Ritz pair's residual beta_k |s_k| is at most 1e-10 times the largest
+    |Ritz value|.  A non-finite product raises FloatingPointError naming it.
+    """
     hvp = batch_hvp(problem, x, full_index(problem), counter)
-    d = problem.dim
-    if d == 1:
-        return float(hvp(np.ones(1))[0])
-    op = LinearOperator((d, d), matvec=lambda v: hvp(np.asarray(v, dtype=float).ravel()), dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(d)  # ARPACK's own start is unseeded
-    try:
-        vals = eigsh(op, k=1, which="SA", tol=1e-10, v0=v0, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise EigensolverError("Lanczos smallest-eigenvalue solve did not converge") from exc
-    return float(vals[0])
+    d, check = problem.dim, 1
+    for alpha, beta, _, _ in _lanczos(hvp, np.random.default_rng(0).standard_normal(d), d):
+        if alpha.size == check < d:
+            vals, vecs = np.linalg.eigh(_tridiagonal(alpha, beta))
+            if beta[-1] * abs(vecs[-1, 0]) <= 1e-10 * np.abs(vals).max():
+                return float(vals[0])
+            check += math.ceil(check / 8)
+    # step d, or an invariant span: T_k's eigenvalues are then exact
+    return float(np.linalg.eigvalsh(_tridiagonal(alpha, beta))[0])
 
 
 def _check_positive(**params: float) -> None:
@@ -94,10 +94,11 @@ def _mu_parts(
     problem: FiniteSumProblem,
     x: np.ndarray,
     rho: float,
-    counter: OracleCounter,
+    counter: OracleCounter | None,
 ) -> tuple[float, float, float]:
     """(mu, grad_norm, lambda_min) at x, using full-batch oracles."""
     _check_positive(rho=rho)
+    counter = counter if counter is not None else OracleCounter()
     x = np.asarray(x, dtype=float)
     full = full_index(problem)
     g = batch_gradient(problem, x, full, counter)
@@ -118,13 +119,11 @@ def mu_criterion(
 ) -> float:
     """Stationarity measure at x; zero exactly at second-order stationary points.
 
-    Charges one full gradient pass plus one full Hessian (or, without a
-    Hessian oracle, a run of Hessian-vector products) to counter, which
-    should be a diagnostics counter, not the one used for algorithm accounting.
+    Charges one full gradient pass plus one full Hessian (or, without a Hessian
+    oracle, up to d full-batch Hessian-vector products) to counter, which should
+    be a diagnostics counter, not the one used for algorithm accounting.
     """
-    counter = counter if counter is not None else OracleCounter()
-    mu, _, _ = _mu_parts(problem, x, rho, counter)
-    return mu
+    return _mu_parts(problem, x, rho, counter)[0]
 
 
 def certify_local_min(
@@ -141,7 +140,6 @@ def certify_local_min(
     minimum up to the constant c.
     """
     _check_positive(c=c, eps=eps)
-    counter = counter if counter is not None else OracleCounter()
     mu, grad_norm, lam = _mu_parts(problem, x, rho, counter)
     cert = LocalMinCertificate(
         grad_norm=grad_norm,

@@ -243,8 +243,11 @@ def budget_from_gap(delta_f: float, eps: float, rho: float, algorithm: str = "sr
     """
     if algorithm not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}: expected one of {_ALGORITHMS}")
-    if delta_f < 0:
-        raise ValueError("objective gap must be nonnegative")
+    if not (delta_f >= 0 and math.isfinite(delta_f)):
+        raise ValueError(f"objective gap must be nonnegative and finite, got {delta_f!r}")
+    for name, value in (("eps", eps), ("rho", rho)):
+        if not _finite_positive(value):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     coef = 25.0 if algorithm == "srvrc_free" else 40.0
     return max(1, math.ceil(coef * delta_f * math.sqrt(rho) / eps**1.5))
 

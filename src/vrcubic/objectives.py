@@ -82,7 +82,8 @@ class LibsvmDataset:
     """Parsed svmlight/libsvm data: raw labels plus sparse 1-based features in CSR form.
 
     Row i holds the features ``indices[indptr[i]:indptr[i + 1]]`` (strictly
-    increasing, 1-based) with values ``data[indptr[i]:indptr[i + 1]]``.
+    increasing, 1-based) with values ``data[indptr[i]:indptr[i + 1]]``.  Two
+    datasets are equal when num_features and the four arrays' values agree.
     """
 
     labels: np.ndarray
@@ -90,6 +91,14 @@ class LibsvmDataset:
     indices: np.ndarray
     data: np.ndarray
     num_features: int
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LibsvmDataset):
+            return NotImplemented
+        return self.num_features == other.num_features and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("labels", "indptr", "indices", "data")
+        )
 
     @property
     def n(self) -> int:

@@ -242,6 +242,13 @@ class TestCertify:
         assert not ok
         assert cert.lambda_min == pytest.approx(-0.9)
 
+    def test_nonfinite_hessian_is_refused(self):
+        # a NaN Hessian once read as "not symmetric", after a RuntimeWarning from allclose
+        problem = from_components(n=2, dim=3, value=lambda i, x: 0.0, grad=lambda i, x: np.zeros(3),
+                                  hess=lambda i, x: np.diag([1.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="^matrix is not finite$"):
+            certify_local_min(problem, np.zeros(3), eps=1e-2, rho=1.0)
+
     def test_parameter_validation(self):
         problem = quadratic_bowl()
         with pytest.raises(ValueError, match="eps"):
@@ -261,6 +268,77 @@ class TestCertify:
                 params = {"eps": 1e-2, "rho": 1.0, "c": 600.0, name: bad}
                 with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
                     certify_local_min(saddle, np.zeros(2), **params)
+
+
+def hvp_only_problem(H, n=2, seed=0):
+    """n components H + E_i with zero-mean symmetric E_i, given by products alone."""
+    d = H.shape[0]
+    G = np.random.default_rng(seed).standard_normal((n, d, d))
+    E = 1e-3 * (G + np.transpose(G, (0, 2, 1)))
+    E -= E.mean(axis=0)
+    A = H + E
+    return from_components(
+        n=n,
+        dim=d,
+        value=lambda i, x: 0.5 * float(x @ A[i] @ x),
+        grad=lambda i, x: A[i] @ x,
+        hvp=lambda i, x, v: A[i] @ v,
+    )
+
+
+def spectrum(kind, d, rng):
+    """Sorted eigenvalues: uniform on [-1, 1], that with a bottom pair 1e-7 apart,
+    or PSD on [0, 1] with lambda_min = 1e-9."""
+    e = np.sort(rng.uniform(0.0 if kind == "psd" else -1.0, 1.0, d))
+    if kind == "pair" and d > 1:
+        e[1] = e[0] + 1e-7
+    if kind == "psd":
+        e[0] = 1e-9
+    return e
+
+
+class TestLanczosLambdaMin:
+    """lambda_min of problems without a Hessian oracle, from Hessian-vector products."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 30, 200])
+    @pytest.mark.parametrize("kind", ["uniform", "pair", "psd"])
+    def test_matches_dense_eigvalsh_within_d_products(self, d, kind):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * d + seed)
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            H = (Q * spectrum(kind, d, rng)) @ Q.T
+            H = 0.5 * (H + H.T)
+            problem = hvp_only_problem(H, seed=seed)
+            assert problem.batch_hess_fn is None
+            counter = OracleCounter()
+            _, cert = certify_local_min(problem, np.zeros(d), eps=1e-2, rho=1.0, counter=counter)
+            eigs = np.linalg.eigvalsh(H)
+            assert abs(cert.lambda_min - eigs[0]) <= 1e-9 * np.abs(eigs).max()
+            assert 0 < counter.hvp_calls <= d * problem.n
+            assert counter.hess_calls == 0
+
+    def test_invariant_span_between_checks(self):
+        # 12 distinct eigenvalues: the span is invariant after step 12, which T_k
+        # is not solved at (steps 9, 11, 13, ...), so the last T_k is solved after the run
+        d = 60
+        D = np.repeat(np.linspace(-0.5, 2.0, 12), 5)
+        problem = from_components(n=1, dim=d, value=lambda i, x: 0.5 * float(x @ (D * x)),
+                                  grad=lambda i, x: D * x, hvp=lambda i, x, v: D * v)
+        counter = OracleCounter()
+        assert mu_criterion(problem, np.zeros(d), rho=1.0, counter=counter) == pytest.approx(0.125, rel=1e-12)
+        assert counter.hvp_calls == 12
+
+    def test_nonfinite_product_is_named(self):
+        products = []
+
+        def hvp(i, x, v):
+            products.append(i)
+            return np.full(3, np.nan) if len(products) == 3 else np.array([-1.0, 1.0, 2.0]) * v
+
+        problem = from_components(n=1, dim=3, value=lambda i, x: 0.0, grad=lambda i, x: np.zeros(3),
+                                  hvp=hvp)
+        with pytest.raises(FloatingPointError, match="^product 3 is not finite$"):
+            certify_local_min(problem, np.zeros(3), eps=1e-2, rho=1.0)
 
 
 class TestFiniteDiffCheck:

@@ -160,6 +160,17 @@ class TestBudgetFromGap:
         with pytest.raises(ValueError):
             budget_from_gap(-1.0, 1e-3, 1.0)
 
+    @pytest.mark.parametrize("name, args", [
+        ("eps", (1.0, 0.0, 1.0)), ("eps", (1.0, -1e-3, 1.0)), ("eps", (1.0, math.inf, 1.0)),
+        ("eps", (1.0, math.nan, 1.0)), ("rho", (1.0, 1e-3, 0.0)), ("rho", (1.0, 1e-3, -1.0)),
+        ("rho", (1.0, 1e-3, math.inf)), ("rho", (1.0, 1e-3, math.nan)),
+        ("objective gap", (math.inf, 1e-3, 1.0)), ("objective gap", (math.nan, 1e-3, 1.0)),
+    ])
+    def test_bad_inputs_name_the_argument(self, name, args):
+        # each once failed as ZeroDivisionError, "math domain error", OverflowError or a NaN cast
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            budget_from_gap(*args)
+
     def test_unknown_algorithm_rejected(self):
         # a misspelt name would silently take the coefficient of the other drivers
         with pytest.raises(ValueError, match="unknown algorithm 'srvrc-free'"):

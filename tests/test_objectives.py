@@ -109,6 +109,18 @@ class TestLibsvmParsing:
         assert_allclose(ds2.labels, ds.labels)
         assert ds2.rows == ds.rows
 
+    def test_equality_compares_the_arrays(self):
+        text = "1 1:1\n-1 2:1\n"
+        assert parse_libsvm(text) == parse_libsvm(text)
+        assert parse_libsvm(text) == parse_libsvm(serialize_libsvm(parse_libsvm(text)))
+        for other in ("1 1:1\n-1 2:2\n", "1 1:1\n1 2:1\n", "1 1:1\n-1 3:1\n",
+                      "1 1:1 2:1\n-1\n", "1 1:1\n-1 2:1\n1\n"):
+            assert parse_libsvm(text) != parse_libsvm(other), other
+        wide = parse_libsvm(text)
+        wide.num_features = 3
+        assert parse_libsvm(text) != wide
+        assert parse_libsvm(text) != text
+
     def test_to_dense(self):
         ds = parse_libsvm("1 1:0.5 3:2.0\n-1 2:1.0\n")
         X = ds.to_dense()

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import vrcubic
 from vrcubic import cubic, diagnostics, drivers, estimators, finite_sum, objectives
 
@@ -22,3 +29,33 @@ def test_cli_stays_out_of_the_package_namespace():
 
     for name in cli.__all__:
         assert name not in vrcubic.__all__ and not hasattr(vrcubic, name), name
+
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now raises ImportError
+import numpy as np
+import vrcubic
+D = np.array([0.5, 1.0, 2.0])
+problem = vrcubic.from_components(
+    n=2, dim=3, value=lambda i, x: 0.5 * float(x @ (D * x)), grad=lambda i, x: D * x,
+    hvp=lambda i, x, v: D * v,
+)
+assert problem.batch_hess_fn is None
+counter = vrcubic.OracleCounter()
+ok, cert = vrcubic.certify_local_min(problem, np.zeros(3), eps=1e-2, rho=1.0, counter=counter)
+print(vrcubic.mu_criterion(problem, np.zeros(3), rho=1.0), ok, cert.lambda_min, counter.hvp_calls)
+"""
+
+
+def test_package_needs_no_scipy():
+    # numpy is the one runtime dependency; scipy is a test extra for the benchmark's
+    # environment record, so a scipy import in the package must fail here
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    mu, ok, lam, products = run.stdout.split()
+    assert (float(mu), ok) == (0.0, "True")
+    assert float(lam) == pytest.approx(0.5, rel=1e-12)
+    assert 0 < int(products) <= 3 * 2
