@@ -266,31 +266,41 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray, steps
     step.  It stops after ``steps`` steps, or once the residual vanishes against
     T_k (the span is invariant under A).  A non-finite product raises
     FloatingPointError before any arithmetic uses it.
+
+    Q and AQ hold 2 k d floats after step k.  Their capacity grows by a quarter
+    when full, one array at a time, by copying only the filled rows; the rows
+    not yet written are not touched, so a growth briefly holds about 3 k d.
     """
     d = start.size
-    cap = min(steps, 16)  # rows held; doubled as needed, so a short run stays small
+    cap = min(steps, 16)  # rows held, so a short run stays small
     Q, AQ = np.empty((cap + 1, d)), np.empty((cap, d))
     alpha, beta = np.empty(steps), np.empty(steps)
     Q[0] = start / np.linalg.norm(start)
     for k in range(steps):
         if k == cap:
-            cap = min(2 * cap, steps)
-            Q = np.concatenate((Q, np.empty((cap - k, d))))
-            AQ = np.concatenate((AQ, np.empty((cap - k, d))))
+            cap = min(cap + cap // 4, steps)
+            Q = _grown(Q, k + 1, cap + 1)
+            AQ = _grown(AQ, k, cap)
         w = apply(Q[k].copy())  # a copy: an operator may write to its argument
         if not np.isfinite(w).all():
             raise FloatingPointError(f"product {k + 1} is not finite")
         AQ[k] = w
         alpha[k] = Q[k] @ w
-        basis = Q[: k + 1]
         for _ in range(2):  # classical Gram-Schmidt twice keeps the basis orthonormal
-            w = w - (basis @ w) @ basis
+            w = w - (Q[: k + 1] @ w) @ Q[: k + 1]
         beta[k] = np.linalg.norm(w)
-        yield alpha[: k + 1], beta[: k + 1], basis, AQ[: k + 1]
+        yield alpha[: k + 1], beta[: k + 1], Q[: k + 1], AQ[: k + 1]
         scale = max(float(np.max(np.abs(alpha[: k + 1]))), float(np.max(beta[:k], initial=0.0)))
         if beta[k] <= 1e-12 * scale:
             return
         Q[k + 1] = w / beta[k]
+
+
+def _grown(rows: np.ndarray, filled: int, cap: int) -> np.ndarray:
+    """A new array of cap rows whose first ``filled`` are those of ``rows``."""
+    grown = np.empty((cap, rows.shape[1]))
+    grown[:filled] = rows[:filled]
+    return grown
 
 
 def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -63,13 +63,12 @@ def min_eigenvalue(H: np.ndarray) -> float:
 
 
 def _lambda_min_via_hvp(problem: FiniteSumProblem, x: np.ndarray, counter: OracleCounter) -> float:
-    """Smallest eigenvalue of the full-batch Hessian, by Lanczos on its products.
+    """Smallest eigenvalue of the full-batch Hessian, by ``cubic._lanczos``.
 
-    ``cubic._lanczos`` runs on one full-batch operator from the seeded start
-    default_rng(0).standard_normal(d), at most d steps, holding 2 k d floats at
-    step k.  Every ceil(k/8) steps the smallest eigenvalue theta of T_k is taken
-    once its Ritz pair's residual beta_k |s_k| is at most 1e-10 times the largest
-    |Ritz value|.  A non-finite product raises FloatingPointError naming it.
+    Seeded start default_rng(0).standard_normal(d), at most d products, 2 k d floats
+    at step k (about 3 k d while the basis grows).  Every ceil(k/8) steps T_k's
+    smallest Ritz value is returned once its residual beta_k |s_k| is at most
+    1e-10 times the largest |Ritz value|.  A non-finite product raises FloatingPointError.
     """
     hvp = batch_hvp(problem, x, full_index(problem), counter)
     d, check = problem.dim, 1
@@ -94,11 +93,10 @@ def _mu_parts(
     problem: FiniteSumProblem,
     x: np.ndarray,
     rho: float,
-    counter: OracleCounter | None,
+    counter: OracleCounter,
 ) -> tuple[float, float, float]:
     """(mu, grad_norm, lambda_min) at x, using full-batch oracles."""
     _check_positive(rho=rho)
-    counter = counter if counter is not None else OracleCounter()
     x = np.asarray(x, dtype=float)
     full = full_index(problem)
     g = batch_gradient(problem, x, full, counter)
@@ -123,7 +121,9 @@ def mu_criterion(
     oracle, up to d full-batch Hessian-vector products) to counter, which should
     be a diagnostics counter, not the one used for algorithm accounting.
     """
-    return _mu_parts(problem, x, rho, counter)[0]
+    counter = counter if counter is not None else OracleCounter()
+    mu, _, _ = _mu_parts(problem, x, rho, counter)
+    return mu
 
 
 def certify_local_min(
@@ -140,6 +140,7 @@ def certify_local_min(
     minimum up to the constant c.
     """
     _check_positive(c=c, eps=eps)
+    counter = counter if counter is not None else OracleCounter()
     mu, grad_norm, lam = _mu_parts(problem, x, rho, counter)
     cert = LocalMinCertificate(
         grad_norm=grad_norm,

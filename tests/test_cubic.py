@@ -17,7 +17,7 @@ from vrcubic.cubic import (
     cubic_subsolver,
     solve_exact,
 )
-from vrcubic.cubic import _krylov_run
+from vrcubic.cubic import _krylov_run, _lanczos, _tridiagonal
 
 # closed-form 1-D solution of b=1, A=0, tau=6: stationarity 1 + 3*h*|h| = 0
 # gives h* = -1/sqrt(3) and m(h*) = -(2/3)/sqrt(3)
@@ -393,6 +393,18 @@ class TestKrylov:
                 assert k == steps
                 assert_allclose(residual, np.linalg.norm(cubic_gradient(m, h)), rtol=1e-8, atol=1e-12)
                 assert_allclose(value, cubic_function(m, h), rtol=1e-12, atol=1e-14)
+
+    def test_lanczos_keeps_its_rows_when_it_grows(self):
+        # 80 steps grow the 16-row arrays eight times; every row copied must survive
+        rng = np.random.default_rng(16)
+        A = rng.standard_normal((90, 90))
+        A = A + A.T
+        for alpha, beta, Q, AQ in _lanczos(lambda v: A @ v, rng.standard_normal(90), 80):
+            pass
+        assert Q.shape == AQ.shape == (80, 90)
+        assert_allclose(Q @ Q.T, np.eye(80), atol=1e-12)
+        assert_allclose(AQ, Q @ A, atol=1e-12)
+        assert_allclose(Q @ AQ.T, _tridiagonal(alpha, beta), atol=1e-10)
 
     def test_zero_b_is_stationary_without_products(self):
         m, applies = counted_model(4, 3, bscale=0.0)
