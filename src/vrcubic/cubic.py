@@ -304,8 +304,16 @@ def _grown(rows: np.ndarray, filled: int, cap: int) -> np.ndarray:
 
 
 def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """T_k from the alpha and beta that _lanczos yields after step k."""
-    return np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+    """T_k from the alpha and beta that _lanczos yields after step k.
+
+    One k x k array; each band is written "+ 0.0", which turns -0.0 into 0.0
+    as adding the zero bands of the other two would.
+    """
+    k = alpha.size
+    T = np.zeros((k, k))
+    T.flat[:: k + 1] = alpha + 0.0
+    T.flat[1 :: k + 1] = T.flat[k :: k + 1] = beta[:-1] + 0.0
+    return T
 
 
 def _krylov_run(model: CubicModel, b: np.ndarray, steps: int, grad_tol, target):

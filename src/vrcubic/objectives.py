@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,11 @@ _SIGMOID_CURV_CHANGE = 1.0 / (6.0 * math.sqrt(3.0))
 _SYNTHETIC_IN_PLACE = 0.25
 _LOGREG_IN_PLACE = 0.5
 _LOGREG_HESS_IN_PLACE = 0.95
+
+# Bytes of component matrices that make_synthetic transforms as one chunk: 32
+# matrices at d = 40.  Smaller chunks lose the batched LAPACK call's gain to
+# per-call overhead; larger ones raise each worker's temporaries.
+_SYNTHETIC_CHUNK_BYTES = 400 * 1024
 
 
 def _in_place_weights(idx: np.ndarray, n: int, crossover: float) -> np.ndarray | None:
@@ -403,12 +410,13 @@ def binary_logreg_from_arrays(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without masks.
+
+    min(z, -z) = -|z| keeps the sign of a NaN (np.minimum returns the first
+    of two NaNs), so NaN entries keep their bytes as well.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def make_binary_logreg(dataset: LibsvmDataset, lam: float = 1e-3) -> FiniteSumProblem:
@@ -507,6 +515,65 @@ def make_multiclass_logreg(
     )
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _normalize_chunk(G: np.ndarray, convex: bool) -> None:
+    """Overwrite each Gaussian matrix G_i of the stack G with its component A_i.
+
+    A_i = 0.9 S / max(||S||_2, 1e-12), where S = (G_i + G_i^T) / 2, or S S^T
+    when ``convex``.  The norm is the largest singular value from the LAPACK
+    gesdd that np.linalg.norm(S, 2) calls, so A_i is the bytes a per-matrix
+    computation gives.
+    """
+    S = G + G.transpose(0, 2, 1)
+    S /= 2.0
+    if convex:
+        S = S @ S.transpose(0, 2, 1)
+    norms = np.linalg.svd(S, compute_uv=False)[:, 0]
+    np.multiply(S, 0.9, out=G)
+    G /= np.maximum(norms, 1e-12)[:, None, None]
+
+
+def _normalize_components(A: np.ndarray, convex: bool) -> None:
+    """_normalize_chunk over A's stack, in chunks of _SYNTHETIC_CHUNK_BYTES.
+
+    The chunks are dealt out to one thread per available CPU (the calling
+    thread is one of them; numpy's linalg and large elementwise operations
+    release the GIL), and every thread is joined before this returns.  A
+    single chunk runs in the calling thread alone.
+    """
+    n, d = A.shape[:2]
+    size = max(1, _SYNTHETIC_CHUNK_BYTES // (d * d * A.itemsize))
+    chunks = [A[i : i + size] for i in range(0, n, size)]
+    workers = min(_available_cpus(), len(chunks))
+    errors = []
+
+    def work(first: int) -> None:
+        try:
+            for chunk in chunks[first::workers]:
+                _normalize_chunk(chunk, convex)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=work, args=(first,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def make_synthetic(
     seed: int, n: int, d: int, difficulty: str = "nonconvex"
 ) -> FiniteSumProblem:
@@ -520,6 +587,10 @@ def make_synthetic(
 
     The gradient deviation ||grad f_i - grad F|| grows with ||x||, so no
     finite grad_bound is reported (np.inf): resets fall back to full batches.
+
+    The A_i are drawn in one call and then transformed in chunks, on one
+    thread per CPU available to the process; A and b are byte-identical to
+    drawing and normalizing each A_i in turn, whatever the thread count.
 
     The full-batch means of A_i and b_i do not depend on x, so they are
     computed once here; a batch whose in-place weights are uniform (the full
@@ -539,13 +610,9 @@ def make_synthetic(
     alpha = 0.0 if difficulty == "convex" else 0.5
 
     A = np.empty((n, d, d))
-    for i in range(n):
-        G = rng.standard_normal((d, d))
-        S = (G + G.T) / 2.0
-        if difficulty == "convex":
-            S = S @ S.T
-        A[i] = 0.9 * S / max(np.linalg.norm(S, 2), 1e-12)
+    rng.standard_normal(out=A)
     b = rng.standard_normal((n, d)) / math.sqrt(d)
+    _normalize_components(A, convex=difficulty == "convex")
     A.setflags(write=False)
     b.setflags(write=False)
 

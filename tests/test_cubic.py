@@ -406,6 +406,15 @@ class TestKrylov:
         assert_allclose(AQ, Q @ A, atol=1e-12)
         assert_allclose(Q @ AQ.T, _tridiagonal(alpha, beta), atol=1e-10)
 
+    def test_tridiagonal_bytes_equal_the_sum_of_its_bands(self):
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.5])
+        rng = np.random.default_rng(17)
+        for k in (1, 2, 3, 8, 40):
+            for alpha, beta in ((rng.standard_normal(k), rng.standard_normal(k)),
+                                (rng.choice(special, k), rng.choice(special, k))):
+                summed = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+                assert _tridiagonal(alpha, beta).tobytes() == summed.tobytes()
+
     def test_zero_b_is_stationary_without_products(self):
         m, applies = counted_model(4, 3, bscale=0.0)
         sol = cubic_krylov(m, grad_tol=1e-8)

@@ -1,6 +1,10 @@
 import dataclasses
+import functools
+import hashlib
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -424,6 +428,27 @@ class TestBinaryLogreg:
         assert p.n == 2 and p.dim == 2
 
 
+def masked_sigmoid(z):
+    """The logistic sigmoid by boolean masks, one stable formula per sign."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bytes_match_the_masked_form():
+    special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan,
+                        5e-324, -5e-324])
+    rng = np.random.default_rng(12)
+    cases = [special, rng.permutation(np.tile(special, 7))]
+    cases += [scale * rng.standard_normal(size) for scale in (1.0, 30.0, 1000.0)
+              for size in (1, 5, 17, 20000)]
+    for z in cases:
+        assert objectives._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
 def binary_golden_problem():
     rng = np.random.default_rng(31)
     X = rng.standard_normal((200, 6))
@@ -575,7 +600,103 @@ class TestMulticlassHessian:
         assert got == expected
 
 
+def digests(*arrays):
+    return tuple(hashlib.sha256(np.ascontiguousarray(a)).hexdigest() for a in arrays)
+
+
+@functools.cache
+def loop_synthetic(seed, n, d, difficulty):
+    """SHA-256 digests of make_synthetic's A and b, drawn and normalized one
+    matrix at a time."""
+    rng = np.random.default_rng(seed)
+    A = np.empty((n, d, d))
+    for i in range(n):
+        G = rng.standard_normal((d, d))
+        S = (G + G.T) / 2.0
+        if difficulty == "convex":
+            S = S @ S.T
+        A[i] = 0.9 * S / max(np.linalg.norm(S, 2), 1e-12)
+    b = rng.standard_normal((n, d)) / math.sqrt(d)
+    return digests(A, b)
+
+
+def chunk_matrices(d):
+    """How many d x d matrices make_synthetic transforms as one chunk."""
+    return max(1, objectives._SYNTHETIC_CHUNK_BYTES // (d * d * 8))
+
+
+# (n, d): one component, below, at and not a multiple of one chunk at d = 40,
+# d = 1, odd small sizes, and the benchmark's size
+SYNTHETIC_SIZES = [
+    (1, 40), (chunk_matrices(40) - 1, 40), (chunk_matrices(40), 40),
+    (2 * chunk_matrices(40) + 5, 40), (7, 1), (130, 3), (401, 8), (3000, 40),
+]
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("cpus", [None, 1, 3])
+    @pytest.mark.parametrize("difficulty", objectives.SYNTHETIC_DIFFICULTIES)
+    @pytest.mark.parametrize("n, d", SYNTHETIC_SIZES)
+    def test_components_equal_the_per_matrix_loop_bytewise(self, monkeypatch, n, d,
+                                                           difficulty, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(objectives, "_available_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads trade the interpreter often
+        try:
+            p = make_synthetic(5, n, d, difficulty)
+        finally:
+            sys.setswitchinterval(interval)
+        assert digests(p.extra["A"], p.extra["b"]) == loop_synthetic(5, n, d, difficulty)
+
+    @pytest.mark.parametrize("cpus, chunks, started", [(3, 94, 2), (3, 2, 1), (8, 1, 0), (1, 94, 0)])
+    def test_one_thread_per_cpu_up_to_the_chunk_count_and_none_outlives_the_build(
+        self, monkeypatch, cpus, chunks, started
+    ):
+        starts = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                starts.append(self)
+                super().start()
+
+        monkeypatch.setattr(objectives, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        before = threading.active_count()
+        make_synthetic(0, chunks * chunk_matrices(40), 40)
+        assert len(starts) == started < cpus
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in starts)
+
+    def test_a_failing_chunk_raises_after_every_thread_is_joined(self, monkeypatch):
+        normalize, size = objectives._normalize_chunk, chunk_matrices(40)
+
+        def fail_on_the_short_chunk(G, convex):
+            if G.shape[0] < size:
+                raise MemoryError("short chunk")
+            normalize(G, convex)
+
+        # five chunks over three threads: the short fifth falls to a started thread
+        monkeypatch.setattr(objectives, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(objectives, "_normalize_chunk", fail_on_the_short_chunk)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="short chunk"):
+            make_synthetic(0, 4 * size + 5, 40)
+        assert threading.active_count() == before
+
+    def test_build_allocates_little_beyond_its_arrays(self, monkeypatch):
+        # Each of the 3 threads holds about one chunk of temporaries (400 KB at
+        # d = 40), 1.4 MB in all with b's draw; one chunk of the whole stack
+        # holds about 39 MB more.
+        monkeypatch.setattr(objectives, "_available_cpus", lambda: 3)
+        tracemalloc.start()
+        try:
+            p = make_synthetic(1, 3000, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.extra["A"].nbytes + p.extra["b"].nbytes + 3 * 2**20
+
     def test_same_seed_same_problem(self):
         p1 = make_synthetic(seed=3, n=10, d=4)
         p2 = make_synthetic(seed=3, n=10, d=4)

@@ -8,11 +8,15 @@ adaptive penalty, over seeds 0-5 (288 runs).  The second line runs the same
 drivers, rules and penalties over seeds 0-2 on a binary and a multiclass
 logistic problem that ``cli.build_problem`` reads from libsvm files, which
 ``serialize_libsvm`` writes from seeded arrays into a temporary directory
-(144 runs).  Each line is one SHA-256 over what each run returns: the bytes
-of x_out, mu at x_out, both oracle counters, the iteration count and the
-exit, or the type and message of the error it raised.  Two commits whose
-digests match on one machine ran byte-identical trajectories with identical
-bills; digests from different BLAS builds need not match.
+(144 runs).  Each of these lines is one SHA-256 over what each run returns:
+the bytes of x_out, mu at x_out, both oracle counters, the iteration count
+and the exit, or the type and message of the error it raised.  The third
+line is one SHA-256 over the bytes of A and b that ``make_synthetic`` builds
+at the benchmark's size (3000, 40) and at odd sizes, both difficulties (12
+builds), so a change to that construction shows without running a driver.
+Two commits whose digests match on one machine ran byte-identical
+trajectories with identical bills; digests from different BLAS builds need
+not match.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ LIBSVM_N, LIBSVM_D, LIBSVM_CLASSES, LIBSVM_SEEDS = 300, 6, 3, range(3)
 LIBSVM_RULES = (PracticalBatchRule(LIBSVM_N, 60, 4), PracticalBatchRule(60, 30, 3), None)
 PENALTIES = (TheoreticalPenalty(), AdaptivePenalty())
 DRIVERS = (run_srvrc, run_srvrc_free, run_cr, run_scr)
+BUILD_SIZES = ((3000, 40), (1, 5), (7, 1), (130, 3), (401, 8), (600, 12))
 
 
 def outcome(driver, problem, rule, penalty, seed) -> tuple:
@@ -92,12 +97,23 @@ def sweep(problems, rules, seeds) -> str:
     return f"{digest.hexdigest()}  runs={runs} errors={errors}"
 
 
+def builds() -> str:
+    digest, count = hashlib.sha256(), 0
+    for (n, d), difficulty in itertools.product(BUILD_SIZES, ("nonconvex", "convex")):
+        problem = make_synthetic(0, n, d, difficulty)
+        digest.update(problem.extra["A"].tobytes())
+        digest.update(problem.extra["b"].tobytes())
+        count += 1
+    return f"{digest.hexdigest()}  builds={count}  synthetic"
+
+
 def main() -> None:
     synthetic = [make_synthetic(0, N, D, difficulty) for difficulty in ("nonconvex", "convex")]
     print(sweep(synthetic, RULES, SEEDS))
     with tempfile.TemporaryDirectory() as workdir:
         libsvm = libsvm_problems(Path(workdir))
     print(sweep(libsvm, LIBSVM_RULES, LIBSVM_SEEDS) + "  libsvm")
+    print(builds())
 
 
 if __name__ == "__main__":
