@@ -393,7 +393,7 @@ def check_problem(problem: FiniteSumProblem) -> tuple[bool, dict]:
     for _ in range(points):
         x = 0.5 * rng.standard_normal(problem.dim)
         max_grad_err = max(max_grad_err, finite_diff_grad_check(problem, x, step=1e-5))
-        if problem.batch_hess_fn is not None and problem.batch_hvp_fn is not None:
+        if problem.batch_hess_fn is not None:
             v = rng.standard_normal(problem.dim)
             H = batch_hessian(problem, x, full, counter)
             hv = batch_hvp(problem, x, full, counter)(v)

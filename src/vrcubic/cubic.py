@@ -2,8 +2,10 @@
 
 Four solvers with different oracle requirements:
 
-* solve_exact      -- explicit symmetric A, eigendecomposition + secular
-                      root finding, global minimizer including the hard case.
+* solve_exact      -- explicit symmetric A, eigendecomposition, then Newton
+                      on the concave secular function in the shift past the
+                      bottom eigenvalue, which climbs monotonically to the
+                      root; global minimizer including the hard case.
 * cubic_krylov     -- A available only through matrix-vector products.
                       Lanczos from b with full reorthogonalization; step k
                       minimizes the model over the k-dimensional Krylov span
@@ -137,112 +139,68 @@ def cauchy_point(model: CubicModel) -> np.ndarray:
     return -radius / bnorm * model.b
 
 
+_NEWTON_CAP = 100  # Newton passes per secular solve; 3-4 is typical, 14 the most seen
+
+
 def solve_exact(model: CubicModel) -> CubicSolution:
-    """Global minimizer via eigendecomposition and secular root finding.
+    """Global minimizer via eigendecomposition and a monotone secular Newton.
 
     Writing A = Q diag(e) Q^T and c = Q^T b, the minimizer solves
-    (A + lam I) h = -b with lam = tau ||h|| / 2 and A + lam I psd, i.e. the
-    scalar root of phi(lam) = ||(e + lam)^{-1} c|| - 2 lam / tau on
-    (max(0, -e_min), inf).  When b has (numerically) no component on the
-    bottom eigenspace and phi stays negative there, the degenerate case is
-    resolved by adding a bottom-eigenvector multiple that restores
-    ||h|| = 2 lam / tau.
+    (A + lam I) h = -b with lam = tau ||h|| / 2 and A + lam I psd.  With
+    floor = max(0, -e_min) and g = e + floor >= 0, it solves for the shift
+    delta = lam - floor >= 0, held apart from the floor so that a root within
+    an ulp of the pole keeps its digits.  Over the entries where c != 0,
+    h = -Q w with w = c / (g + delta), and delta is the root of
+    psi = 1 / ||w|| - tau / (2 lam), which is increasing and concave (Moré &
+    Sorensen 1983; Cartis, Gould & Toint 2011, section 6): Newton started
+    left of the root climbs to it monotonically.  The start is the largest
+    delta_i with (floor + delta)(g_i + delta) = tau |c_i| / 2, each a lower
+    bound since ||w|| >= |c_i| / (g_i + delta).  Newton stops at the first
+    step that does not increase delta; after 100 steps it raises
+    BudgetExceededError.  When no c_i != 0 sits on a zero g_i and
+    ||c / g|| <= 2 floor / tau (the hard case), or b = 0, lam is the floor
+    and a bottom-eigenvector multiple restores ||h|| = 2 lam / tau.
     """
     if not model.is_explicit:
         raise ValueError("exact solver needs an explicit curvature matrix")
-    d = model.dim
     tau = model.penalty
-    eigvals, Q = np.linalg.eigh(model.A)
+    e, Q = np.linalg.eigh(model.A)
     c = Q.T @ model.b
-    bnorm = float(np.linalg.norm(model.b))
-    lam_min = float(eigvals[0])
-    lam_floor = max(0.0, -lam_min)
-
-    spread = max(1.0, float(np.max(np.abs(eigvals))))
-    bottom = eigvals <= lam_min + 1e-12 * spread
-    safe = ~bottom
-    c_bottom = float(np.linalg.norm(c[bottom]))
-    degenerate_b = c_bottom < 1e-12 * bnorm or bnorm == 0.0
-
-    def finish(h: np.ndarray) -> CubicSolution:
-        hn = float(np.linalg.norm(h))
-        return CubicSolution(
-            h=h,
-            m_value=cubic_function(model, h),
-            lam=tau * hn / 2.0,
-            status="exact",
-        )
-
-    def hard_case(lam: float) -> CubicSolution | None:
-        # zero the bottom component of c; a bottom-eigenvector multiple restores ||h|| = 2 lam / tau
-        coeff = np.zeros(d)
-        coeff[safe] = -c[safe] / (eigvals[safe] + lam)
-        reg_norm = float(np.sqrt(np.sum(coeff[safe] ** 2)))
-        target = 2.0 * lam / tau
-        if reg_norm < target:
-            u = Q[:, 0]
-            if u[np.argmax(np.abs(u))] < 0:
-                u = -u  # sign fixed by the largest entry, so the step is reproducible
-            return finish(Q @ coeff + math.sqrt(target**2 - reg_norm**2) * u)
-        return None
-
-    if bnorm == 0.0 and lam_min >= 0.0:
-        return finish(np.zeros(d))
-
-    c_eff = c
-    if degenerate_b:
-        c_eff = c.copy()
-        c_eff[bottom] = 0.0
-
-    def phi(lam: float) -> float:
-        denom = eigvals + lam
-        return float(np.sqrt(np.sum((c_eff / denom) ** 2)) - 2.0 * lam / tau)
-
-    # possible degenerate case: secular value at the floor decides
-    if lam_min < 0.0 and degenerate_b and (solution := hard_case(lam_floor)):
-        return solution
-
-    # lam may land on a pole, where c_eff's zero bottom entry makes phi 0/0 = nan:
-    # that is an unresolved root, not a warning
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # root bracket: phi -> +inf (or is positive) at the floor, -inf at infinity
-        lo = lam_floor
-        hi = max(2.0 * lam_floor, lam_floor + tau * bnorm / 2.0, 1.0)
-        for _ in range(200):
-            if phi(hi) < 0.0:
+    floor = max(0.0, -float(e[0]))
+    g = e + floor
+    nonzero = c != 0.0
+    cn, gn = c[nonzero], g[nonzero]
+    coeff = np.zeros(model.dim)
+    target = 2.0 * floor / tau
+    # a c_i != 0 on a zero g_i makes ||w|| infinite at delta = 0: never the hard case
+    reg = float(np.linalg.norm(cn / gn)) if gn.all() else math.inf
+    if reg <= target:
+        coeff[nonzero] = -cn / gn
+        u = Q[:, 0]
+        if u[np.argmax(np.abs(u))] < 0:
+            u = -u  # sign fixed by the largest entry, so the step is reproducible
+        h = Q @ coeff + math.sqrt(target**2 - reg**2) * u
+    else:
+        a = tau * np.abs(cn)
+        starts = (a - 2.0 * floor * gn) / (np.sqrt((floor - gn) ** 2 + 2.0 * a) + floor + gn)
+        delta = max(0.0, float(np.max(starts)))
+        for _ in range(_NEWTON_CAP):
+            shifted = gn + delta
+            w = cn / shifted
+            wnorm = float(np.linalg.norm(w))
+            lam = floor + delta
+            psi = 1.0 / wnorm - tau / (2.0 * lam)
+            dpsi = float(w @ (w / shifted)) / wnorm**3 + tau / (2.0 * lam * lam)
+            step = delta - psi / dpsi
+            if not step > delta:
                 break
-            hi = 2.0 * hi + 1.0
+            delta = step
         else:
-            raise RuntimeError("secular root bracket did not close")
-
-        ftol = 1e-12 * (1.0 + bnorm)
-        lam = 0.5 * (lo + hi)
-        for _ in range(300):
-            val = phi(lam)
-            if abs(val) <= ftol:
-                break
-            if val > 0.0:
-                lo = lam
-            else:
-                hi = lam
-            denom = eigvals + lam
-            norm_val = float(np.sqrt(np.sum((c_eff / denom) ** 2)))
-            if norm_val > 0.0:
-                dval = -float(np.sum(c_eff**2 / denom**3)) / norm_val - 2.0 / tau
-                step = lam - val / dval
-            else:
-                step = math.inf
-            lam = step if lo < step < hi else 0.5 * (lo + hi)
-            if hi - lo <= 1e-17 * max(1.0, lam):
-                break
-
-        # pole-adjacent root that float resolution cannot pin down: treat the tiny
-        # bottom component as zero, as in the degenerate case
-        if not abs(phi(lam)) <= ftol and lam_min < 0.0 and (solution := hard_case(lam)):
-            return solution
-
-    h = Q @ (-c_eff / (eigvals + lam))
-    return finish(h)
+            raise BudgetExceededError(f"secular Newton did not settle in {_NEWTON_CAP} steps")
+        coeff[nonzero] = -w
+        h = Q @ coeff
+    return CubicSolution(h=h, m_value=cubic_function(model, h), lam=tau * float(np.linalg.norm(h)) / 2.0,
+                         status="exact")
 
 
 def _perturbed(model: CubicModel, zeta: float, eps_quality: float, rng: np.random.Generator) -> np.ndarray:

@@ -33,6 +33,33 @@ def random_model(rng, d, tau_range=(0.5, 4.0)):
     return CubicModel(b=b, A=A, penalty=tau, hess_norm_bound=float(np.linalg.norm(A, 2)))
 
 
+def lanczos_tridiagonals(k, count=20):
+    """Models of the shape _krylov_run hands solve_exact: a symmetric tridiagonal
+    (diagonal N(0, 1), off-diagonal |N(0, 1)|), b = 0.3 e_1 and tau = 1."""
+    rng = np.random.default_rng(k)
+    b = np.zeros(k)
+    b[0] = 0.3
+    for _ in range(count):
+        off = np.abs(rng.standard_normal(k - 1))
+        T = np.diag(rng.standard_normal(k)) + np.diag(off, 1) + np.diag(off, -1)
+        yield CubicModel(b=b, A=T, penalty=1.0, hess_norm_bound=float(np.linalg.norm(T, 2)))
+
+
+def near_hard_models(count=200):
+    """Dense models (d 2-8) whose b has a bottom-eigenvector component of 10^u,
+    u in [-17, -2], or 0 in every tenth model; tau = 10^[-2, 2]."""
+    rng = np.random.default_rng(18)
+    for i in range(count):
+        d = int(rng.integers(2, 9))
+        S = rng.standard_normal((d, d))
+        A = 0.5 * (S + S.T)
+        e, Q = np.linalg.eigh(A)
+        tau = 10.0 ** rng.uniform(-2.0, 2.0)
+        c = rng.standard_normal(d) * 10.0 ** rng.uniform(-2.0, 1.0)
+        c[0] = 0.0 if i % 10 == 0 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, -2.0)
+        yield CubicModel(b=Q @ c, A=A, penalty=tau, hess_norm_bound=float(np.max(np.abs(e))))
+
+
 class TestModelEvaluation:
     def test_value_at_zero(self):
         m = CubicModel(b=np.array([1.0, 2.0]), A=np.eye(2), penalty=1.0, hess_norm_bound=1.0)
@@ -144,6 +171,28 @@ class TestExactSolver:
             lam_min = np.linalg.eigvalsh(m.A)[0]
             assert lam_min + sol.lam >= -1e-8
             assert_allclose(sol.lam, m.penalty * np.linalg.norm(sol.h) / 2, rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [5, 10, 20, 40])
+    def test_stationarity_on_lanczos_tridiagonals(self, k):
+        for m in lanczos_tridiagonals(k):
+            sol = solve_exact(m)
+            assert np.linalg.norm(cubic_gradient(m, sol.h)) <= 1e-10 * (1 + np.linalg.norm(m.b))
+            assert np.linalg.eigvalsh(m.A)[0] + sol.lam >= -1e-8
+
+    def test_near_hard_case_is_stationary_and_global(self):
+        # b's bottom component from 0 up to 1e-2: the root lies within ulps of the
+        # pole, or past it (the hard case)
+        for m in near_hard_models():
+            sol = solve_exact(m)
+            assert np.linalg.norm(cubic_gradient(m, sol.h)) <= 1e-8 * (1 + np.linalg.norm(m.b))
+            assert np.linalg.eigvalsh(m.A)[0] + sol.lam >= -1e-8
+            assert sol.m_value <= cubic_function(m, cauchy_point(m)) + 1e-12
+
+    def test_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("vrcubic.cubic._NEWTON_CAP", 1)
+        m = next(lanczos_tridiagonals(10))
+        with pytest.raises(BudgetExceededError, match="1 steps"):
+            solve_exact(m)
 
     def test_dominates_cauchy_point(self):
         rng = np.random.default_rng(4)
@@ -393,6 +442,15 @@ class TestKrylov:
                 assert k == steps
                 assert_allclose(residual, np.linalg.norm(cubic_gradient(m, h)), rtol=1e-8, atol=1e-12)
                 assert_allclose(value, cubic_function(m, h), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [5, 10, 20, 40])
+    def test_lanczos_residual_on_tridiagonals(self, k):
+        # Lanczos from e_1 rebuilds T's leading blocks, so every step count is one
+        # secular solve on a tridiagonal whose root may sit next to a pole
+        for m in lanczos_tridiagonals(k):
+            for steps in range(1, k + 1):
+                h, value, residual, _ = _krylov_run(m, m.b, steps, None, None)
+                assert_allclose(residual, np.linalg.norm(cubic_gradient(m, h)), rtol=1e-8, atol=1e-12)
 
     def test_lanczos_keeps_its_rows_when_it_grows(self):
         # 80 steps grow the 16-row arrays eight times; every row copied must survive

@@ -14,6 +14,10 @@ and the exit, or the type and message of the error it raised.  The third
 line is one SHA-256 over the bytes of A and b that ``make_synthetic`` builds
 at the benchmark's size (3000, 40) and at odd sizes, both difficulties (12
 builds), so a change to that construction shows without running a driver.
+The fourth line is one SHA-256 over the bills of all 432 runs: each run's
+exit, iteration count and both oracle counters, or the type of its error,
+with x_out, mu and error messages left out, so a change that moves iterates
+by rounding can show that its exits and bills held.
 Two commits whose digests match on one machine ran byte-identical
 trajectories with identical bills; digests from different BLAS builds need
 not match.
@@ -85,13 +89,14 @@ def libsvm_problems(workdir: Path) -> list:
     return problems
 
 
-def sweep(problems, rules, seeds) -> str:
+def sweep(problems, rules, seeds, bills) -> str:
     digest, runs, errors = hashlib.sha256(), 0, 0
     for problem, rule, penalty, driver, seed in itertools.product(
         problems, rules, PENALTIES, DRIVERS, seeds
     ):
         result = outcome(driver, problem, rule, penalty, seed)
         digest.update(repr(result).encode())
+        bills.update(repr(result[:1] if isinstance(result[0], str) else result[2:]).encode())
         runs += 1
         errors += isinstance(result[0], str)
     return f"{digest.hexdigest()}  runs={runs} errors={errors}"
@@ -109,11 +114,13 @@ def builds() -> str:
 
 def main() -> None:
     synthetic = [make_synthetic(0, N, D, difficulty) for difficulty in ("nonconvex", "convex")]
-    print(sweep(synthetic, RULES, SEEDS))
+    bills = hashlib.sha256()
+    print(sweep(synthetic, RULES, SEEDS, bills))
     with tempfile.TemporaryDirectory() as workdir:
         libsvm = libsvm_problems(Path(workdir))
-    print(sweep(libsvm, LIBSVM_RULES, LIBSVM_SEEDS) + "  libsvm")
+    print(sweep(libsvm, LIBSVM_RULES, LIBSVM_SEEDS, bills) + "  libsvm")
     print(builds())
+    print(f"{bills.hexdigest()}  bills")
 
 
 if __name__ == "__main__":
