@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._libsvm import LibsvmParseError, ascii_lines, parse_block
 from .finite_sum import FiniteSumProblem
 
 __all__ = [
@@ -47,10 +48,18 @@ _SYNTHETIC_IN_PLACE = 0.25
 _LOGREG_IN_PLACE = 0.5
 _LOGREG_HESS_IN_PLACE = 0.95
 
-# Bytes of component matrices that make_synthetic transforms as one chunk: 32
-# matrices at d = 40.  Smaller chunks lose the batched LAPACK call's gain to
-# per-call overhead; larger ones raise each worker's temporaries.
+# Bytes of rows that one pass of a blocked kernel reads (_row_blocks): 32
+# component matrices at d = 40 in make_synthetic, or 512 rows of a d = 100
+# logistic X.  Smaller blocks lose the batched LAPACK or BLAS call's gain to
+# per-call overhead; larger ones raise the temporaries each block holds.
 _SYNTHETIC_CHUNK_BYTES = 400 * 1024
+
+
+def _row_blocks(n: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices covering range(n), each of at least one row and at
+    most _SYNTHETIC_CHUNK_BYTES of rows of ``row_bytes`` bytes each."""
+    size = max(1, _SYNTHETIC_CHUNK_BYTES // max(1, row_bytes))
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
 def _in_place_weights(idx: np.ndarray, n: int, crossover: float) -> np.ndarray | None:
@@ -78,10 +87,6 @@ def _reg_grad(w: np.ndarray) -> np.ndarray:
 def _reg_curv(w: np.ndarray) -> np.ndarray:
     w2 = w * w
     return (2.0 - 6.0 * w2) / (1.0 + w2) ** 3
-
-
-class LibsvmParseError(ValueError):
-    """Raised on malformed svmlight/libsvm text; message names the line."""
 
 
 @dataclass
@@ -118,8 +123,13 @@ class LibsvmDataset:
         return [list(zip(idx[a:b], val[a:b])) for a, b in zip(bounds, bounds[1:])]
 
     def to_dense(self) -> np.ndarray:
+        """The n x num_features matrix, scattered one row block at a time."""
         X = np.zeros((self.n, self.num_features))
-        X[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices - 1] = self.data
+        for rows in _row_blocks(self.n, X.itemsize * self.num_features):
+            bounds = self.indptr[rows.start:rows.stop + 1]
+            nz = slice(bounds[0], bounds[-1])
+            X[np.repeat(np.arange(rows.start, rows.stop), np.diff(bounds)),
+              self.indices[nz] - 1] = self.data[nz]
         return X
 
     def binary_labels(self) -> np.ndarray:
@@ -147,188 +157,47 @@ class LibsvmDataset:
         return ids
 
 
-# Lines parsed at a time: bounds the transient token list and byte masks.
+# Lines parsed at a time: bounds the transient token arrays and byte masks.
 _BLOCK_LINES = 256
-# Feature indices are decoded from their ASCII digits in int64; an index needs
-# fewer digits than this, leading zeros aside.
-_INDEX_DIGITS = 18
-_POW10 = np.array([10**k for k in range(_INDEX_DIGITS)], dtype=np.int64)
-# The ASCII bytes that str.split() splits on.
-_SPACE = np.array([chr(b).isspace() for b in range(128)] + [False] * 128)
 
 
 def parse_libsvm(source) -> LibsvmDataset:
     """Parse svmlight/libsvm text: one "<label> <idx>:<val> ..." row per line.
 
-    ``source`` is a str or bytes (split into lines as ``str.splitlines``
-    splits), or an iterable of str or bytes lines.  Only ASCII is accepted.
-    Feature indices are 1-based, below 10**18 and strictly increasing within
-    a row; labels and values are what ``float()`` reads, finite, and take no
-    digit-group underscores ("1_0").  Blank lines are skipped; errors report
-    the 1-based line number of the first bad line.
+    ``source`` is a str or a bytes-like buffer (split into lines as
+    ``str.splitlines`` splits), or an iterable of str or bytes lines.  Only
+    ASCII is accepted.  Feature indices are 1-based, below 10**18 and strictly
+    increasing within a row; labels and values are what ``float()`` reads,
+    finite, and take no digit-group underscores ("1_0").  Blank lines are
+    skipped; errors report the 1-based line number of the first bad line.
+
+    A str is encoded once and a buffer is read in place; blocks of lines are
+    parsed from slices of those bytes into arrays allocated up front, so the
+    parse holds the bytes, the parsed arrays and one block's temporaries.
     """
-    lines, non_ascii = _ascii_lines(source)
-    blocks = [_parse_block(lines[at:at + _BLOCK_LINES], at + 1)
-              for at in range(0, len(lines), _BLOCK_LINES)]
+    buf, starts, ends, colons, non_ascii = ascii_lines(source)
+    labels = np.empty(starts.size)
+    indptr = np.zeros(starts.size + 1, np.int64)
+    indices = np.empty(colons, np.int64)
+    data = np.empty(colons)
+    rows = nnz = 0
+    for at in range(0, starts.size, _BLOCK_LINES):
+        block = slice(at, at + _BLOCK_LINES)
+        label, counts, index, value = parse_block(buf, starts[block], ends[block], at + 1)
+        labels[rows:rows + label.size] = label
+        indptr[rows + 1:rows + 1 + label.size] = counts
+        indices[nnz:nnz + index.size] = index
+        data[nnz:nnz + index.size] = value
+        rows += label.size
+        nnz += index.size
     if non_ascii:
         raise LibsvmParseError(non_ascii)
-    if not any(block[0].size for block in blocks):
+    if not rows:
         raise LibsvmParseError("line 1: empty input, no data rows")
-    labels, counts, indices, data = map(np.concatenate, zip(*blocks))
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    num_features = int(indices.max()) if indices.size else 0
-    return LibsvmDataset(labels, indptr, indices, data, num_features)
-
-
-def _ascii_lines(source) -> tuple[list[str], str | None]:
-    """The lines of source before its first non-ASCII character, and the error naming it.
-
-    The error is None when all of source is ASCII.
-    """
-    if isinstance(source, (str, bytes)):
-        at = _non_ascii_at(source)
-        head = source[:at]
-        text = head.decode("ascii") if isinstance(head, bytes) else head
-        if at == len(source):
-            return text.splitlines(), None
-        lineno = len((text + "x").splitlines())
-        return text.splitlines()[:lineno - 1], _non_ascii_error(lineno, source, at)
-    lines = list(source)
-    for k, line in enumerate(lines):
-        at = _non_ascii_at(line)
-        if at < len(line):
-            return _ascii_lines(lines[:k])[0], _non_ascii_error(k + 1, line, at)
-        if isinstance(line, bytes):
-            lines[k] = line.decode("ascii")
-    return lines, None
-
-
-def _non_ascii_at(text) -> int:
-    """Position of the first non-ASCII character of a str or bytes, or its length."""
-    if text.isascii():
-        return len(text)
-    try:
-        text.decode("ascii") if isinstance(text, bytes) else text.encode("ascii")
-    except UnicodeError as exc:
-        return exc.start
-    return len(text)
-
-
-def _non_ascii_error(lineno: int, text, at: int) -> str:
-    return f"line {lineno}: non-ASCII character {text[at:at + 1]!r}"
-
-
-def _parse_block(lines: list[str], first: int):
-    """Labels, features per row, indices and values of the rows in ``lines``.
-
-    ``first`` is the line number of lines[0].  When a bulk check fails, the
-    lines are walked one at a time to raise the first bad line's error.
-    """
-    parts = _bulk_parse(lines)
-    if parts is not None:
-        return parts
-    for k, line in enumerate(lines):
-        message = _line_error(line)
-        if message:
-            raise LibsvmParseError(f"line {first + k}: {message}")
-    raise AssertionError("a bulk libsvm check failed on lines that parse")
-
-
-def _bulk_parse(lines: list[str]):
-    """_parse_block's arrays from whole-block array operations, or None on any bad line."""
-    raw = "\n".join(lines).encode("ascii")
-    if b"_" in raw:
-        return None
-    buf = np.frombuffer(raw, np.uint8)
-    text = buf.copy()  # what float() reads: labels and values, all else blanked
-    # Tokens.  Above " " every byte is a token byte; at or below, all but the
-    # bytes.split() separators (space and \t\n\v\f\r) are rare, so they are
-    # classified one by one.
-    word = np.zeros(buf.size + 2, bool)
-    word[1:-1] = buf > ord(" ")
-    rare = np.flatnonzero((buf < ord("\t")) | (buf - 14 < 18))
-    space = _SPACE[buf[rare]]
-    word[rare + 1] = ~space
-    text[rare[space]] = ord(" ")
-    start, end = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T
-    # The first token at or after each line's start is a label (the next
-    # line's, when the line is blank).
-    step = np.fromiter(map(len, lines), np.intp, len(lines)) + 1
-    label = np.zeros(start.size + 1, bool)
-    label[np.searchsorted(start, np.cumsum(step) - step)] = True
-    label = label[:-1]
-    feature = np.flatnonzero(~label)
-
-    # Colons sit one inside each feature token and in no label, so the k-th
-    # colon belongs to the k-th feature.
-    colon = np.flatnonzero(buf == ord(":"))
-    fstart = start[feature]
-    if colon.size != feature.size or not ((fstart < colon) & (colon < end[feature] - 1)).all():
-        return None
-
-    # An index that parses is +?[0-9]+ (a "-" makes it negative or no
-    # number).  Decode its digits, then blank it and its colon out of the text.
-    width = colon + 1 - fstart
-    offset = np.cumsum(width) - width
-    at = np.arange(width.sum()) + np.repeat(fstart - offset, width)
-    digit = buf[at] - ord("0")
-    plus = np.count_nonzero(buf[fstart] == ord("+"))
-    if np.count_nonzero(digit > 9) != plus + feature.size:  # no other byte but "+" and ":"
-        return None
-    digit[digit > 9] = 0
-    place = np.repeat(colon, width) - at - 1
-    if (digit[place >= _INDEX_DIGITS] > 0).any():
-        return None
-    index = np.add.reduceat(
-        digit * _POW10[np.clip(place, 0, _INDEX_DIGITS - 1)], offset
-    ) if feature.size else np.zeros(0, np.int64)
-    first_of_row = label[feature - 1]
-    if not ((index >= 1).all() and ((np.diff(index) > 0) | first_of_row[1:]).all()):
-        return None
-    text[at] = ord(" ")
-
-    # Labels and values, in token order.
-    try:
-        numbers = np.fromiter(map(float, text.tobytes().split()), float, start.size)
-    except ValueError:
-        return None
-    if not np.isfinite(numbers).all():
-        return None
-    counts = np.diff(np.flatnonzero(label), append=start.size) - 1
-    return numbers[label], counts, index, numbers[feature]
-
-
-def _line_error(line: str) -> str | None:
-    """The grammar error on one line (without its line number), or None if it parses."""
-    tokens = line.split()
-    if not tokens:
-        return None
-    if "_" in line:  # int() and float() read digit-group underscores; libsvm does not
-        bad = next(tok for tok in tokens if "_" in tok)
-        return f"bad label {bad!r}" if bad is tokens[0] else f"bad feature token {bad!r}"
-    try:
-        label = float(tokens[0])
-    except ValueError:
-        return f"bad label {tokens[0]!r}"
-    if not math.isfinite(label):
-        return f"label {tokens[0]!r} is not finite"
-    prev_idx = 0
-    for tok in tokens[1:]:
-        idx_s, _, val_s = tok.partition(":")  # no colon leaves val_s empty
-        try:
-            idx, val = int(idx_s), float(val_s)
-        except ValueError:
-            return f"bad feature token {tok!r}"
-        if not math.isfinite(val):
-            return f"feature value {tok!r} is not finite"
-        if idx < 1:
-            return f"feature index must be >= 1, got {idx}"
-        if idx >= 10**_INDEX_DIGITS:
-            return f"feature index {idx} is too large"
-        if idx <= prev_idx:
-            return f"feature indices must be strictly increasing ({idx} after {prev_idx})"
-        prev_idx = idx
-    return None
+    # Every feature token holds one colon, and no label does, so nnz == colons.
+    indptr = np.cumsum(indptr[:rows + 1])
+    num_features = int(indices.max()) if nnz else 0
+    return LibsvmDataset(labels[:rows], indptr, indices, data, num_features)
 
 
 def serialize_libsvm(dataset: LibsvmDataset) -> str:
@@ -343,8 +212,13 @@ def serialize_libsvm(dataset: LibsvmDataset) -> str:
 
 
 def scale_columns_unit(X: np.ndarray) -> np.ndarray:
-    """Scale each column into [-1, 1] by its max absolute value (zero columns kept)."""
-    scale = np.abs(X).max(axis=0)
+    """Scale each column into [-1, 1] by its max absolute value (zero columns kept).
+
+    The column maxima are taken one row block at a time.
+    """
+    scale = np.zeros(X.shape[1])
+    for rows in _row_blocks(X.shape[0], X.itemsize * X.shape[1]):
+        np.maximum(scale, np.abs(X[rows]).max(axis=0), out=scale)
     scale[scale == 0.0] = 1.0
     return X / scale
 
@@ -361,8 +235,7 @@ def binary_logreg_from_arrays(
     n, d = X.shape
     if set(np.unique(y)) - {0.0, 1.0}:
         raise ValueError("binary labels must be in {0, 1}")
-    row_norms = np.linalg.norm(X, axis=1)
-    rmax = float(row_norms.max()) if n else 0.0
+    rmax = _max_row_norm(X)
 
     def rows(idx, crossover):
         """Rows, labels and weights c: the batch mean is sum_k c[k] * (row k's term)."""
@@ -381,9 +254,13 @@ def binary_logreg_from_arrays(
         return Xr.T @ (c * (_sigmoid(Xr @ w) - yr)) + lam * _reg_grad(w)
 
     def bhess(idx, w):
-        Xr, _, c = rows(idx, _LOGREG_HESS_IN_PLACE)
-        s = _sigmoid(Xr @ w)
-        H = (Xr * (c * s * (1.0 - s))[:, None]).T @ Xr
+        # A sum over row blocks: no temporary holds more than one block of rows.
+        c = _in_place_weights(idx, n, _LOGREG_HESS_IN_PLACE)
+        H = np.zeros((d, d))
+        for block in _row_blocks(n if c is not None else idx.size, X.itemsize * d):
+            Xr, cr = (X[block], c[block]) if c is not None else (X[idx[block]], 1.0 / idx.size)
+            s = _sigmoid(Xr @ w)
+            H += (Xr * (cr * s * (1.0 - s))[:, None]).T @ Xr
         H[np.diag_indices(d)] += lam * _reg_curv(w)
         return H
 
@@ -407,6 +284,14 @@ def binary_logreg_from_arrays(
         name="binary-logreg",
         extra={"lam": lam},
     )
+
+
+def _max_row_norm(X: np.ndarray) -> float:
+    """max_i ||X[i]|| (0.0 without rows), from np.linalg.norm on row blocks."""
+    if not X.shape[0]:
+        return 0.0
+    blocks = _row_blocks(X.shape[0], X.itemsize * X.shape[1])
+    return float(np.max([np.linalg.norm(X[rows], axis=1).max() for rows in blocks]))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -438,11 +323,11 @@ def multiclass_logreg_from_arrays(
     class_id = np.asarray(class_id, dtype=int)
     n, d = X.shape
     m = int(num_classes)
-    if class_id.min() < 0 or class_id.max() >= m:
+    if class_id.size and (class_id.min() < 0 or class_id.max() >= m):
         raise ValueError(f"label out of range for {m} classes")
     Y = np.zeros((n, m))
     Y[np.arange(n), class_id] = 1.0
-    rmax = float(np.linalg.norm(X, axis=1).max()) if n else 0.0
+    rmax = _max_row_norm(X)
 
     def _softmax(Z):
         Z = Z - Z.max(axis=1, keepdims=True)
@@ -540,7 +425,7 @@ def _normalize_chunk(G: np.ndarray, convex: bool) -> None:
 
 
 def _normalize_components(A: np.ndarray, convex: bool) -> None:
-    """_normalize_chunk over A's stack, in chunks of _SYNTHETIC_CHUNK_BYTES.
+    """_normalize_chunk over A's stack, in chunks of _row_blocks.
 
     The chunks are dealt out to one thread per available CPU (the calling
     thread is one of them; numpy's linalg and large elementwise operations
@@ -548,8 +433,7 @@ def _normalize_components(A: np.ndarray, convex: bool) -> None:
     single chunk runs in the calling thread alone.
     """
     n, d = A.shape[:2]
-    size = max(1, _SYNTHETIC_CHUNK_BYTES // (d * d * A.itemsize))
-    chunks = [A[i : i + size] for i in range(0, n, size)]
+    chunks = [A[rows] for rows in _row_blocks(n, d * d * A.itemsize)]
     workers = min(_available_cpus(), len(chunks))
     errors = []
 

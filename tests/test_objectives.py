@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vrcubic import objectives
+from vrcubic.cli import build_problem
 from vrcubic.diagnostics import min_eigenvalue
 from vrcubic.drivers import AdaptivePenalty, SolverConfig, run_srvrc, run_srvrc_free
 from vrcubic.estimators import PracticalBatchRule
@@ -954,3 +955,120 @@ def test_mutating_a_full_batch_answer_changes_no_later_answer(difficulty):
              batch_hvp(p, x, full, COUNTER)(v), batch_value(p, x, full, COUNTER)]
     for old, new in zip(before, after):
         assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+
+class TestLibsvmBuffers:
+    """Any bytes-like source is read as the bytes it holds."""
+
+    @pytest.mark.parametrize("kind", [
+        bytearray,
+        memoryview,
+        lambda raw: memoryview(np.repeat(np.frombuffer(raw, np.uint8), 2)[::2]),  # strided
+    ], ids=["bytearray", "memoryview", "strided-memoryview"])
+    def test_same_dataset_and_errors_as_bytes(self, kind):
+        rng = np.random.default_rng(5)
+        raw = random_document(rng, 3 * objectives._BLOCK_LINES, bad_share=0.0).encode("ascii")
+        assert bytes(kind(raw)) == raw
+        assert parse_outcome(parse_libsvm, kind(raw)) == parse_outcome(parse_libsvm, raw)
+        for raw in (b"1 1:1\n-1 2:\xff\n1 1:2\n", b"1 1:1\r\n2 \x80:1", b"\xc3\xa9 1:1\n",
+                    b"x 1:1\n1 1:1 \xff\n"):
+            expected = parse_outcome(parse_libsvm, raw)
+            assert isinstance(expected, str) and expected.startswith("line ")
+            assert parse_outcome(parse_libsvm, kind(raw)) == expected
+
+    def test_non_ascii_bytes_name_their_line_in_each_buffer_type(self):
+        for kind in (bytes, bytearray, memoryview):
+            with pytest.raises(LibsvmParseError, match=r"^line 3: non-ASCII character b'\\xe9'$"):
+                parse_libsvm(kind(b"1 1:1\r\n-1 2:1\n1 \xe9:1\n"))
+
+
+def test_empty_data_gives_one_message_from_both_factories():
+    for build in (lambda: binary_logreg_from_arrays(np.zeros((0, 3)), np.zeros(0)),
+                  lambda: multiclass_logreg_from_arrays(np.zeros((0, 3)), np.zeros(0, int), 2)):
+        with pytest.raises(ValueError, match="^need at least one component, got n=0$"):
+            build()
+
+
+class TestRowBlocks:
+    """Dense kernels that walk X in blocks of rows of _SYNTHETIC_CHUNK_BYTES."""
+
+    @pytest.mark.parametrize("budget", [1, 7 * 6 * 8, objectives._SYNTHETIC_CHUNK_BYTES])
+    def test_column_scaling_bytes_match_the_whole_matrix_formula(self, monkeypatch, budget):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((50, 6)) * np.array([1e-3, 1.0, 1.0, 1e3, 1.0, 5.0])
+        X[:, 2] = 0.0
+        X[::2, 4] = -0.0
+        X[17, 5] = -42.0  # the largest magnitude of its column is negative
+        scale = np.abs(X).max(axis=0)
+        scale[scale == 0.0] = 1.0
+        expected = X / scale
+        monkeypatch.setattr(objectives, "_SYNTHETIC_CHUNK_BYTES", budget)
+        assert scale_columns_unit(X).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 40, 700])
+    def test_dense_x_and_row_norm_bounds_match_the_whole_matrix_forms(self, monkeypatch, budget):
+        rng = np.random.default_rng(8)
+        ds = parse_libsvm(random_document(rng, 300, bad_share=0.0))
+        X = np.zeros((ds.n, ds.num_features))
+        X[np.repeat(np.arange(ds.n), np.diff(ds.indptr)), ds.indices - 1] = ds.data
+        rmax = float(np.linalg.norm(X, axis=1).max())
+        y = (np.arange(ds.n) % 2).astype(float)
+        monkeypatch.setattr(objectives, "_SYNTHETIC_CHUNK_BYTES", budget)
+        assert ds.to_dense().tobytes() == X.tobytes()
+        binary = binary_logreg_from_arrays(X, y, lam=1e-3)
+        multi = multiclass_logreg_from_arrays(X, np.arange(ds.n) % 3, 3)
+        assert binary.lipschitz_grad == rmax**2 / 4.0 + objectives._REG_CURV_BOUND * 1e-3
+        assert binary.lipschitz_hess == (objectives._SIGMOID_CURV_CHANGE * rmax**3
+                                         + objectives._REG_THIRD_BOUND * 1e-3)
+        assert multi.grad_bound == 2.0 * math.sqrt(2.0) * rmax
+
+    @pytest.mark.parametrize("batch", ["full", "weighted", "gathered"])
+    def test_hessian_sums_its_row_blocks(self, monkeypatch, batch):
+        rng = np.random.default_rng(12)
+        n, d = 300, 7
+        X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.5)
+        p = binary_logreg_from_arrays(X, (rng.random(n) < 0.5).astype(float), lam=1e-2)
+        idx = {"full": np.arange(n), "weighted": rng.integers(0, n, size=n),
+               "gathered": rng.integers(0, n, size=n // 3)}[batch]
+        w = rng.standard_normal(d)
+        whole = batch_hessian(p, w, idx, COUNTER)  # one block at the default budget
+        monkeypatch.setattr(objectives, "_SYNTHETIC_CHUNK_BYTES", 16 * d * 8)  # 16 rows
+        blocked = batch_hessian(p, w, idx, COUNTER)
+        assert_allclose(blocked, whole, rtol=1e-13, atol=1e-16)
+
+    def test_full_batch_hessian_holds_one_row_block(self):
+        rng = np.random.default_rng(9)
+        d = 100
+        n = 8 * (objectives._SYNTHETIC_CHUNK_BYTES // (8 * d)) + 3
+        p = binary_logreg_from_arrays(rng.standard_normal((n, d)),
+                                      (rng.random(n) < 0.5).astype(float))
+        w, full = 0.1 * rng.standard_normal(d), full_index(p)
+        tracemalloc.start()
+        try:
+            batch_hessian(p, w, full, OracleCounter())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < objectives._SYNTHETIC_CHUNK_BYTES + 2 * d * d * 8 + 2**20
+
+    def test_build_problem_holds_the_file_csr_arrays_and_dense_x(self, tmp_path):
+        rng = np.random.default_rng(20)
+        n, d = 20000, 100
+        X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.3)
+        rows, cols = np.nonzero(X)
+        ds = objectives.LibsvmDataset(
+            np.where(rng.random(n) < 0.5, 1.0, -1.0),
+            np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))),
+            cols + 1, X[rows, cols], d)
+        path = tmp_path / "data.svm"
+        path.write_text(serialize_libsvm(ds))
+        csr = sum(a.nbytes for a in (ds.labels, ds.indptr, ds.indices, ds.data))
+        del X, rows, cols, ds
+        tracemalloc.start()
+        try:
+            problem = build_problem({"dataset": {"path": str(path), "objective": "binary_logreg"}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problem.n == n and problem.dim == d
+        assert peak < path.stat().st_size + csr + n * d * 8 + 3 * 2**20

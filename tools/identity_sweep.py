@@ -17,7 +17,13 @@ builds), so a change to that construction shows without running a driver.
 The fourth line is one SHA-256 over the bills of all 432 runs: each run's
 exit, iteration count and both oracle counters, or the type of its error,
 with x_out, mu and error messages left out, so a change that moves iterates
-by rounding can show that its exits and bills held.
+by rounding can show that its exits and bills held.  The fifth line is one
+SHA-256 over the same bills of ``run_srvrc``, ``run_cr`` and ``run_scr`` on a
+binary problem that ``cli.build_problem`` reads from a libsvm file of
+2000 x 100 (four row blocks of the dense kernels), under a full-batch
+practical rule and a subsampled one whose Hessian resets span three blocks,
+with both penalties, over seeds 0-2 (36 runs); the other problems fit in one row
+block, so only this line sees a change to how the blocks are summed.
 Two commits whose digests match on one machine ran byte-identical
 trajectories with identical bills; digests from different BLAS builds need
 not match.
@@ -52,6 +58,9 @@ N, D, SEEDS = 600, 12, range(6)
 RULES = (PracticalBatchRule(N, 60, 4), PracticalBatchRule(60, 30, 3), None)
 LIBSVM_N, LIBSVM_D, LIBSVM_CLASSES, LIBSVM_SEEDS = 300, 6, 3, range(3)
 LIBSVM_RULES = (PracticalBatchRule(LIBSVM_N, 60, 4), PracticalBatchRule(60, 30, 3), None)
+BLOCKS_N, BLOCKS_D = 2000, 100
+BLOCKS_RULES = (PracticalBatchRule(BLOCKS_N, BLOCKS_N, 1), PracticalBatchRule(BLOCKS_N, 1200, 4))
+BLOCKS_DRIVERS = (run_srvrc, run_cr, run_scr)
 PENALTIES = (TheoreticalPenalty(), AdaptivePenalty())
 DRIVERS = (run_srvrc, run_srvrc_free, run_cr, run_scr)
 BUILD_SIZES = ((3000, 40), (1, 5), (7, 1), (130, 3), (401, 8), (600, 12))
@@ -68,31 +77,30 @@ def outcome(driver, problem, rule, penalty, seed) -> tuple:
     return r.x_out.tobytes(), mu, r.counters, r.diag_counters, r.iterations, r.exit
 
 
-def libsvm_problems(workdir: Path) -> list:
-    """A binary and a multiclass problem built by cli.build_problem from libsvm files."""
+def libsvm_problems(workdir: Path, n: int, d: int) -> list:
+    """A binary and a multiclass problem built by cli.build_problem from n x d libsvm files."""
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((LIBSVM_N, LIBSVM_D)) * (rng.random((LIBSVM_N, LIBSVM_D)) < 0.6)
+    X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.6)
     rows, cols = np.nonzero(X)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=LIBSVM_N))))
-    binary = np.where(X @ rng.standard_normal(LIBSVM_D) > rng.standard_normal(LIBSVM_N), 1.0, -1.0)
-    classes = 1.0 + rng.integers(LIBSVM_CLASSES, size=LIBSVM_N)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    binary = np.where(X @ rng.standard_normal(d) > rng.standard_normal(n), 1.0, -1.0)
+    classes = 1.0 + rng.integers(LIBSVM_CLASSES, size=n)
     problems = []
     for name, labels, spec in (
         ("binary", binary, {"objective": "binary_logreg"}),
         ("multiclass", classes, {"objective": "multiclass_logreg",
                                  "num_classes": LIBSVM_CLASSES, "scale_features": True}),
     ):
-        path = workdir / f"{name}.svm"
-        path.write_text(serialize_libsvm(
-            LibsvmDataset(labels, indptr, cols + 1, X[rows, cols], LIBSVM_D)))
+        path = workdir / f"{name}-{n}.svm"
+        path.write_text(serialize_libsvm(LibsvmDataset(labels, indptr, cols + 1, X[rows, cols], d)))
         problems.append(build_problem({"dataset": {"path": str(path), **spec}}))
     return problems
 
 
-def sweep(problems, rules, seeds, bills) -> str:
+def sweep(problems, rules, seeds, bills, drivers=DRIVERS) -> str:
     digest, runs, errors = hashlib.sha256(), 0, 0
     for problem, rule, penalty, driver, seed in itertools.product(
-        problems, rules, PENALTIES, DRIVERS, seeds
+        problems, rules, PENALTIES, drivers, seeds
     ):
         result = outcome(driver, problem, rule, penalty, seed)
         digest.update(repr(result).encode())
@@ -117,10 +125,14 @@ def main() -> None:
     bills = hashlib.sha256()
     print(sweep(synthetic, RULES, SEEDS, bills))
     with tempfile.TemporaryDirectory() as workdir:
-        libsvm = libsvm_problems(Path(workdir))
+        libsvm = libsvm_problems(Path(workdir), LIBSVM_N, LIBSVM_D)
+        blocked = libsvm_problems(Path(workdir), BLOCKS_N, BLOCKS_D)[:1]
     print(sweep(libsvm, LIBSVM_RULES, LIBSVM_SEEDS, bills) + "  libsvm")
     print(builds())
     print(f"{bills.hexdigest()}  bills")
+    blocked_bills = hashlib.sha256()
+    runs = sweep(blocked, BLOCKS_RULES, LIBSVM_SEEDS, blocked_bills, BLOCKS_DRIVERS).split("  ")[1]
+    print(f"{blocked_bills.hexdigest()}  {runs}  row-block bills")
 
 
 if __name__ == "__main__":
