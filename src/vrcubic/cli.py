@@ -60,11 +60,11 @@ from .finite_sum import (
 )
 from .objectives import (
     SYNTHETIC_DIFFICULTIES,
+    _unit_column_scales,
     binary_logreg_from_arrays,
     make_synthetic,
     multiclass_logreg_from_arrays,
     parse_libsvm,
-    scale_columns_unit,
 )
 
 __all__ = [
@@ -269,7 +269,7 @@ def build_problem(prob_cfg: dict) -> FiniteSumProblem:
     data = parse_libsvm(_read_maybe_gzip(path))
     X = data.to_dense()
     if spec.get("scale_features", False):
-        X = scale_columns_unit(X)
+        X /= _unit_column_scales(X)  # in place: X is to_dense's own array
     lam = spec.get("lam", 1e-3)
     if spec["objective"] == "binary_logreg":
         return binary_logreg_from_arrays(X, data.binary_labels(), lam)

@@ -6,6 +6,7 @@ a bounded penalty that keeps every objective smooth while breaking convexity.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -28,6 +29,7 @@ __all__ = [
     "binary_logreg_from_arrays",
     "multiclass_logreg_from_arrays",
     "make_synthetic",
+    "unpack_upper",
 ]
 
 SYNTHETIC_DIFFICULTIES = ("convex", "nonconvex")  # make_synthetic's difficulty values
@@ -49,9 +51,11 @@ _LOGREG_IN_PLACE = 0.5
 _LOGREG_HESS_IN_PLACE = 0.95
 
 # Bytes of rows that one pass of a blocked kernel reads (_row_blocks): 32
-# component matrices at d = 40 in make_synthetic, or 512 rows of a d = 100
-# logistic X.  Smaller blocks lose the batched LAPACK or BLAS call's gain to
-# per-call overhead; larger ones raise the temporaries each block holds.
+# Gaussian d x d matrices at d = 40, which each make_synthetic thread draws
+# and normalizes in its one buffer before packing their upper triangles
+# (about 210 KB of the store), or 512 rows of a d = 100 logistic X.  Smaller
+# blocks lose the batched LAPACK or BLAS call's gain to per-call overhead;
+# larger ones raise the temporaries each block holds.
 _SYNTHETIC_CHUNK_BYTES = 400 * 1024
 
 
@@ -212,15 +216,18 @@ def serialize_libsvm(dataset: LibsvmDataset) -> str:
 
 
 def scale_columns_unit(X: np.ndarray) -> np.ndarray:
-    """Scale each column into [-1, 1] by its max absolute value (zero columns kept).
+    """Scale each column into [-1, 1] by its max absolute value (zero columns kept)."""
+    return X / _unit_column_scales(X)
 
-    The column maxima are taken one row block at a time.
-    """
+
+def _unit_column_scales(X: np.ndarray) -> np.ndarray:
+    """Each column's max absolute value, or 1.0 for a zero column, taken one
+    row block at a time; ``X /= _unit_column_scales(X)`` scales X in place."""
     scale = np.zeros(X.shape[1])
     for rows in _row_blocks(X.shape[0], X.itemsize * X.shape[1]):
         np.maximum(scale, np.abs(X[rows]).max(axis=0), out=scale)
     scale[scale == 0.0] = 1.0
-    return X / scale
+    return scale
 
 
 def binary_logreg_from_arrays(
@@ -424,33 +431,64 @@ def _normalize_chunk(G: np.ndarray, convex: bool) -> None:
     G /= np.maximum(norms, 1e-12)[:, None, None]
 
 
-def _normalize_components(A: np.ndarray, convex: bool) -> None:
-    """_normalize_chunk over A's stack, in chunks of _row_blocks.
+@functools.cache
+def _upper_positions(d: int) -> np.ndarray:
+    """For each entry of a d x d matrix, in C order, its index in the packed upper triangle."""
+    pos = np.zeros((d, d), np.intp)
+    pos[np.triu_indices(d)] = np.arange(d * (d + 1) // 2)
+    return np.maximum(pos, pos.T).ravel()
 
-    The chunks are dealt out to one thread per available CPU (the calling
-    thread is one of them; numpy's linalg and large elementwise operations
-    release the GIL), and every thread is joined before this returns.  A
-    single chunk runs in the calling thread alone.
+
+def unpack_upper(packed: np.ndarray) -> np.ndarray:
+    """The symmetric d x d matrices whose upper triangles are packed's rows.
+
+    The last axis of ``packed`` holds d(d+1)/2 entries in np.triu_indices(d)
+    order, as make_synthetic's ``extra["A_upper"]`` does; it becomes two
+    axes of d, with entry (j, k) copied to (k, j).
     """
-    n, d = A.shape[:2]
-    chunks = [A[rows] for rows in _row_blocks(n, d * d * A.itemsize)]
-    workers = min(_available_cpus(), len(chunks))
-    errors = []
+    m = packed.shape[-1]
+    d = math.isqrt(2 * m)
+    if d * (d + 1) != 2 * m:
+        raise ValueError(f"{m} entries do not fill the upper triangle of a square matrix")
+    return packed.take(_upper_positions(d), axis=-1).reshape(packed.shape[:-1] + (d, d))
 
-    def work(first: int) -> None:
+
+def _draw_components(rng, P: np.ndarray, d: int, convex: bool) -> None:
+    """Fill P's rows with the upper triangles of n components, chunk by chunk.
+
+    One thread per available CPU, up to the chunk count (the calling thread
+    is one of them; numpy's linalg and large elementwise operations release
+    the GIL), owns one chunk buffer of _row_blocks size.  Under a lock it
+    claims the next chunk and draws its Gaussian matrices, so the draws keep
+    the stream's order; outside it, _normalize_chunk turns them into
+    components, whose upper triangles go to P.  Every thread is joined
+    before this returns, and the first error any thread met is re-raised.
+    """
+    blocks = _row_blocks(P.shape[0], d * d * P.itemsize)
+    chunks, upper, lock, errors = iter(blocks), np.triu_indices(d), threading.Lock(), []
+
+    def work() -> None:
         try:
-            for chunk in chunks[first::workers]:
-                _normalize_chunk(chunk, convex)
+            buf = np.empty((blocks[0].stop, d, d))
+            while not errors:
+                with lock:
+                    rows = next(chunks, None)
+                    if rows is None:
+                        return
+                    G = buf[:rows.stop - rows.start]
+                    rng.standard_normal(out=G)
+                _normalize_chunk(G, convex)
+                P[rows] = G[:, upper[0], upper[1]]
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
     threads = []
     try:
-        for first in range(1, workers):
-            thread = threading.Thread(target=work, args=(first,))
+        for _ in range(1, min(_available_cpus(), len(blocks))):
+            thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
-        work(0)
+        work()
     finally:
         for thread in threads:
             thread.join()
@@ -472,16 +510,20 @@ def make_synthetic(
     The gradient deviation ||grad f_i - grad F|| grows with ||x||, so no
     finite grad_bound is reported (np.inf): resets fall back to full batches.
 
-    The A_i are drawn in one call and then transformed in chunks, on one
-    thread per CPU available to the process; A and b are byte-identical to
-    drawing and normalizing each A_i in turn, whatever the thread count.
+    Each A_i is stored once, as its upper triangle: ``extra["A_upper"]`` has
+    shape (n, d(d+1)/2) in np.triu_indices(d) order, and unpack_upper gives
+    the (n, d, d) stack.  A batch averages packed rows and unpacks one d x d
+    mean.  The A_i are drawn and normalized in chunks, on one thread per CPU
+    available to the process, and no full stack is held; the unpacked A_i and
+    b are byte-identical to drawing and normalizing each A_i in turn,
+    whatever the thread count.
 
     The full-batch means of A_i and b_i do not depend on x, so they are
     computed once here; a batch whose in-place weights are uniform (the full
     index set in any order) reads them instead of all n components.  The
     answer is the one the in-place sum gives, and a full query still bills n.
-    ``extra["A"]`` and ``extra["b"]`` are read-only, so those means cannot go
-    stale.
+    ``extra["A_upper"]`` and ``extra["b"]`` are read-only, so those means
+    cannot go stale.
     """
     for name, size, what in (("n", n, "at least one component"), ("d", d, "positive dimension")):
         if isinstance(size, bool) or not isinstance(size, numbers.Integral):
@@ -493,24 +535,22 @@ def make_synthetic(
     rng = np.random.default_rng(seed)
     alpha = 0.0 if difficulty == "convex" else 0.5
 
-    A = np.empty((n, d, d))
-    rng.standard_normal(out=A)
+    P = np.empty((n, d * (d + 1) // 2))
+    _draw_components(rng, P, d, convex=difficulty == "convex")
     b = rng.standard_normal((n, d)) / math.sqrt(d)
-    _normalize_components(A, convex=difficulty == "convex")
-    A.setflags(write=False)
+    P.setflags(write=False)
     b.setflags(write=False)
 
-    A2 = A.reshape(n, d * d)
     uniform = _in_place_weights(np.arange(n), n, _SYNTHETIC_IN_PLACE)
-    Afull, bfull = (uniform @ A2).reshape(d, d), uniform @ b
+    Afull, bfull = unpack_upper(uniform @ P), uniform @ b
 
     def means(idx):
         c = _in_place_weights(idx, n, _SYNTHETIC_IN_PLACE)
         if c is None:
-            return A[idx].mean(axis=0), b[idx].mean(axis=0)
+            return unpack_upper(P[idx].mean(axis=0)), b[idx].mean(axis=0)
         if np.array_equal(c, uniform):
             return Afull.copy(), bfull.copy()
-        return (c @ A2).reshape(d, d), c @ b
+        return unpack_upper(c @ P), c @ b
 
     def bval(idx, x):
         Abar, bbar = means(idx)
@@ -544,5 +584,5 @@ def make_synthetic(
         batch_hess_fn=bhess,
         batch_hvp_fn=hvp_at,
         name=f"synthetic-{difficulty}",
-        extra={"A": A, "b": b, "alpha": alpha, "seed": seed},
+        extra={"A_upper": P, "b": b, "alpha": alpha, "seed": seed},
     )

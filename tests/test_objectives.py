@@ -34,6 +34,7 @@ from vrcubic.objectives import (
     parse_libsvm,
     scale_columns_unit,
     serialize_libsvm,
+    unpack_upper,
 )
 
 COUNTER = OracleCounter()  # shared sink for tests that ignore accounting
@@ -648,7 +649,8 @@ class TestSynthetic:
             p = make_synthetic(5, n, d, difficulty)
         finally:
             sys.setswitchinterval(interval)
-        assert digests(p.extra["A"], p.extra["b"]) == loop_synthetic(5, n, d, difficulty)
+        A = unpack_upper(p.extra["A_upper"])
+        assert digests(A, p.extra["b"]) == loop_synthetic(5, n, d, difficulty)
 
     @pytest.mark.parametrize("cpus, chunks, started", [(3, 94, 2), (3, 2, 1), (8, 1, 0), (1, 94, 0)])
     def test_one_thread_per_cpu_up_to_the_chunk_count_and_none_outlives_the_build(
@@ -677,7 +679,7 @@ class TestSynthetic:
                 raise MemoryError("short chunk")
             normalize(G, convex)
 
-        # five chunks over three threads: the short fifth falls to a started thread
+        # five chunks over three threads: whichever claims the short fifth fails
         monkeypatch.setattr(objectives, "_available_cpus", lambda: 3)
         monkeypatch.setattr(objectives, "_normalize_chunk", fail_on_the_short_chunk)
         before = threading.active_count()
@@ -686,9 +688,8 @@ class TestSynthetic:
         assert threading.active_count() == before
 
     def test_build_allocates_little_beyond_its_arrays(self, monkeypatch):
-        # Each of the 3 threads holds about one chunk of temporaries (400 KB at
-        # d = 40), 1.4 MB in all with b's draw; one chunk of the whole stack
-        # holds about 39 MB more.
+        # Each of the 3 threads holds one chunk buffer (400 KB at d = 40) and
+        # its temporaries; a full (n, d, d) stack would hold about 38 MB more.
         monkeypatch.setattr(objectives, "_available_cpus", lambda: 3)
         tracemalloc.start()
         try:
@@ -696,18 +697,18 @@ class TestSynthetic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < p.extra["A"].nbytes + p.extra["b"].nbytes + 3 * 2**20
+        assert peak < p.extra["A_upper"].nbytes + p.extra["b"].nbytes + 3 * 2**20
 
     def test_same_seed_same_problem(self):
         p1 = make_synthetic(seed=3, n=10, d=4)
         p2 = make_synthetic(seed=3, n=10, d=4)
-        assert_allclose(p1.extra["A"], p2.extra["A"])
+        assert_allclose(unpack_upper(p1.extra["A_upper"]), unpack_upper(p2.extra["A_upper"]))
         assert_allclose(p1.extra["b"], p2.extra["b"])
 
     def test_single_component_identity_quadratic(self):
         p = make_synthetic(seed=0, n=1, d=1, difficulty="convex")
         # convex d=1: f(x) = 0.5 A x^2 + b x with known scalar A, b
-        A = p.extra["A"][0, 0, 0]
+        A = unpack_upper(p.extra["A_upper"])[0, 0, 0]
         b = p.extra["b"][0, 0]
         x = np.array([2.0])
         f = batch_value(p, x, full_index(p), COUNTER)
@@ -715,7 +716,7 @@ class TestSynthetic:
 
     def test_convex_minimizer_is_stationary(self):
         p = make_synthetic(seed=1, n=30, d=5, difficulty="convex")
-        Abar = p.extra["A"].mean(axis=0)
+        Abar = unpack_upper(p.extra["A_upper"]).mean(axis=0)
         bbar = p.extra["b"].mean(axis=0)
         xstar = np.linalg.solve(Abar, -bbar)
         g = batch_gradient(p, xstar, full_index(p), COUNTER)
@@ -723,7 +724,7 @@ class TestSynthetic:
 
     def test_component_spectral_norms_bounded(self):
         p = make_synthetic(seed=2, n=20, d=6)
-        for A in p.extra["A"]:
+        for A in unpack_upper(p.extra["A_upper"]):
             assert np.linalg.norm(A, 2) <= 1.0 + 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -772,10 +773,20 @@ class TestSynthetic:
         p = make_synthetic(seed=0, n=np.int64(4), d=np.int32(2))
         assert (p.n, p.dim) == (4, 2)
 
+    def test_unpack_upper_mirrors_each_row_across_the_diagonal(self):
+        packed = np.arange(12.0).reshape(2, 6)
+        full = unpack_upper(packed)
+        assert full.shape == (2, 3, 3)
+        for row, A in zip(packed, full):
+            assert np.array_equal(A, A.T)
+            assert np.array_equal(A[np.triu_indices(3)], row)
+        with pytest.raises(ValueError, match="4 entries"):
+            unpack_upper(np.zeros(4))
+
     def test_component_data_is_read_only(self):
         p = make_synthetic(seed=0, n=5, d=2)
         with pytest.raises(ValueError, match="read-only"):
-            p.extra["A"][0, 0, 0] = 1.0
+            p.extra["A_upper"][0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             p.extra["b"][0] += 1.0
 
@@ -828,7 +839,7 @@ def _penalty_terms(w, scale):
 
 def synthetic_agreement_case(difficulty):
     p = make_synthetic(seed=23, n=40, d=5, difficulty=difficulty)
-    A, b, alpha = p.extra["A"], p.extra["b"], p.extra["alpha"]
+    A, b, alpha = unpack_upper(p.extra["A_upper"]), p.extra["b"], p.extra["alpha"]
 
     def component(i, x):
         pv, pg, ph = _penalty_terms(x, alpha)
@@ -902,16 +913,32 @@ def test_full_batch_kernels_read_component_data_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < p.extra["A"].nbytes / 2
+    assert peak < p.extra["A_upper"].nbytes / 2
+
+
+def test_a_gathered_hvp_batch_copies_packed_rows_only():
+    """A batch below the in-place crossover gathers its components' upper
+    triangles, then unpacks one d x d mean."""
+    p = make_synthetic(1, 3000, 40)
+    d, k = p.dim, 300
+    idx = np.random.default_rng(30).integers(0, p.n, size=k)
+    x, v = np.full(d, 0.1), np.ones(d)
+    tracemalloc.start()
+    try:
+        batch_hvp(p, x, idx, COUNTER)(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * d * (d + 1) // 2 * 8 + 2 * d * d * 8 + 2**19
 
 
 def in_place_reference(p, idx, x, v):
     """Value, gradient, Hessian and HVP of the synthetic problem as the weighted
     in-place sum over all n components, with the weights of ``idx``."""
-    A, b, alpha = p.extra["A"], p.extra["b"], p.extra["alpha"]
+    P, b, alpha = p.extra["A_upper"], p.extra["b"], p.extra["alpha"]
     n, d = p.n, p.dim
     c = np.bincount(idx, minlength=n) / idx.size
-    Abar, bbar = (c @ A.reshape(n, d * d)).reshape(d, d), c @ b
+    Abar, bbar = unpack_upper(c @ P), c @ b
     H = Abar.copy()
     if alpha:
         H[np.diag_indices(d)] += alpha * objectives._reg_curv(x)
@@ -1072,3 +1099,25 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert problem.n == n and problem.dim == d
         assert peak < path.stat().st_size + csr + n * d * 8 + 3 * 2**20
+
+    def test_scaling_features_holds_no_second_dense_x(self, tmp_path):
+        rng = np.random.default_rng(21)
+        n, d = 20000, 100
+        X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.3)
+        rows, cols = np.nonzero(X)
+        path = tmp_path / "data.svm"
+        path.write_text(serialize_libsvm(objectives.LibsvmDataset(
+            np.where(rng.random(n) < 0.5, 1.0, -1.0),
+            np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))),
+            cols + 1, X[rows, cols], d)))
+        del X, rows, cols
+        peaks = {}
+        for scale in (False, True):
+            tracemalloc.start()
+            try:
+                build_problem({"dataset": {"path": str(path), "objective": "binary_logreg",
+                                           "scale_features": scale}})
+                peaks[scale] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[True] <= peaks[False] + 2**20

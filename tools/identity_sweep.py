@@ -14,6 +14,9 @@ and the exit, or the type and message of the error it raised.  The third
 line is one SHA-256 over the bytes of A and b that ``make_synthetic`` builds
 at the benchmark's size (3000, 40) and at odd sizes, both difficulties (12
 builds), so a change to that construction shows without running a driver.
+A is hashed as the full (n, d, d) stack that ``unpack_upper`` makes of the
+stored upper triangles, so the digest names the components, not how they
+are stored.
 The fourth line is one SHA-256 over the bills of all 432 runs: each run's
 exit, iteration count and both oracle counters, or the type of its error,
 with x_out, mu and error messages left out, so a change that moves iterates
@@ -51,6 +54,7 @@ from vrcubic import (
     run_srvrc,
     run_srvrc_free,
     serialize_libsvm,
+    unpack_upper,
 )
 from vrcubic.cli import build_problem
 
@@ -114,7 +118,7 @@ def builds() -> str:
     digest, count = hashlib.sha256(), 0
     for (n, d), difficulty in itertools.product(BUILD_SIZES, ("nonconvex", "convex")):
         problem = make_synthetic(0, n, d, difficulty)
-        digest.update(problem.extra["A"].tobytes())
+        digest.update(unpack_upper(problem.extra["A_upper"]).tobytes())
         digest.update(problem.extra["b"].tobytes())
         count += 1
     return f"{digest.hexdigest()}  builds={count}  synthetic"
