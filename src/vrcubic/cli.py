@@ -307,7 +307,7 @@ def _write_csv(path: Path, columns, rows) -> None:
     lines = [",".join(columns)]
     for row in rows:
         cells = (row.get(c, "") for c in columns)
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells))
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in cells))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -380,7 +380,8 @@ def check_problem(problem: FiniteSumProblem) -> tuple[bool, dict]:
     """Derivative consistency at 5 seeded points; returns (every error <= 1e-4, report).
 
     Checks the analytic gradient against central differences and, when both
-    oracles exist, Hessian-vector products against dense Hessian columns.
+    oracles exist, Hessian-vector products against dense Hessian columns
+    (without a Hessian oracle the HVP error is None: that check does not run).
     """
     from .diagnostics import finite_diff_grad_check
 
@@ -389,18 +390,18 @@ def check_problem(problem: FiniteSumProblem) -> tuple[bool, dict]:
     counter = OracleCounter()
     full = full_index(problem)
     max_grad_err = 0.0
-    max_hvp_err = 0.0
+    max_hvp_err = None if problem.batch_hess_fn is None else 0.0
     for _ in range(points):
         x = 0.5 * rng.standard_normal(problem.dim)
         max_grad_err = max(max_grad_err, finite_diff_grad_check(problem, x, step=1e-5))
-        if problem.batch_hess_fn is not None:
+        if max_hvp_err is not None:
             v = rng.standard_normal(problem.dim)
             H = batch_hessian(problem, x, full, counter)
             hv = batch_hvp(problem, x, full, counter)(v)
             denom = 1.0 + float(np.linalg.norm(H @ v))
             max_hvp_err = max(max_hvp_err, float(np.linalg.norm(hv - H @ v)) / denom)
     report = {"max_grad_err": max_grad_err, "max_hvp_err": max_hvp_err, "points": points}
-    return (max_grad_err <= 1e-4 and max_hvp_err <= 1e-4), report
+    return (max_grad_err <= 1e-4 and (max_hvp_err is None or max_hvp_err <= 1e-4)), report
 
 
 def cmd_check(config_path: str) -> int:
@@ -411,10 +412,10 @@ def cmd_check(config_path: str) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(
-        f"{problem.name}: max gradient error {report['max_grad_err']:.3e}, "
-        f"max HVP error {report['max_hvp_err']:.3e} over {report['points']} points"
-    )
+    hvp = ("HVP check not run (no Hessian oracle)" if report["max_hvp_err"] is None
+           else f"max HVP error {report['max_hvp_err']:.3e}")
+    print(f"{problem.name}: max gradient error {report['max_grad_err']:.3e}, {hvp} "
+          f"over {report['points']} points")
     return 0 if ok else 1
 
 

@@ -217,48 +217,39 @@ def _perturbed(model: CubicModel, zeta: float, eps_quality: float, rng: np.rando
 def _lanczos(apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray, steps: int):
     """Lanczos with full reorthogonalization from ``start``, one product per step.
 
-    After step k it yields (alpha, beta, Q, AQ): the tridiagonal T_k = Q^T A Q as
-    its diagonal alpha and off-diagonal beta[:-1], the residual norm
-    beta[-1] = ||A q_k - Q T_k e_k||, the orthonormal basis Q (k rows) and the
-    products AQ = (A q_j) (k rows).  The arrays are views, valid until the next
-    step.  It stops after ``steps`` steps, or once the residual vanishes against
-    T_k (the span is invariant under A).  A non-finite product raises
+    After step k it yields (alpha, beta, Q): T_k = Q^T A Q as its diagonal alpha
+    and off-diagonal beta[:-1], the residual norm beta[-1] = ||A q_k - Q T_k e_k||
+    and the orthonormal basis Q (k rows), as views valid until the next step.
+    It stops after ``steps`` steps, or once the residual vanishes against T_k
+    (the span is invariant under A).  A non-finite product raises
     FloatingPointError before any arithmetic uses it.
 
-    Q and AQ hold 2 k d floats after step k.  Their capacity grows by a quarter
-    when full, one array at a time, by copying only the filled rows; the rows
-    not yet written are not touched, so a growth briefly holds about 3 k d.
+    Q holds k d floats after step k.  It grows by a quarter when full, copying
+    only the filled rows, so a growth briefly holds about 2.25 k d.
     """
     d = start.size
     cap = min(steps, 16)  # rows held, so a short run stays small
-    Q, AQ = np.empty((cap + 1, d)), np.empty((cap, d))
+    Q = np.empty((cap + 1, d))
     alpha, beta = np.empty(steps), np.empty(steps)
     Q[0] = start / np.linalg.norm(start)
     for k in range(steps):
         if k == cap:
             cap = min(cap + cap // 4, steps)
-            Q = _grown(Q, k + 1, cap + 1)
-            AQ = _grown(AQ, k, cap)
+            grown = np.empty((cap + 1, d))
+            grown[: k + 1] = Q[: k + 1]
+            Q = grown
         w = apply(Q[k].copy())  # a copy: an operator may write to its argument
         if not np.isfinite(w).all():
             raise FloatingPointError(f"product {k + 1} is not finite")
-        AQ[k] = w
         alpha[k] = Q[k] @ w
         for _ in range(2):  # classical Gram-Schmidt twice keeps the basis orthonormal
             w = w - (Q[: k + 1] @ w) @ Q[: k + 1]
         beta[k] = np.linalg.norm(w)
-        yield alpha[: k + 1], beta[: k + 1], Q[: k + 1], AQ[: k + 1]
+        yield alpha[: k + 1], beta[: k + 1], Q[: k + 1]
         scale = max(float(np.max(np.abs(alpha[: k + 1]))), float(np.max(beta[:k], initial=0.0)))
         if beta[k] <= 1e-12 * scale:
             return
         Q[k + 1] = w / beta[k]
-
-
-def _grown(rows: np.ndarray, filled: int, cap: int) -> np.ndarray:
-    """A new array of cap rows whose first ``filled`` are those of ``rows``."""
-    grown = np.empty((cap, rows.shape[1]))
-    grown[:filled] = rows[:filled]
-    return grown
 
 
 def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -281,25 +272,25 @@ def _krylov_run(model: CubicModel, b: np.ndarray, steps: int, grad_tol, target):
     Step k minimizes the model over the Krylov span of b by solve_exact on the
     k x k tridiagonal (in closed form at k = 1); ||grad|| at the lifted step
     h = Q^T y is beta_k |y_k|.  m is the value of ``model`` itself (its own b)
-    at h, read from the stored products.  Stops once m <= target or the
-    residual <= grad_tol.  b = 0 takes no step.
+    at h: the tridiagonal model's value at y, plus (model.b - b) . h, which is
+    zero for a run from model.b.  Stops once m <= target or the residual
+    <= grad_tol.  b = 0 takes no step.
     """
-    tau = model.penalty
     bnorm = float(np.linalg.norm(b))
     h, m, residual, k = np.zeros(model.dim), 0.0, bnorm, 0
     if bnorm == 0.0:
         return h, m, residual, k
-    for alpha, beta, Q, AQ in _lanczos(model.apply, b, steps):
+    for alpha, beta, Q in _lanczos(model.apply, b, steps):
         k = alpha.size
         T = _tridiagonal(alpha, beta)
         e1 = np.zeros(k)
         e1[0] = bnorm
-        small = CubicModel(b=e1, A=T, penalty=tau, hess_norm_bound=model.hess_norm_bound)
+        small = CubicModel(b=e1, A=T, penalty=model.penalty, hess_norm_bound=model.hess_norm_bound)
         # a 1-D model's minimizer is its Cauchy point, in closed form
         y = cauchy_point(small) if k == 1 else solve_exact(small).h
         residual = float(beta[-1] * abs(y[-1]))
         h = y @ Q
-        m = _value(tau, model.b, h, y @ AQ)
+        m = cubic_function(small, y) + float((model.b - b) @ h)
         if (target is not None and m <= target) or (grad_tol is not None and residual <= grad_tol):
             break
     return h, m, residual, k
@@ -322,8 +313,8 @@ def cubic_krylov(
     perturbation of b is drawn as cubic_subsolver draws it (quality 1/2, its
     radius zeta from target = -tau zeta^3 / 24) and the Lanczos run restarts from
     the perturbed b, which reaches the bottom eigenvector in the hard case.  The
-    better of the two steps on the true model is returned.  The reported value
-    is the true model value, taken from the stored products.
+    better of the two steps on the true model is returned, with its true model
+    value read from the k x k tridiagonal model; Lanczos holds k d floats.
 
     A grad_tol that is not reached (unless the target was) raises
     BudgetExceededError with the residual; a non-finite product or an overflow

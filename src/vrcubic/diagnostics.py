@@ -65,14 +65,14 @@ def min_eigenvalue(H: np.ndarray) -> float:
 def _lambda_min_via_hvp(problem: FiniteSumProblem, x: np.ndarray, counter: OracleCounter) -> float:
     """Smallest eigenvalue of the full-batch Hessian, by ``cubic._lanczos``.
 
-    Seeded start default_rng(0).standard_normal(d), at most d products, 2 k d floats
-    at step k (about 3 k d while the basis grows).  Every ceil(k/8) steps T_k's
+    Seeded start default_rng(0).standard_normal(d), at most d products, k d floats
+    at step k for the basis (about 2.25 k d while it grows).  Every ceil(k/8) steps T_k's
     smallest Ritz value is returned once its residual beta_k |s_k| is at most
     1e-10 times the largest |Ritz value|.  A non-finite product raises FloatingPointError.
     """
     hvp = batch_hvp(problem, x, full_index(problem), counter)
     d, check = problem.dim, 1
-    for alpha, beta, _, _ in _lanczos(hvp, np.random.default_rng(0).standard_normal(d), d):
+    for alpha, beta, _ in _lanczos(hvp, np.random.default_rng(0).standard_normal(d), d):
         if alpha.size == check < d:
             vals, vecs = np.linalg.eigh(_tridiagonal(alpha, beta))
             if beta[-1] * abs(vecs[-1, 0]) <= 1e-10 * np.abs(vals).max():

@@ -109,10 +109,10 @@ class AdaptivePenalty:
             raise ValueError("gamma_dec must lie in (0, 1)")
         if not 0 < self.eta1 <= self.eta2 < 1:
             raise ValueError("need 0 < eta1 <= eta2 < 1")
-        if not 0 < self.floor <= self.cap:
-            raise ValueError("need 0 < floor <= cap")
-        if not self.m0 > 0:
-            raise ValueError("initial penalty must be positive")
+        if not (0 < self.floor <= self.cap and math.isfinite(self.cap)):
+            raise ValueError("need 0 < floor <= cap, with cap finite")
+        if not _finite_positive(self.m0):
+            raise ValueError("initial penalty must be positive and finite")
 
 
 PenaltyPolicy = FixedPenalty | TheoreticalPenalty | AdaptivePenalty
@@ -152,7 +152,9 @@ class SolverConfig:
                         solve (each run, at least one); None is the dimension
     finalsolver_eps_g   model-gradient tolerance of the free driver's terminal
                         step; None is eps
-    gradient_recursion  False re-samples the gradient every step, in every driver
+    gradient_recursion  False draws a fresh gradient every step, in every driver, as
+                        large as the rule's batch that step: its reset size at its
+                        epoch starts, its correction size between (floor(B_g/S))
     """
 
     eps: float
@@ -479,7 +481,7 @@ def run_srvrc_free(
     taken, and the run reports converged.  The paper proves this driver's bound
     with the gradient Cubic-Subsolver and Cubic-Finalsolver instead
     (cubic_subsolver and cubic_finalsolver, kept as reference solvers).
-    With ``gradient_recursion=False`` the gradient is re-sampled every step.
+    With ``gradient_recursion=False`` the gradient is drawn fresh every step (SolverConfig).
     """
     return _run(problem, config, rng, callback, "srvrc_free")
 

@@ -22,6 +22,7 @@ shrinks the correction batches with the squared length of the previous step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,10 @@ class PracticalBatchRule:
     S: int
 
     def __post_init__(self):
+        for name in ("B_g", "B_h", "S"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.B_g < 1 or self.B_h < 1 or self.S < 1:
             raise ValueError("batch sizes and epoch length must be >= 1")
 

@@ -18,7 +18,7 @@ from vrcubic.cli import (
     validate_config,
 )
 from vrcubic.finite_sum import from_components
-from vrcubic.objectives import LibsvmParseError
+from vrcubic.objectives import LibsvmParseError, make_synthetic
 
 LIBSVM_BINARY = "\n".join(
     [
@@ -367,6 +367,20 @@ class TestRunCommand:
         second = run_once("b")
         assert first == second
 
+    def test_numpy_float_cells_are_written_as_numbers(self, tmp_path):
+        # numpy 2 reprs np.float64(5.0) as "np.float64(5.0)"
+        problem = make_synthetic(0, 50, 3)
+        path = tmp_path / "trace.csv"
+        for penalty in (drivers.FixedPenalty(np.float64(5.0)),
+                        drivers.TheoreticalPenalty(np.float64(4.0))):
+            sc = drivers.SolverConfig(eps=1e-2, T=2, x0=np.full(3, 0.5), penalty=penalty)
+            cli.write_trace_csv(path, drivers.run_srvrc(problem, sc).trace)
+            header, *rows = path.read_text().splitlines()
+            assert rows and "np." not in "".join(rows)
+            mt = {row.split(",")[header.split(",").index("Mt")] for row in rows}
+            if isinstance(penalty, drivers.FixedPenalty):
+                assert mt == {"5.0"}
+
     def test_free_variant_runs(self, tmp_path):
         cfg = base_config(algorithm="srvrc_free", output=str(tmp_path / "free"))
         code = main(["run", write_config(tmp_path / "c.json", cfg)])
@@ -410,6 +424,22 @@ class TestCheckCommand:
         assert ok
         assert report["max_grad_err"] <= 1e-4
         assert report["max_hvp_err"] <= 1e-10
+
+    def test_hvp_check_without_hessian_oracle_is_not_reported(self, tmp_path, capsys):
+        # above DENSE_LIMIT there is no Hessian to compare products with
+        data = tmp_path / "wide.libsvm"
+        data.write_text("+1 1:0.9 2001:-0.3\n-1 2:0.4 2000:0.1\n+1 3:1.2\n-1 1:-0.5 2001:0.7\n")
+        cfg = base_config()
+        cfg["problem"] = {"dataset": {"path": str(data), "objective": "binary_logreg", "lam": 0.05}}
+        problem = build_problem(cfg["problem"])
+        assert problem.dim == 2001 and problem.batch_hess_fn is None
+        ok, report = check_problem(problem)
+        assert ok
+        assert report["max_hvp_err"] is None
+        assert main(["check", write_config(tmp_path / "c.json", cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "HVP check not run (no Hessian oracle)" in out
+        assert "max HVP error" not in out
 
     def test_bad_config_fails(self, tmp_path, capsys):
         cfg = base_config(algorithm="sgd")

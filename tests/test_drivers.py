@@ -142,6 +142,10 @@ class TestAdaptivePenaltyUpdate:
                 FixedPenalty(bad)
             with pytest.raises(ValueError, match="penalty factor must be positive and finite"):
                 TheoreticalPenalty(bad)
+            with pytest.raises(ValueError, match="initial penalty must be positive and finite"):
+                AdaptivePenalty(m0=bad)
+            with pytest.raises(ValueError, match="cap finite"):
+                AdaptivePenalty(cap=bad)
 
 
 class TestBudgetFromGap:

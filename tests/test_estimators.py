@@ -148,6 +148,13 @@ class TestPracticalBatch:
         with pytest.raises(ValueError):
             PracticalBatchRule(B_g=0, B_h=1, S=1)
 
+    def test_sizes_must_be_integers(self):
+        # a float or bool size used to construct, then fail inside numpy's sampler
+        for fields in ((60.0, 30, 3), (True, 30, 3), (60, 30.0, 3), (60, 30, np.float64(3))):
+            with pytest.raises(TypeError, match="must be an integer"):
+                PracticalBatchRule(*fields)
+        assert PracticalBatchRule(np.int64(60), np.int32(30), 3).B_g == 60
+
 
 class TestGradientEstimator:
     def setup_method(self):
