@@ -1,14 +1,23 @@
-"""Line splitting and block tokenizing behind ``objectives.parse_libsvm``.
+"""The svmlight/libsvm text format: the parsed dataset, its readers and writer.
 
-``ascii_lines`` turns a source into one byte buffer and the bounds of its
-lines; ``parse_block`` turns a block of those lines into labels, features per
-row, indices and values with whole-block array operations, and walks the
-lines one by one only to name the first bad one.
+A source is read in windows of whole lines, about ``_SCAN_BYTES`` at a time
+(``_windows``), and in two passes.  The first pass finds, with whole-window
+array operations, the number of rows, the number of features and the
+largest feature index (``_shape``); the output arrays are then allocated at
+their final size, and the second pass tokenizes the lines ``_BLOCK_LINES``
+at a time (``parse_block``) and writes each block straight into them
+(``_fill``).  ``parse_libsvm`` fills CSR arrays from an in-memory source;
+``read_libsvm_dense`` fills the dense matrix from a file, plain or gzip,
+and holds no more of the file than a window.  ``parse_block`` walks the
+lines of a block one by one only to name the first bad one.
 """
 
 from __future__ import annotations
 
+import gzip
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -25,52 +34,338 @@ _POW10 = np.array([10**k for k in range(_INDEX_DIGITS)], dtype=np.int64)
 _SPACE = np.array([chr(b).isspace() for b in range(128)] + [False] * 128)
 # The ASCII bytes that str.splitlines() ends a line at; "\r\n" is one break.
 _BREAK = np.array([b in b"\n\r\x0b\x0c\x1c\x1d\x1e" for b in range(256)])
-# Bytes scanned at a time for line breaks, colons and non-ASCII bytes: bounds
-# the scan's masks.
+# Bytes read into one window, and scanned at a time for line breaks and
+# non-ASCII bytes: bounds the window and the scan's masks.
 _SCAN_BYTES = 400 * 1024
+# Lines parsed at a time: bounds the transient token arrays and byte masks.
+_BLOCK_LINES = 256
+# Bytes before a line's end searched for its last colon: they hold the
+# longest value that repr() writes and some trailing blanks.
+_TAIL_BYTES = 32
 
 
-def ascii_lines(source):
-    """Bytes of source, the bounds of its lines before its first non-ASCII
-    character, the number of colons there, and the error naming that
-    character (None when all is ASCII).
+@dataclass
+class LibsvmDataset:
+    """Parsed svmlight/libsvm data: raw labels plus sparse 1-based features in CSR form.
 
-    A str is encoded once, a bytes-like buffer is read in place, and the
-    elements of any other iterable are joined, one line each.  Line k is
-    ``buf[starts[k]:ends[k]]``, without its line break.
+    Row i holds the features ``indices[indptr[i]:indptr[i + 1]]`` (strictly
+    increasing, 1-based) with values ``data[indptr[i]:indptr[i + 1]]``.  Two
+    datasets are equal when num_features and the four arrays' values agree.
     """
-    if isinstance(source, str):
+
+    labels: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    num_features: int
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LibsvmDataset):
+            return NotImplemented
+        return self.num_features == other.num_features and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("labels", "indptr", "indices", "data")
+        )
+
+    @property
+    def n(self) -> int:
+        return self.labels.size
+
+    @property
+    def rows(self) -> list[list[tuple[int, float]]]:
+        """Each row as a list of (index, value) pairs."""
+        idx, val, bounds = self.indices.tolist(), self.data.tolist(), self.indptr.tolist()
+        return [list(zip(idx[a:b], val[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+    def to_dense(self) -> np.ndarray:
+        """The n x num_features matrix, scattered _BLOCK_LINES rows at a time."""
+        X = np.zeros((self.n, self.num_features))
+        for start in range(0, self.n, _BLOCK_LINES):
+            bounds = self.indptr[start:start + _BLOCK_LINES + 1]
+            nz = slice(bounds[0], bounds[-1])
+            X[np.repeat(np.arange(start, start + bounds.size - 1), np.diff(bounds)),
+              self.indices[nz] - 1] = self.data[nz]
+        return X
+
+    def binary_labels(self) -> np.ndarray:
+        """Map the two distinct raw labels to {0, 1}, smaller raw value to 0."""
+        return binary_labels(self.labels)
+
+    def class_ids(self, num_classes: int) -> np.ndarray:
+        """Map raw labels to 0..m-1, accepting either 0- or 1-based integers."""
+        return class_ids(self.labels, num_classes)
+
+
+def binary_labels(labels: np.ndarray) -> np.ndarray:
+    """Map the two distinct raw labels to {0, 1}, smaller raw value to 0."""
+    distinct = np.unique(labels)
+    if distinct.size != 2:
+        raise ValueError(
+            f"binary objective needs exactly 2 distinct labels, got {distinct.size}"
+        )
+    return (labels == distinct[1]).astype(float)
+
+
+def class_ids(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Map raw labels to 0..m-1, accepting either 0- or 1-based integers."""
+    if not np.all(labels == np.round(labels)):
+        raise ValueError("multiclass labels must be integers")
+    ids = labels.astype(int)
+    if ids.min() >= 1 and ids.max() <= num_classes:
+        ids = ids - 1
+    elif ids.min() < 0 or ids.max() >= num_classes:
+        raise ValueError(
+            f"label out of range for {num_classes} classes: "
+            f"saw {ids.min()}..{ids.max()}"
+        )
+    return ids
+
+
+def parse_libsvm(source) -> LibsvmDataset:
+    """Parse svmlight/libsvm text: one "<label> <idx>:<val> ..." row per line.
+
+    ``source`` is a str or a bytes-like buffer (split into lines as
+    ``str.splitlines`` splits), or an iterable of str or bytes lines.  Only
+    ASCII is accepted.  Feature indices are 1-based, below 10**18 and strictly
+    increasing within a row; labels and values are what ``float()`` reads,
+    finite, and take no digit-group underscores ("1_0").  Blank lines are
+    skipped; errors report the 1-based line number of the first bad line.
+
+    A str is encoded once and a buffer is copied a window at a time; the
+    CSR arrays are allocated once from the first pass's counts, so the parse
+    holds the source, the parsed arrays and one window's temporaries.
+    """
+    return _parse(_source_windows(source), _csr)
+
+
+def read_libsvm_dense(path) -> tuple[np.ndarray, np.ndarray]:
+    """The dense n x num_features matrix and the raw labels of a libsvm file.
+
+    The file is parsed as ``parse_libsvm`` parses its bytes, with the same
+    errors, and X is byte-identical to ``parse_libsvm(...).to_dense()``.  A
+    plain file smaller than a window is read once.  Any other file is read
+    once per pass, and one ending in ".gz" is decompressed as it is read, so
+    the build holds X, the labels and a window, never the whole file or a
+    CSR copy.
+    """
+    path = Path(path)
+    gz = path.suffix == ".gz"
+    if not gz and path.stat().st_size < _SCAN_BYTES:
+        return _parse(_source_windows(path.read_bytes()), _dense)
+    with (gzip.open if gz else open)(path, "rb") as fh:
+
+        def windows():
+            fh.seek(0)
+            return _windows(fh.readinto, _SCAN_BYTES)
+
+        return _parse(windows, _dense)
+
+
+def serialize_libsvm(dataset: LibsvmDataset) -> str:
+    """Inverse of parse_libsvm on the parsed representation."""
+    idx, val, bounds = dataset.indices.tolist(), dataset.data.tolist(), dataset.indptr.tolist()
+    out = []
+    for label, a, b in zip(dataset.labels.tolist(), bounds, bounds[1:]):
+        parts = [repr(label)]
+        parts.extend(f"{j}:{v!r}" for j, v in zip(idx[a:b], val[a:b]))
+        out.append(" ".join(parts))
+    return "\n".join(out) + "\n"
+
+
+def _csr(rows: int, nnz: int, num_features: int):
+    """An empty dataset of this shape, and the sink that fills it."""
+    ds = LibsvmDataset(np.empty(rows), np.zeros(rows + 1, np.int64), np.empty(nnz, np.int64),
+                       np.empty(nnz), num_features)
+
+    def sink(row, label, counts, index, value):
+        at = ds.indptr[row]
+        ds.labels[row:row + label.size] = label
+        ds.indptr[row + 1:row + 1 + label.size] = at + np.cumsum(counts)
+        ds.indices[at:at + index.size] = index
+        ds.data[at:at + index.size] = value
+
+    return ds, sink
+
+
+def _dense(rows: int, nnz: int, num_features: int):
+    """A zero X and the labels of this shape, and the sink that fills them."""
+    X, labels = np.zeros((rows, num_features)), np.empty(rows)
+
+    def sink(row, label, counts, index, value):
+        labels[row:row + label.size] = label
+        X[np.repeat(np.arange(row, row + label.size), counts), index - 1] = value
+
+    return (X, labels), sink
+
+
+def _parse(windows, allocate):
+    """What allocate(rows, nnz, num_features) returns first, filled by its sink.
+
+    ``windows()`` starts the source's windows again; the first pass takes
+    the shape, the second parses into the sink.
+    """
+    rows, nnz, num_features = _shape(windows())
+    try:
+        result, sink = allocate(rows, nnz, num_features)
+    except (MemoryError, ValueError):
+        _fill(windows(), lambda *block: None)  # a bad line's error wins: its index may be why
+        raise
+    _fill(windows(), sink)
+    if not rows:
+        raise LibsvmParseError("line 1: empty input, no data rows")
+    return result
+
+
+def _shape(windows) -> tuple[int, int, int]:
+    """Rows, feature tokens and the largest feature index of valid text.
+
+    Rows are the lines that hold a byte other than whitespace, and feature
+    tokens are colons.  Indices strictly increase within a line, so the
+    largest is the largest of the digits just before each line's last colon.
+    On text with a bad line the counts only bound the lines before it.
+    """
+    rows = nnz = num_features = 0
+    for buf, starts, ends, _, _ in windows:
+        if not (starts.size and buf.size):  # no line, or only empty ones
+            continue
+        # Most rows start with their label, so only the other lines are summed.
+        # An empty line starts at a break, or at the end of a joined window.
+        blank = _SPACE[buf.take(starts, mode="clip")]
+        if blank.any():
+            words = np.concatenate(([0], np.cumsum(~_SPACE[buf])))
+            maybe = np.flatnonzero(blank)
+            blank[maybe] = words[ends[maybe]] == words[starts[maybe]]
+        rows += blank.size - np.count_nonzero(blank)
+        colon = buf[:ends[-1]] == ord(":")
+        nnz += np.count_nonzero(colon)
+        # Any colon of valid text ends an index no larger than the largest, so
+        # a line may take an earlier line's colon.  Most lines end in a short
+        # value; a window where one does not has all its colons found.
+        tail = ends[:, None] - np.arange(_TAIL_BYTES, 0, -1)
+        found = buf.take(tail, mode="clip") == ord(":")
+        if found.any(axis=1).all():
+            last = tail[np.arange(ends.size), _TAIL_BYTES - 1 - found[:, ::-1].argmax(axis=1)]
+        else:
+            last = np.flatnonzero(colon)
+            last = last[np.searchsorted(last, ends) - 1] if last.size else last
+        if last.size:
+            num_features = max(num_features, _index_before(buf, last))
+    return rows, nnz, num_features
+
+
+def _index_before(buf: np.ndarray, colons: np.ndarray) -> int:
+    """The largest number written in the (at most _INDEX_DIGITS) digits before the colons."""
+    index = np.zeros(colons.size, np.int64)
+    live = np.ones(colons.size, bool)
+    for place in range(_INDEX_DIGITS):
+        at = colons - 1 - place
+        digit = buf.take(at, mode="clip") - np.uint8(ord("0"))
+        live &= digit <= 9  # in valid text, a blank precedes each index
+        if not live.any():
+            break
+        index += np.where(live, digit, 0) * _POW10[place]
+    return int(index.max())
+
+
+def _fill(windows, sink) -> None:
+    """Parse the windows' lines block by block into sink."""
+    row = 0
+    for buf, starts, ends, first, error in windows:
+        for at in range(0, starts.size, _BLOCK_LINES):
+            block = slice(at, at + _BLOCK_LINES)
+            parts = parse_block(buf, starts[block], ends[block], first + at)
+            sink(row, *parts)
+            row += parts[0].size
+        if error:
+            raise LibsvmParseError(error)
+
+
+def _source_windows(source):
+    """A function that starts the windows of an in-memory source again each call."""
+    bad = None
+    if isinstance(source, str):  # encoded once, up to its first non-ASCII character
         at = _non_ascii_at(source)
-        buf = np.frombuffer(source[:at].encode("ascii"), np.uint8)
-        breaks, _, colons = _scan(buf)
-        bad = source[at:at + 1]
-    else:
-        try:
-            view = memoryview(source)
-        except TypeError:
-            return _joined_lines(source)
-        if not view.c_contiguous:
-            view = memoryview(view.tobytes())
-        buf = np.frombuffer(view.cast("B"), np.uint8)
-        breaks, at, colons = _scan(buf)
-        bad = buf[at:at + 1].tobytes()
+        source, bad = source[:at].encode("ascii"), source[at:at + 1] or None
+    try:
+        view = memoryview(source)
+    except TypeError:
+        window = _joined_lines(source)
+        return lambda: iter([window])
+    if not view.c_contiguous:
+        view = memoryview(view.tobytes())
+    view = view.cast("B")
+
+    def windows():
+        pos = 0
+
+        def readinto(out) -> int:
+            nonlocal pos
+            piece = view[pos:pos + len(out)]
+            out[:len(piece)] = piece
+            pos += len(piece)
+            return len(piece)
+
+        return _windows(readinto, min(_SCAN_BYTES, len(view) + 1), bad)
+
+    return windows
+
+
+def _windows(readinto, size: int, bad=None):
+    r"""The lines of what ``readinto(buffer)`` reads, a window at a time.
+
+    Yields (buf, starts, ends, first, error): line k of a window is
+    ``buf[starts[k]:ends[k]]`` without its break, and ``first`` is the
+    number of its first line.  Windows are read into one buffer of ``size``
+    bytes, so each is valid until the next is read.  A window ends just
+    after the last line break read so far, but a "\r" that ends what was
+    read waits for the next read, which may hold its "\n"; a line longer
+    than the buffer doubles it until the line ends.  The last window stops
+    at the end or before the first non-ASCII byte, and its error names that
+    byte's line, or the line of ``bad``, a non-ASCII character that follows
+    all that is read (None: all ASCII).
+    """
+    first, buf, kept = 1, np.empty(size, np.uint8), 0
+    while True:
+        if kept == buf.size:
+            buf = np.concatenate((buf, buf))
+        got = readinto(memoryview(buf)[kept:])
+        data = buf[:kept + got]
+        breaks, at = _scan(data)
+        if not got or at < data.size:
+            char = data[at:at + 1].tobytes() or bad  # the line that holds it is left out
+            starts, ends = _bounds(data, breaks, None if char else at)
+            yield data, starts, ends, first, char and _non_ascii_error(first + ends.size, char, 0)
+            return
+        if data[-1] == ord("\r"):
+            breaks = breaks[:-1]
+        kept = data.size
+        if breaks.size:
+            cut = int(breaks[-1]) + 1
+            starts, ends = _bounds(data, breaks, None)
+            yield data[:cut], starts, ends, first, None
+            first += ends.size
+            kept -= cut
+            buf[:kept] = data[cut:]
+
+
+def _bounds(buf: np.ndarray, breaks: np.ndarray, stop: int | None):
+    """Starts and ends of the lines of buf that end at breaks, and of the
+    line after the last break when it ends at ``stop`` (None: no such line)."""
     # The "\n" of a "\r\n" continues the break that its "\r" starts.
     joined = np.zeros(breaks.size + 1, bool)
     joined[1:-1] = ((np.diff(breaks) == 1) & (buf[breaks[:-1]] == ord("\r"))
                     & (buf[breaks[1:]] == ord("\n")))
     ends = breaks[~joined[:-1]]
     starts = np.concatenate(([0], (breaks + 1 + joined[1:])[~joined[:-1]]))
-    if bad:  # the line that holds the non-ASCII character is left out
-        return buf, starts[:-1], ends, colons, _non_ascii_error(ends.size + 1, bad, 0)
-    if starts[-1] < at:
-        return buf, starts, np.append(ends, at), colons, None
-    return buf, starts[:-1], ends, colons, None
+    if stop is not None and starts[-1] < stop:
+        return starts, np.append(ends, stop)
+    return starts[:-1], ends
 
 
-def _scan(buf: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _scan(buf: np.ndarray) -> tuple[np.ndarray, int]:
     """Positions of buf's line-break bytes before its first byte above 127,
-    that byte's position (buf.size when there is none), and the colons before it."""
-    breaks, colons = [np.zeros(0, np.intp)], 0
+    and that byte's position (buf.size when there is none)."""
+    breaks = [np.zeros(0, np.intp)]
     for lo in range(0, buf.size, _SCAN_BYTES):
         window = buf[lo:lo + _SCAN_BYTES]
         # Bytes below 31 or above 127: uint8 wrap-around puts both above 96.
@@ -80,15 +375,12 @@ def _scan(buf: np.ndarray) -> tuple[np.ndarray, int, int]:
         stop = int(high[0]) if high.size else rare.size
         breaks.append(rare[:stop][_BREAK[byte[:stop]]] + lo)
         if high.size:
-            at = int(rare[stop])
-            colons += np.count_nonzero(window[:at] == ord(":"))
-            return np.concatenate(breaks), lo + at, colons
-        colons += np.count_nonzero(window == ord(":"))
-    return np.concatenate(breaks), buf.size, colons
+            return np.concatenate(breaks), lo + int(rare[stop])
+    return np.concatenate(breaks), buf.size
 
 
 def _joined_lines(lines):
-    """ascii_lines for an iterable of str or bytes lines: one line per element."""
+    """The one window of an iterable of str or bytes lines: one line per element."""
     encoded, bad = [], None
     for k, line in enumerate(lines):
         at = _non_ascii_at(line)
@@ -99,7 +391,7 @@ def _joined_lines(lines):
     raw = b"\n".join(encoded)
     size = np.fromiter(map(len, encoded), np.intp, len(encoded)) + 1
     starts = np.cumsum(size) - size
-    return np.frombuffer(raw, np.uint8), starts, starts + size - 1, raw.count(b":"), bad
+    return np.frombuffer(raw, np.uint8), starts, starts + size - 1, 1, bad
 
 
 def _non_ascii_at(text) -> int:

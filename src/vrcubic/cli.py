@@ -17,14 +17,17 @@ its values converted; validate_config, build_problem and build_solver_config
 all go through these readers, so every entry point rejects the same configs.
 The readers also build the solver settings, so a value the settings reject
 (a negative eps, a zero batch size) is reported at load, with its section.
-Dataset paths resolve against VRCUBIC_DATA_ROOT when set and not absolute;
-files ending in .gz are transparently decompressed.
+Dataset paths resolve against VRCUBIC_DATA_ROOT when set and not absolute.
+A dataset file is read in two passes over windows of whole lines
+(``_libsvm.read_libsvm_dense``): a scan for the number of rows and the
+largest feature index, then a parse straight into the dense X allocated at
+that shape, so a build holds X and one window, not the file's bytes or a CSR
+copy.  Files ending in .gz are decompressed as they are read, once per pass.
 """
 
 from __future__ import annotations
 
 import argparse
-import gzip
 import json
 import math
 import os
@@ -35,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._libsvm import binary_labels, class_ids, read_libsvm_dense
 from .diagnostics import mu_criterion
 from .drivers import (
     AdaptivePenalty,
@@ -64,7 +68,6 @@ from .objectives import (
     binary_logreg_from_arrays,
     make_synthetic,
     multiclass_logreg_from_arrays,
-    parse_libsvm,
 )
 
 __all__ = [
@@ -251,13 +254,6 @@ def _resolve_dataset_path(raw: str) -> Path:
     return p
 
 
-def _read_maybe_gzip(path: Path) -> bytes:
-    if path.suffix == ".gz":
-        with gzip.open(path, "rb") as fh:
-            return fh.read()
-    return path.read_bytes()
-
-
 def build_problem(prob_cfg: dict) -> FiniteSumProblem:
     """The problem a problem section describes, checked as validate_config checks it."""
     source, spec = _problem(prob_cfg, "config.problem")
@@ -266,15 +262,14 @@ def build_problem(prob_cfg: dict) -> FiniteSumProblem:
     path = _resolve_dataset_path(spec["path"])
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
-    data = parse_libsvm(_read_maybe_gzip(path))
-    X = data.to_dense()
+    X, labels = read_libsvm_dense(path)
     if spec.get("scale_features", False):
-        X /= _unit_column_scales(X)  # in place: X is to_dense's own array
+        X /= _unit_column_scales(X)  # in place: X is the reader's own array
     lam = spec.get("lam", 1e-3)
     if spec["objective"] == "binary_logreg":
-        return binary_logreg_from_arrays(X, data.binary_labels(), lam)
+        return binary_logreg_from_arrays(X, binary_labels(labels), lam)
     m = spec["num_classes"]
-    return multiclass_logreg_from_arrays(X, data.class_ids(m), m, lam)
+    return multiclass_logreg_from_arrays(X, class_ids(labels, m), m, lam)
 
 
 def build_solver_config(solver_cfg: dict, algorithm: str, problem: FiniteSumProblem) -> SolverConfig:

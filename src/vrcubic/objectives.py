@@ -11,11 +11,16 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._libsvm import LibsvmParseError, ascii_lines, parse_block
+from ._libsvm import (  # re-exported: the libsvm format lives in _libsvm
+    _BLOCK_LINES,
+    LibsvmDataset,
+    LibsvmParseError,
+    parse_libsvm,
+    serialize_libsvm,
+)
 from .finite_sum import FiniteSumProblem
 
 __all__ = [
@@ -91,128 +96,6 @@ def _reg_grad(w: np.ndarray) -> np.ndarray:
 def _reg_curv(w: np.ndarray) -> np.ndarray:
     w2 = w * w
     return (2.0 - 6.0 * w2) / (1.0 + w2) ** 3
-
-
-@dataclass
-class LibsvmDataset:
-    """Parsed svmlight/libsvm data: raw labels plus sparse 1-based features in CSR form.
-
-    Row i holds the features ``indices[indptr[i]:indptr[i + 1]]`` (strictly
-    increasing, 1-based) with values ``data[indptr[i]:indptr[i + 1]]``.  Two
-    datasets are equal when num_features and the four arrays' values agree.
-    """
-
-    labels: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    num_features: int
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LibsvmDataset):
-            return NotImplemented
-        return self.num_features == other.num_features and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("labels", "indptr", "indices", "data")
-        )
-
-    @property
-    def n(self) -> int:
-        return self.labels.size
-
-    @property
-    def rows(self) -> list[list[tuple[int, float]]]:
-        """Each row as a list of (index, value) pairs."""
-        idx, val, bounds = self.indices.tolist(), self.data.tolist(), self.indptr.tolist()
-        return [list(zip(idx[a:b], val[a:b])) for a, b in zip(bounds, bounds[1:])]
-
-    def to_dense(self) -> np.ndarray:
-        """The n x num_features matrix, scattered one row block at a time."""
-        X = np.zeros((self.n, self.num_features))
-        for rows in _row_blocks(self.n, X.itemsize * self.num_features):
-            bounds = self.indptr[rows.start:rows.stop + 1]
-            nz = slice(bounds[0], bounds[-1])
-            X[np.repeat(np.arange(rows.start, rows.stop), np.diff(bounds)),
-              self.indices[nz] - 1] = self.data[nz]
-        return X
-
-    def binary_labels(self) -> np.ndarray:
-        """Map the two distinct raw labels to {0, 1}, smaller raw value to 0."""
-        distinct = np.unique(self.labels)
-        if distinct.size != 2:
-            raise ValueError(
-                f"binary objective needs exactly 2 distinct labels, got {distinct.size}"
-            )
-        return (self.labels == distinct[1]).astype(float)
-
-    def class_ids(self, num_classes: int) -> np.ndarray:
-        """Map raw labels to 0..m-1, accepting either 0- or 1-based integers."""
-        raw = self.labels
-        if not np.all(raw == np.round(raw)):
-            raise ValueError("multiclass labels must be integers")
-        ids = raw.astype(int)
-        if ids.min() >= 1 and ids.max() <= num_classes:
-            ids = ids - 1
-        elif ids.min() < 0 or ids.max() >= num_classes:
-            raise ValueError(
-                f"label out of range for {num_classes} classes: "
-                f"saw {ids.min()}..{ids.max()}"
-            )
-        return ids
-
-
-# Lines parsed at a time: bounds the transient token arrays and byte masks.
-_BLOCK_LINES = 256
-
-
-def parse_libsvm(source) -> LibsvmDataset:
-    """Parse svmlight/libsvm text: one "<label> <idx>:<val> ..." row per line.
-
-    ``source`` is a str or a bytes-like buffer (split into lines as
-    ``str.splitlines`` splits), or an iterable of str or bytes lines.  Only
-    ASCII is accepted.  Feature indices are 1-based, below 10**18 and strictly
-    increasing within a row; labels and values are what ``float()`` reads,
-    finite, and take no digit-group underscores ("1_0").  Blank lines are
-    skipped; errors report the 1-based line number of the first bad line.
-
-    A str is encoded once and a buffer is read in place; blocks of lines are
-    parsed from slices of those bytes into arrays allocated up front, so the
-    parse holds the bytes, the parsed arrays and one block's temporaries.
-    """
-    buf, starts, ends, colons, non_ascii = ascii_lines(source)
-    labels = np.empty(starts.size)
-    indptr = np.zeros(starts.size + 1, np.int64)
-    indices = np.empty(colons, np.int64)
-    data = np.empty(colons)
-    rows = nnz = 0
-    for at in range(0, starts.size, _BLOCK_LINES):
-        block = slice(at, at + _BLOCK_LINES)
-        label, counts, index, value = parse_block(buf, starts[block], ends[block], at + 1)
-        labels[rows:rows + label.size] = label
-        indptr[rows + 1:rows + 1 + label.size] = counts
-        indices[nnz:nnz + index.size] = index
-        data[nnz:nnz + index.size] = value
-        rows += label.size
-        nnz += index.size
-    if non_ascii:
-        raise LibsvmParseError(non_ascii)
-    if not rows:
-        raise LibsvmParseError("line 1: empty input, no data rows")
-    # Every feature token holds one colon, and no label does, so nnz == colons.
-    indptr = np.cumsum(indptr[:rows + 1])
-    num_features = int(indices.max()) if nnz else 0
-    return LibsvmDataset(labels[:rows], indptr, indices, data, num_features)
-
-
-def serialize_libsvm(dataset: LibsvmDataset) -> str:
-    """Inverse of parse_libsvm on the parsed representation."""
-    idx, val, bounds = dataset.indices.tolist(), dataset.data.tolist(), dataset.indptr.tolist()
-    out = []
-    for label, a, b in zip(dataset.labels.tolist(), bounds, bounds[1:]):
-        parts = [repr(label)]
-        parts.extend(f"{j}:{v!r}" for j, v in zip(idx[a:b], val[a:b]))
-        out.append(" ".join(parts))
-    return "\n".join(out) + "\n"
 
 
 def scale_columns_unit(X: np.ndarray) -> np.ndarray:

@@ -690,9 +690,9 @@ class TestTracedImportSites:
 
     @pytest.mark.parametrize("source", ["synthetic", "dataset"])
     def test_set_up_sites_are_called(self, source, tmp_path, monkeypatch):
-        # the benchmark's set-up spans (cli.build_problem, objectives.parse_libsvm, ...)
-        # time these vrcubic.cli globals, so a user-path run has to call each of them
-        names = ("build_problem", "build_solver_config", "make_synthetic", "parse_libsvm",
+        # the benchmark's set-up spans (cli.build_problem, objectives.make_synthetic, ...)
+        # time vrcubic.cli globals, so a user-path run has to call each of these
+        names = ("build_problem", "build_solver_config", "make_synthetic", "read_libsvm_dense",
                  "mu_criterion")
         called = set()
         for name in names:
@@ -710,5 +710,5 @@ class TestTracedImportSites:
             cfg["problem"] = {"dataset": {"path": str(data), "objective": "binary_logreg"}}
             del cfg["solver"]["x0"]
         cli.execute_config(cfg)
-        loader = "make_synthetic" if source == "synthetic" else "parse_libsvm"
+        loader = "make_synthetic" if source == "synthetic" else "read_libsvm_dense"
         assert called == {"build_problem", "build_solver_config", loader, "mu_criterion"}
