@@ -39,9 +39,6 @@ _BREAK = np.array([b in b"\n\r\x0b\x0c\x1c\x1d\x1e" for b in range(256)])
 _SCAN_BYTES = 400 * 1024
 # Lines parsed at a time: bounds the transient token arrays and byte masks.
 _BLOCK_LINES = 256
-# Bytes before a line's end searched for its last colon: they hold the
-# longest value that repr() writes and some trailing blanks.
-_TAIL_BYTES = 32
 
 
 @dataclass
@@ -145,8 +142,8 @@ def read_libsvm_dense(path) -> tuple[np.ndarray, np.ndarray]:
     errors, and X is byte-identical to ``parse_libsvm(...).to_dense()``.  A
     plain file smaller than a window is read once.  Any other file is read
     once per pass, and one ending in ".gz" is decompressed as it is read, so
-    the build holds X, the labels and a window, never the whole file or a
-    CSR copy.
+    the build holds X, the labels, a window and a few arrays the size of its
+    bytes or of its lines, never the whole file or a CSR copy.
     """
     path = Path(path)
     gz = path.suffix == ".gz"
@@ -221,34 +218,28 @@ def _shape(windows) -> tuple[int, int, int]:
 
     Rows are the lines that hold a byte other than whitespace, and feature
     tokens are colons.  Indices strictly increase within a line, so the
-    largest is the largest of the digits just before each line's last colon.
-    On text with a bad line the counts only bound the lines before it.
+    largest is the largest of the digits before each line's last colon.  On
+    text with a bad line the counts only bound the lines before it.
     """
     rows = nnz = num_features = 0
     for buf, starts, ends, _, _ in windows:
         if not (starts.size and buf.size):  # no line, or only empty ones
             continue
-        # Most rows start with their label, so only the other lines are summed.
-        # An empty line starts at a break, or at the end of a joined window.
+        # Most rows start with their label, so only the lines that start with
+        # a blank are searched for another byte.  An empty line starts at a
+        # break, or at the end of a joined window.
         blank = _SPACE[buf.take(starts, mode="clip")]
-        if blank.any():
-            words = np.concatenate(([0], np.cumsum(~_SPACE[buf])))
-            maybe = np.flatnonzero(blank)
-            blank[maybe] = words[ends[maybe]] == words[starts[maybe]]
+        maybe = np.flatnonzero(blank & (ends > starts))
+        if maybe.size:
+            word = np.zeros(ends[-1] + 1, bool)
+            np.invert(_SPACE[buf[:ends[-1]]], out=word[:-1])
+            spans = np.column_stack((starts[maybe], ends[maybe])).ravel()
+            blank[maybe] = ~np.logical_or.reduceat(word, spans)[::2]
         rows += blank.size - np.count_nonzero(blank)
-        colon = buf[:ends[-1]] == ord(":")
-        nnz += np.count_nonzero(colon)
-        # Any colon of valid text ends an index no larger than the largest, so
-        # a line may take an earlier line's colon.  Most lines end in a short
-        # value; a window where one does not has all its colons found.
-        tail = ends[:, None] - np.arange(_TAIL_BYTES, 0, -1)
-        found = buf.take(tail, mode="clip") == ord(":")
-        if found.any(axis=1).all():
-            last = tail[np.arange(ends.size), _TAIL_BYTES - 1 - found[:, ::-1].argmax(axis=1)]
-        else:
-            last = np.flatnonzero(colon)
-            last = last[np.searchsorted(last, ends) - 1] if last.size else last
-        if last.size:
+        colon = np.flatnonzero(buf[:ends[-1]] == ord(":"))
+        nnz += colon.size
+        if colon.size:  # a line without a colon takes another line's, no larger
+            last = colon[np.searchsorted(colon, ends) - 1]
             num_features = max(num_features, _index_before(buf, last))
     return rows, nnz, num_features
 

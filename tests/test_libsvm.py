@@ -70,7 +70,7 @@ FILES = {
     "crlf-split": crlf_split,
     "lone-cr": lone_cr,
     "blank-lines": lambda: b"\n \n1 1:1\n\n\t\r\n-1 2:1\x0c\x0c   \n\r\n" * 8 + b"\n\n",
-    # a line longer than a window, and one whose last colon is far from its end
+    # a line longer than a window, and one that ends in more than a window of blanks
     "long-line": lambda: (b"1 " + b" ".join(b"%d:%r" % (j, j / 7) for j in range(1, 80))
                           + b"\n-1 3:1\n1 9:1" + b" " * 2 * WINDOW + b"\n"),
     "no-trailing-newline": lambda: ROW * 9 + b"-1 5:0.25",
@@ -155,22 +155,49 @@ def test_a_file_is_read_once_per_pass_and_a_small_one_once(tmp_path, monkeypatch
     assert reads == [] and X.shape == parse_libsvm(raw[:WINDOW - 1]).to_dense().shape
 
 
-def test_build_problem_holds_dense_x_and_a_window(tmp_path):
+def dataset_file(tmp_path, n, d, values, blank_lines=False):
+    """A libsvm file of n rows of d features, with about 30% nonzeros drawn by values(shape)."""
     rng = np.random.default_rng(20)
-    n, d = 20000, 100
-    X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.3)
+    X = values(rng, (n, d)) * (rng.random((n, d)) < 0.3)
     nz_rows, cols = np.nonzero(X)
-    path = tmp_path / "data.svm"
-    path.write_text(serialize_libsvm(LibsvmDataset(
+    text = serialize_libsvm(LibsvmDataset(
         np.where(rng.random(n) < 0.5, 1.0, -1.0),
         np.concatenate(([0], np.cumsum(np.bincount(nz_rows, minlength=n)))),
-        cols + 1, X[nz_rows, cols], d)))
-    del X, nz_rows, cols
+        cols + 1, X[nz_rows, cols], d))
+    path = tmp_path / "data.svm"
+    # a blank line after every row puts lines that start with a blank in every window
+    path.write_text(text.replace("\n", "\n \n") if blank_lines else text)
+    return path
+
+
+def traced_build(path):
+    """The problem build_problem makes of a binary libsvm file, and its traced peak."""
     tracemalloc.start()
     try:
         problem = build_problem({"dataset": {"path": str(path), "objective": "binary_logreg"}})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return problem, peak
+
+
+def test_build_problem_holds_dense_x_and_a_window(tmp_path):
+    n, d = 20000, 100
+    problem, peak = traced_build(dataset_file(
+        tmp_path, n, d, lambda rng, shape: rng.standard_normal(shape)))
     assert problem.n == n and problem.dim == d
     assert peak < n * d * 8 + 3 * 2**20  # no whole-file bytes, no CSR arrays beside X
+
+
+@pytest.mark.parametrize("blank_lines", [False, True], ids=["rows-only", "blank-lines"])
+def test_a_file_of_short_lines_holds_x_and_window_sized_arrays(blank_lines, tmp_path):
+    """On short lines a window holds many lines: finding its shape may hold
+    arrays of its bytes and of its line offsets, not of its lines times a width."""
+    n, d = 50000, 4
+    path = dataset_file(  # rows like "1.0 2:3.0 4:7.0": about 8 bytes a line with the blanks
+        tmp_path, n, d, lambda rng, shape: rng.integers(1, 10, shape).astype(float), blank_lines)
+    assert path.stat().st_size > _libsvm._SCAN_BYTES
+    problem, peak = traced_build(path)
+    assert problem.n == n and problem.dim == d
+    # X, the raw and the 0/1 labels, and a dozen arrays about the size of a window
+    assert peak < n * d * 8 + 2 * n * 8 + 12 * _libsvm._SCAN_BYTES
