@@ -48,6 +48,7 @@ from .drivers import (
     TheoreticalPenalty,
     TraceRow,
     _ALGORITHMS,
+    _rho,
     budget_from_gap,
     run_cr,
     run_scr,
@@ -88,8 +89,8 @@ COMPARE_COLUMNS = ("config", "algorithm", "status", "f_gap", "mu", "grad_calls",
 # Every solver key but budget_gap names a SolverConfig field, and every
 # penalty or batch key names a field of its mode's class, so the dataclasses
 # hold the only list of keys, their types and the only defaults.  A mode
-# section's type is its {mode: class} table; the theoretical batch schedule is
-# derived from the problem and takes no keys.
+# section's type is its {mode: class} table; the theoretical penalty (4*rho)
+# and batch schedule are derived from the problem and take no keys.
 _PENALTIES = {"fixed": FixedPenalty, "theoretical": TheoreticalPenalty, "adaptive": AdaptivePenalty}
 _BATCHES = {"theoretical": None, "practical": PracticalBatchRule}
 _SOLVER_TYPES = {**typing.get_type_hints(SolverConfig), "budget_gap": float,
@@ -280,8 +281,7 @@ def build_solver_config(solver_cfg: dict, algorithm: str, problem: FiniteSumProb
     """
     sc, gap = _solver(solver_cfg, "config.solver")
     if gap is not None:
-        rho = sc.rho if sc.rho is not None else problem.lipschitz_hess
-        sc.T = budget_from_gap(gap, sc.eps, rho, algorithm)
+        sc.T = budget_from_gap(gap, sc.eps, _rho(problem, sc), algorithm)
     return sc
 
 
@@ -321,7 +321,7 @@ def execute_config(cfg: dict) -> tuple[RunResult, dict]:
     problem = build_problem(cfg["problem"])
     sc = build_solver_config(cfg["solver"], algorithm, problem)
     result = run_algorithm(algorithm, problem, sc)
-    rho_eff = sc.rho if sc.rho is not None else problem.lipschitz_hess
+    rho_eff = _rho(problem, sc)
     mu = mu_criterion(problem, result.x_out, rho_eff, counter=result.diag_counters)
     c = certify_constant(algorithm)
     summary = {

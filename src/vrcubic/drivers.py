@@ -11,15 +11,16 @@ curvature of the cubic model is formed and how the step is solved:
 * run_cr         -- run_srvrc with full batches, reset every step.
 * run_scr        -- run_srvrc with fixed-size batches, reset every step.
 
-The cubic penalty is governed by a policy: fixed, a constant multiple of the
-Hessian-Lipschitz constant (default 4*rho), or an ARC-style adaptive rule
-that grows the penalty and rejects the step when the model over-promises.
+The cubic penalty is governed by a policy: a fixed value, 4*rho (rho the
+Hessian-Lipschitz constant), or the adaptive rule of ARC (Cartis, Gould &
+Toint, Math. Program. 2011) at fixed constants, which grows the penalty and
+rejects the step when the model over-promises.  Every run draws its samples
+from np.random.default_rng(config.seed).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -40,6 +41,7 @@ from .estimators import (
 from .finite_sum import (
     FiniteSumProblem,
     OracleCounter,
+    _check_integer,
     batch_hvp,
     batch_value,
     full_index,
@@ -64,6 +66,13 @@ __all__ = [
 
 _ALGORITHMS = ("srvrc", "srvrc_free", "cr", "scr")  # the drivers' names, as configs give them
 
+# ARC's constants: a step is taken when the actual decrease is at least ETA1 of
+# the predicted one; the penalty halves at ETA2 or more, doubles on a rejection
+# and stays in [FLOOR, CAP].
+_ARC_ETA1, _ARC_ETA2 = 0.1, 0.9
+_ARC_SHRINK, _ARC_GROW = 0.5, 2.0
+_ARC_FLOOR, _ARC_CAP = 1e-8, 1e12
+
 
 def _finite_positive(value: float) -> bool:
     """value > 0 and finite; False for NaN and +inf."""
@@ -81,36 +90,16 @@ class FixedPenalty:
 
 @dataclass(frozen=True)
 class TheoreticalPenalty:
-    """Penalty pinned to a multiple of the Hessian-Lipschitz constant."""
-
-    factor: float = 4.0
-
-    def __post_init__(self):
-        if not _finite_positive(self.factor):
-            raise ValueError("penalty factor must be positive and finite")
+    """The penalty 4*rho, rho the Hessian-Lipschitz constant (FixedPenalty for any other)."""
 
 
 @dataclass(frozen=True)
 class AdaptivePenalty:
-    """ARC-style trust parameters: shrink on good models, grow and reject on bad."""
+    """ARC's rule from the initial penalty m0: shrink on good models, grow and reject on bad."""
 
     m0: float = 1.0
-    gamma_inc: float = 2.0
-    gamma_dec: float = 0.5
-    eta1: float = 0.1
-    eta2: float = 0.9
-    floor: float = 1e-8
-    cap: float = 1e12
 
     def __post_init__(self):
-        if not self.gamma_inc > 1:
-            raise ValueError("gamma_inc must exceed 1")
-        if not 0 < self.gamma_dec < 1:
-            raise ValueError("gamma_dec must lie in (0, 1)")
-        if not 0 < self.eta1 <= self.eta2 < 1:
-            raise ValueError("need 0 < eta1 <= eta2 < 1")
-        if not (0 < self.floor <= self.cap and math.isfinite(self.cap)):
-            raise ValueError("need 0 < floor <= cap, with cap finite")
         if not _finite_positive(self.m0):
             raise ValueError("initial penalty must be positive and finite")
 
@@ -118,21 +107,18 @@ class AdaptivePenalty:
 PenaltyPolicy = FixedPenalty | TheoreticalPenalty | AdaptivePenalty
 
 
-def adaptive_penalty_update(
-    penalty: float, rho_ratio: float, policy: AdaptivePenalty | None = None
-) -> tuple[float, bool]:
+def adaptive_penalty_update(penalty: float, rho_ratio: float) -> tuple[float, bool]:
     """One ARC acceptance decision: returns (next penalty, step accepted).
 
-    rho_ratio is actual-over-predicted decrease; anything below eta1
+    rho_ratio is actual-over-predicted decrease; anything below 0.1
     (including NaN or -inf from a nonpositive prediction) rejects the step
-    and inflates the penalty.
+    and doubles the penalty.
     """
-    p = policy or AdaptivePenalty()
-    if math.isfinite(rho_ratio) and rho_ratio >= p.eta1:
-        if rho_ratio >= p.eta2:
-            return max(p.floor, min(p.cap, penalty * p.gamma_dec)), True
+    if math.isfinite(rho_ratio) and rho_ratio >= _ARC_ETA1:
+        if rho_ratio >= _ARC_ETA2:
+            return max(_ARC_FLOOR, min(_ARC_CAP, penalty * _ARC_SHRINK)), True
         return penalty, True
-    return max(p.floor, min(p.cap, penalty * p.gamma_inc)), False
+    return max(_ARC_FLOOR, min(_ARC_CAP, penalty * _ARC_GROW)), False
 
 
 @dataclass
@@ -146,7 +132,7 @@ class SolverConfig:
     T                   iteration budget
     penalty             cubic penalty policy
     batch               fixed batch sizes; None is the paper's theoretical schedule
-    seed                seed of the sampling generator when none is passed
+    seed                seed of the run's sampling generator
     x0                  starting point; None is the origin; must be finite
     subsolver_max_iters cap on the Lanczos steps of the free driver's per-iteration
                         solve (each run, at least one); None is the dimension
@@ -175,9 +161,8 @@ class SolverConfig:
         if self.rho is not None and not _finite_positive(self.rho):
             raise ValueError("rho must be positive and finite")
         for name in ("T", "seed", "subsolver_max_iters"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if getattr(self, name) is not None:
+                _check_integer(name, getattr(self, name))
         if self.T < 0:
             raise ValueError("iteration budget must be nonnegative")
         if not 0 < self.xi < 1:
@@ -254,16 +239,20 @@ def budget_from_gap(delta_f: float, eps: float, rho: float, algorithm: str = "sr
     return max(1, math.ceil(coef * delta_f * math.sqrt(rho) / eps**1.5))
 
 
+def _rho(problem: FiniteSumProblem, config: SolverConfig) -> float:
+    """The run's Hessian-Lipschitz constant: config.rho, or the problem's when None."""
+    return config.rho if config.rho is not None else problem.lipschitz_hess
+
+
 def _resolve(problem: FiniteSumProblem, config: SolverConfig):
-    rho = config.rho if config.rho is not None else problem.lipschitz_hess
-    return config.eps, rho, problem.lipschitz_grad, config.xi, config.T
+    return config.eps, _rho(problem, config), problem.lipschitz_grad, config.xi, config.T
 
 
 def _initial_penalty(policy: PenaltyPolicy, rho: float) -> float:
     if isinstance(policy, FixedPenalty):
         return policy.value
     if isinstance(policy, TheoreticalPenalty):
-        return policy.factor * rho
+        return 4.0 * rho
     return policy.m0
 
 
@@ -309,13 +298,7 @@ def _batch_sizes(rule, t: int, disp_norm: float | None, free: bool) -> tuple[int
     return Bg, rule.B_h if free else Bh
 
 
-def _run(
-    problem: FiniteSumProblem,
-    config: SolverConfig,
-    rng: np.random.Generator | None,
-    callback,
-    variant: str,
-) -> RunResult:
+def _run(problem: FiniteSumProblem, config: SolverConfig, callback, variant: str) -> RunResult:
     """The outer loop of every driver; ``variant`` is "srvrc" or "srvrc_free".
 
     "srvrc" forms the curvature by the recursive dense Hessian estimator and
@@ -325,7 +308,7 @@ def _run(
     the unperturbed model to the model-gradient tolerance.
     """
     free = variant == "srvrc_free"
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     eps, rho, L, _, T = _resolve(problem, config)
     rule = config.batch or _theoretical_rule(problem, config, variant)
     if isinstance(rule, TheoreticalBatchRule):
@@ -396,7 +379,7 @@ def _run(
             f_trial = batch_value(problem, x_trial, full, diag)
             pred = -sol.m_value
             ratio = (f_t - f_trial) / pred if pred > 0 else -math.inf
-            penalty_next, accepted = adaptive_penalty_update(penalty, ratio, policy)
+            penalty_next, accepted = adaptive_penalty_update(penalty, ratio)
         trace.append(
             TraceRow(
                 t=t,
@@ -447,26 +430,16 @@ def _run(
     )
 
 
-def run_srvrc(
-    problem: FiniteSumProblem,
-    config: SolverConfig,
-    rng: np.random.Generator | None = None,
-    callback=None,
-) -> RunResult:
+def run_srvrc(problem: FiniteSumProblem, config: SolverConfig, callback=None) -> RunResult:
     """Recursive gradient/Hessian estimators + exact cubic steps.
 
     Stops with "converged" at the first step shorter than sqrt(eps/rho)
     (taking that step), "budget-exhausted" after T iterations otherwise.
     """
-    return _run(problem, config, rng, callback, "srvrc")
+    return _run(problem, config, callback, "srvrc")
 
 
-def run_srvrc_free(
-    problem: FiniteSumProblem,
-    config: SolverConfig,
-    rng: np.random.Generator | None = None,
-    callback=None,
-) -> RunResult:
+def run_srvrc_free(problem: FiniteSumProblem, config: SolverConfig, callback=None) -> RunResult:
     """Recursive gradient + per-step Hessian-vector operators, matvec-only solve.
 
     Each iteration draws a fresh Hessian subsample and builds one averaged
@@ -483,7 +456,7 @@ def run_srvrc_free(
     (cubic_subsolver and cubic_finalsolver, kept as reference solvers).
     With ``gradient_recursion=False`` the gradient is drawn fresh every step (SolverConfig).
     """
-    return _run(problem, config, rng, callback, "srvrc_free")
+    return _run(problem, config, callback, "srvrc_free")
 
 
 def run_cr(problem: FiniteSumProblem, config: SolverConfig, callback=None) -> RunResult:
@@ -496,12 +469,7 @@ def run_cr(problem: FiniteSumProblem, config: SolverConfig, callback=None) -> Ru
     return run_srvrc(problem, replace(config, batch=rule), callback=callback)
 
 
-def run_scr(
-    problem: FiniteSumProblem,
-    config: SolverConfig,
-    rng: np.random.Generator | None = None,
-    callback=None,
-) -> RunResult:
+def run_scr(problem: FiniteSumProblem, config: SolverConfig, callback=None) -> RunResult:
     """Fresh fixed-size gradient/Hessian subsamples each step, no recursion.
 
     This is run_srvrc with the configured practical rule's epoch length set
@@ -510,4 +478,4 @@ def run_scr(
     rule = config.batch
     if not isinstance(rule, PracticalBatchRule):
         raise ValueError("this driver needs a practical batch rule with fixed sizes")
-    return run_srvrc(problem, replace(config, batch=replace(rule, S=1)), rng, callback)
+    return run_srvrc(problem, replace(config, batch=replace(rule, S=1)), callback)

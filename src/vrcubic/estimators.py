@@ -22,12 +22,12 @@ shrinks the correction batches with the squared length of the previous step.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_sum import FiniteSumProblem, OracleCounter, batch_gradient, batch_hessian, sample_multiset
+from .finite_sum import (FiniteSumProblem, OracleCounter, _check_integer, batch_gradient,
+                         batch_hessian, sample_multiset)
 
 __all__ = [
     "EstimatorState",
@@ -114,9 +114,7 @@ class PracticalBatchRule:
 
     def __post_init__(self):
         for name in ("B_g", "B_h", "S"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.B_g < 1 or self.B_h < 1 or self.S < 1:
             raise ValueError("batch sizes and epoch length must be >= 1")
 

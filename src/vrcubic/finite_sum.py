@@ -9,6 +9,7 @@ that oracle accounting stays in one place.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,6 +32,12 @@ DENSE_LIMIT = 2000  # above this dimension no d x d Hessian is ever formed
 
 # oracle kinds: each names a batch_<kind>_fn kernel and an OracleCounter.<kind>_calls
 _ORACLE_NAMES = {"value": "value", "grad": "gradient", "hess": "Hessian", "hvp": "Hessian-vector"}
+
+
+def _check_integer(name: str, value) -> None:
+    """TypeError unless value is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass

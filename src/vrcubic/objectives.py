@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import threading
 
@@ -21,7 +20,7 @@ from ._libsvm import (  # re-exported: the libsvm format lives in _libsvm
     parse_libsvm,
     serialize_libsvm,
 )
-from .finite_sum import FiniteSumProblem
+from .finite_sum import FiniteSumProblem, _check_integer
 
 __all__ = [
     "LibsvmParseError",
@@ -409,8 +408,7 @@ def make_synthetic(
     cannot go stale.
     """
     for name, size, what in (("n", n, "at least one component"), ("d", d, "positive dimension")):
-        if isinstance(size, bool) or not isinstance(size, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {size!r}")
+        _check_integer(name, size)
         if size < 1:
             raise ValueError(f"need {what}, got {name}={size}")
     if difficulty not in SYNTHETIC_DIFFICULTIES:

@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import inspect
 import json
 
 import numpy as np
@@ -170,8 +171,7 @@ class TestValidateConfig:
             cfg["solver"]["penalty"] = {"mode": mode}
             with pytest.raises(ConfigError, match="penalty.mode"):
                 validate_config(cfg)
-        for pen in ({"mode": "fixed", "value": "2"}, {"mode": "theoretical", "factor": True},
-                    {"mode": "adaptive", "m0": None}):
+        for pen in ({"mode": "fixed", "value": "2"}, {"mode": "adaptive", "m0": None}):
             cfg["solver"]["penalty"] = pen
             key = sorted(set(pen) - {"mode"})[0]
             with pytest.raises(ConfigError, match=rf"config\.solver\.penalty\.{key}: expected "):
@@ -372,7 +372,7 @@ class TestRunCommand:
         problem = make_synthetic(0, 50, 3)
         path = tmp_path / "trace.csv"
         for penalty in (drivers.FixedPenalty(np.float64(5.0)),
-                        drivers.TheoreticalPenalty(np.float64(4.0))):
+                        drivers.AdaptivePenalty(np.float64(4.0))):
             sc = drivers.SolverConfig(eps=1e-2, T=2, x0=np.full(3, 0.5), penalty=penalty)
             cli.write_trace_csv(path, drivers.run_srvrc(problem, sc).trace)
             header, *rows = path.read_text().splitlines()
@@ -513,6 +513,22 @@ class TestSettingSurface:
                 validate_config(cfg)
             assert "unknown key" not in str(info.value)
 
+    def test_driver_parameters_are_pinned(self):
+        # a run's generator is default_rng(config.seed); no driver takes another
+        for driver in (drivers.run_srvrc, drivers.run_srvrc_free, drivers.run_cr, drivers.run_scr):
+            assert list(inspect.signature(driver).parameters) == ["problem", "config", "callback"]
+        assert list(inspect.signature(drivers.adaptive_penalty_update).parameters) == [
+            "penalty", "rho_ratio"]
+
+    @pytest.mark.parametrize("mode, key", [
+        ("theoretical", "factor"),
+        *(("adaptive", key) for key in ("gamma_inc", "gamma_dec", "eta1", "eta2", "floor", "cap")),
+    ])
+    def test_removed_penalty_keys_are_refused(self, mode, key):
+        cfg = base_config()
+        cfg["solver"]["penalty"] = {"mode": mode, key: 0.5}
+        with pytest.raises(ConfigError, match=rf"\['{key}'\] not valid for mode '{mode}'"):
+            validate_config(cfg)
 
     def test_penalty_and_batch_mode_keys_are_pinned(self):
         # a new mode or mode field has to be added here as well
@@ -520,8 +536,8 @@ class TestSettingSurface:
                    for mode, cls in cli._PENALTIES.items()}
         assert penalty == {
             "fixed": {"value"},
-            "theoretical": {"factor"},
-            "adaptive": {"m0", "gamma_inc", "gamma_dec", "eta1", "eta2", "floor", "cap"},
+            "theoretical": set(),
+            "adaptive": {"m0"},
         }
         batch = {mode: {f.name for f in dataclasses.fields(cls)} if cls else set()
                  for mode, cls in cli._BATCHES.items()}

@@ -113,39 +113,40 @@ class TestAdaptivePenaltyUpdate:
         assert (nxt, ok) == (16.0, False)
 
     def test_floor_clamps_decrease(self):
-        policy = AdaptivePenalty(floor=3.0)
-        assert adaptive_penalty_update(4.0, 1.0, policy) == (3.0, True)
+        assert adaptive_penalty_update(3e-8, 1.0) == (1.5e-8, True)
+        assert adaptive_penalty_update(1.5e-8, 1.0) == (1e-8, True)
+        assert adaptive_penalty_update(1e-8, 0.95) == (1e-8, True)
 
     def test_cap_clamps_increase(self):
-        policy = AdaptivePenalty(cap=10.0)
-        assert adaptive_penalty_update(8.0, 0.0, policy) == (10.0, False)
+        assert adaptive_penalty_update(4e11, 0.0) == (8e11, False)
+        assert adaptive_penalty_update(8e11, 0.0) == (1e12, False)
+        assert adaptive_penalty_update(1e12, math.nan) == (1e12, False)
+        # an initial penalty above the cap is clamped on its first change
+        assert adaptive_penalty_update(1e15, 1.0) == (1e12, True)
 
-    def test_custom_factors(self):
-        policy = AdaptivePenalty(gamma_inc=3.0, gamma_dec=0.25, eta1=0.2, eta2=0.8)
-        assert adaptive_penalty_update(4.0, 0.9, policy) == (1.0, True)
-        assert adaptive_penalty_update(4.0, 0.5, policy) == (4.0, True)
-        assert adaptive_penalty_update(4.0, 0.1, policy) == (12.0, False)
+    @pytest.mark.parametrize("ratio, expected", [
+        (0.9, (2.0, True)), (1.0, (2.0, True)), (50.0, (2.0, True)),
+        (0.1, (4.0, True)), (0.5, (4.0, True)), (0.8999, (4.0, True)),
+        (0.0999, (8.0, False)), (0.0, (8.0, False)), (-3.0, (8.0, False)),
+        (math.nan, (8.0, False)), (math.inf, (8.0, False)),
+    ])
+    def test_default_thresholds_and_factors(self, ratio, expected):
+        # ARC's constants: eta1 = 0.1, eta2 = 0.9, x0.5 on a good model, x2 on a rejection
+        assert adaptive_penalty_update(4.0, ratio) == expected
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            AdaptivePenalty(gamma_inc=1.0)
-        with pytest.raises(ValueError):
-            AdaptivePenalty(gamma_dec=1.0)
-        with pytest.raises(ValueError):
-            AdaptivePenalty(eta1=0.5, eta2=0.4)
-        with pytest.raises(ValueError):
             AdaptivePenalty(m0=0.0)
-        with pytest.raises(ValueError):
-            AdaptivePenalty(floor=2.0, cap=1.0)
+        for removed in ("gamma_inc", "gamma_dec", "eta1", "eta2", "floor", "cap"):
+            with pytest.raises(TypeError):
+                AdaptivePenalty(**{removed: 1.0})
+        with pytest.raises(TypeError):
+            TheoreticalPenalty(4.0)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="fixed penalty must be positive and finite"):
                 FixedPenalty(bad)
-            with pytest.raises(ValueError, match="penalty factor must be positive and finite"):
-                TheoreticalPenalty(bad)
             with pytest.raises(ValueError, match="initial penalty must be positive and finite"):
                 AdaptivePenalty(m0=bad)
-            with pytest.raises(ValueError, match="cap finite"):
-                AdaptivePenalty(cap=bad)
 
 
 class TestBudgetFromGap:
@@ -509,7 +510,7 @@ class TestAdaptiveDriver:
     def test_theoretical_penalty_uses_rho_multiple(self):
         problem = make_synthetic(seed=3, n=20, d=3)
         config = SolverConfig(
-            eps=1e-3, rho=2.0, T=3, x0=np.full(3, 0.5), penalty=TheoreticalPenalty(4.0)
+            eps=1e-3, rho=2.0, T=3, x0=np.full(3, 0.5), penalty=TheoreticalPenalty()
         )
         result = run_cr(problem, config)
         assert all(row.Mt == 8.0 for row in result.trace)
