@@ -30,11 +30,7 @@ from .cubic import BudgetExceededError, CubicModel, SolverDivergenceError, cubic
 from .estimators import (
     EstimatorState,
     PracticalBatchRule,
-    TheoreticalBatchRule,
-    default_epochs,
-    practical_batch,
-    theoretical_batch_g,
-    theoretical_batch_h,
+    batch_schedule,
     update_gradient_estimator,
     update_hessian_estimator,
 )
@@ -160,9 +156,10 @@ class SolverConfig:
             raise ValueError("eps must be positive and finite")
         if self.rho is not None and not _finite_positive(self.rho):
             raise ValueError("rho must be positive and finite")
-        for name in ("T", "seed", "subsolver_max_iters"):
-            if getattr(self, name) is not None:
-                _check_integer(name, getattr(self, name))
+        _check_integer("T", self.T)
+        _check_integer("seed", self.seed)
+        if self.subsolver_max_iters is not None:
+            _check_integer("subsolver_max_iters", self.subsolver_max_iters)
         if self.T < 0:
             raise ValueError("iteration budget must be nonnegative")
         if not 0 < self.xi < 1:
@@ -244,10 +241,6 @@ def _rho(problem: FiniteSumProblem, config: SolverConfig) -> float:
     return config.rho if config.rho is not None else problem.lipschitz_hess
 
 
-def _resolve(problem: FiniteSumProblem, config: SolverConfig):
-    return config.eps, _rho(problem, config), problem.lipschitz_grad, config.xi, config.T
-
-
 def _initial_penalty(policy: PenaltyPolicy, rho: float) -> float:
     if isinstance(policy, FixedPenalty):
         return policy.value
@@ -265,39 +258,6 @@ def _initial_point(problem: FiniteSumProblem, config: SolverConfig) -> np.ndarra
     return x0.copy()
 
 
-def _theoretical_rule(
-    problem: FiniteSumProblem, config: SolverConfig, variant: str
-) -> TheoreticalBatchRule:
-    """The paper's batch schedule for this problem, config and driver variant."""
-    eps, rho, L, xi, T = _resolve(problem, config)
-    S_g, S_h = default_epochs(problem.n, eps, L, rho, problem.grad_bound)
-    return TheoreticalBatchRule(
-        n=problem.n,
-        dim=problem.dim,
-        eps=eps,
-        xi=xi,
-        T=max(T, 1),
-        lipschitz_grad=L,
-        lipschitz_hess=rho,
-        grad_bound=problem.grad_bound,
-        S_g=S_g,
-        S_h=S_h,
-        variant=variant,
-    )
-
-
-def _batch_sizes(rule, t: int, disp_norm: float | None, free: bool) -> tuple[int, int]:
-    """(gradient, Hessian) sample sizes at step t, before clamping to n.
-
-    The Hessian-vector sample of the free variant has the same size at every
-    step: the "srvrc_free" rule sizes it so, and a practical rule keeps B_h.
-    """
-    if isinstance(rule, TheoreticalBatchRule):
-        return theoretical_batch_g(rule, t, disp_norm), theoretical_batch_h(rule, t, disp_norm)
-    Bg, Bh = practical_batch(rule, t)
-    return Bg, rule.B_h if free else Bh
-
-
 def _run(problem: FiniteSumProblem, config: SolverConfig, callback, variant: str) -> RunResult:
     """The outer loop of every driver; ``variant`` is "srvrc" or "srvrc_free".
 
@@ -309,12 +269,8 @@ def _run(problem: FiniteSumProblem, config: SolverConfig, callback, variant: str
     """
     free = variant == "srvrc_free"
     rng = np.random.default_rng(config.seed)
-    eps, rho, L, _, T = _resolve(problem, config)
-    rule = config.batch or _theoretical_rule(problem, config, variant)
-    if isinstance(rule, TheoreticalBatchRule):
-        S_g, S_h = rule.S_g, rule.S_h
-    else:
-        S_g = S_h = rule.S
+    eps, rho, L, T = config.eps, _rho(problem, config), problem.lipschitz_grad, config.T
+    S_g, S_h, batch_sizes = batch_schedule(problem, config.batch, eps, rho, config.xi, T, variant)
     if not config.gradient_recursion:
         S_g = 1  # a fresh gradient every step is a recursion that resets every step
     state = EstimatorState(S_g=S_g, S_h=S_h)
@@ -331,14 +287,14 @@ def _run(problem: FiniteSumProblem, config: SolverConfig, callback, variant: str
     x = _initial_point(problem, config)
     x_prev: np.ndarray | None = None
     f_t: float | None = None  # F(x), once evaluated; each value is billed once
-    disp_norm: float | None = None
+    h_prev: float | None = None
     trace: list[TraceRow] = []
     exit_status = "budget-exhausted"
     start = time.perf_counter()
 
     for t in range(T):
         state.t = t
-        Bg, Bh = _batch_sizes(rule, t, disp_norm, free)
+        Bg, Bh = batch_sizes(t, h_prev)
         Bg, Bh = min(Bg, problem.n), min(Bh, problem.n)
         v = update_gradient_estimator(state, problem, x, x_prev, Bg, rng, oracle)
         if free:
@@ -414,7 +370,7 @@ def _run(problem: FiniteSumProblem, config: SolverConfig, callback, variant: str
         if terminal:
             exit_status = "converged"
             break
-        disp_norm = h_norm if accepted else 0.0
+        h_prev = h_norm if accepted else 0.0
         penalty = penalty_next
 
     f_out = f_t if f_t is not None else batch_value(problem, x, full, diag)

@@ -1,4 +1,4 @@
-"""Recursive variance-reduced gradient/Hessian estimators and batch-size rules.
+"""Recursive variance-reduced gradient/Hessian estimators and their batch schedule.
 
 The estimators follow the standard recursive correction scheme: at epoch
 boundaries (t divisible by the epoch length) the estimate is rebuilt from a
@@ -13,10 +13,13 @@ At an unmoved point (x_t == x_{t-1}, as after a rejected adaptive step) a
 correction keeps v_{t-1} and queries nothing, and so does a full-batch reset
 when v_{t-1} was formed from the full batch.  J is drawn either way.
 
-Two schedules are provided.  "theoretical" sizes batches from the problem
-constants (L, rho, M), the target accuracy and the failure probability, and
-shrinks the correction batches with the squared length of the previous step.
-"practical" uses user-fixed sizes B at epoch boundaries and B/S in between.
+One function, batch_schedule, builds a run's schedule: its epoch lengths and
+its batch size at each step.  With no rule it is the paper's: sizes from the
+problem constants (L, rho, M), the target accuracy and the failure
+probability, with corrections that shrink with the squared length of the
+previous step.  With a PracticalBatchRule it is fixed sizes B at epoch
+boundaries and B/S in between, the schedule of SPIDER (Fang, Li, Lin & Zhang,
+NeurIPS 2018).
 """
 
 from __future__ import annotations
@@ -31,12 +34,9 @@ from .finite_sum import (FiniteSumProblem, OracleCounter, _check_integer, batch_
 
 __all__ = [
     "EstimatorState",
-    "TheoreticalBatchRule",
     "PracticalBatchRule",
+    "batch_schedule",
     "default_epochs",
-    "theoretical_batch_g",
-    "theoretical_batch_h",
-    "practical_batch",
     "update_gradient_estimator",
     "update_hessian_estimator",
 ]
@@ -67,41 +67,6 @@ class EstimatorState:
     @property
     def hess_reset_due(self) -> bool:
         return self.t % self.S_h == 0
-
-
-@dataclass(frozen=True)
-class TheoreticalBatchRule:
-    """Batch sizes driven by problem constants at accuracy eps.
-
-    ``variant`` selects the constant family: "srvrc" for the recursive
-    gradient + recursive Hessian scheme, "srvrc_free" for the recursive
-    gradient + per-step Hessian-vector closure scheme (whose Hessian batch
-    is step-independent).  ``grad_bound`` may be np.inf, in which case epoch
-    resets fall back to the full batch.  A run derives its rule from its
-    problem and SolverConfig; the rule is not a setting.
-    """
-
-    n: int
-    dim: int
-    eps: float
-    xi: float
-    T: int
-    lipschitz_grad: float
-    lipschitz_hess: float
-    grad_bound: float
-    S_g: int
-    S_h: int
-    variant: str = "srvrc"
-
-    def __post_init__(self):
-        if self.variant not in _RULE_CONSTANTS:
-            raise ValueError(f"unknown batch-rule variant {self.variant!r}")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if not 0 < self.xi < 1:
-            raise ValueError("xi must lie in (0, 1)")
-        if self.S_g < 1 or self.S_h < 1:
-            raise ValueError("epoch lengths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -140,48 +105,57 @@ def default_epochs(
     return max(1, math.ceil(s_g)), max(1, math.ceil(s_h))
 
 
-def theoretical_batch_g(
-    rule: TheoreticalBatchRule, t: int, h_prev_norm: float | None = None
-) -> int:
-    """Gradient batch size at step t; needs the previous step length off-epoch."""
-    cg, _, tmul = _RULE_CONSTANTS[rule.variant]
-    log2 = math.log(tmul * rule.T / rule.xi) ** 2
-    if t % rule.S_g == 0:
-        if not math.isfinite(rule.grad_bound):
-            return rule.n
-        raw = cg * rule.grad_bound**2 * log2 / rule.eps**2
-        return _clamp_ceil(raw, rule.n)
-    if h_prev_norm is None:
-        raise ValueError(f"step {t} is not an epoch reset: previous step length required")
-    raw = cg * rule.lipschitz_grad**2 * rule.S_g * h_prev_norm**2 * log2 / rule.eps**2
-    return _clamp_ceil(raw, rule.n)
+def batch_schedule(
+    problem: FiniteSumProblem, rule: PracticalBatchRule | None, eps: float, rho: float,
+    xi: float, T: int, variant: str
+):
+    """A run's epoch lengths and batch sizes: (S_g, S_h, sizes).
 
-
-def theoretical_batch_h(
-    rule: TheoreticalBatchRule, t: int, h_prev_norm: float | None = None
-) -> int:
-    """Hessian (or Hessian-vector) batch size at step t.
-
-    For the "srvrc_free" family the size is the same at every step; for
-    "srvrc" it follows the reset/correction split like the gradient rule.
+    ``sizes(t, h_prev)`` is the (gradient, Hessian) sample sizes at step t
+    before they are clamped to n; h_prev is the length of the step before t,
+    None at t = 0, which every schedule makes an epoch start.  ``rule=None``
+    is the paper's schedule at accuracy eps, Hessian-Lipschitz constant rho
+    and failure probability xi over T steps: resets sized from L, M and rho
+    (M = inf resets the gradient from the full batch), corrections that shrink
+    with h_prev^2, epochs from default_epochs.  A PracticalBatchRule gives
+    (B_g, B_h) at its epoch starts and floor(B/S) between.  ``variant`` is
+    "srvrc" or "srvrc_free"; the latter draws its Hessian-vector sample at
+    the reset size at every step.
     """
-    _, ch, tmul = _RULE_CONSTANTS[rule.variant]
-    L, rho = rule.lipschitz_grad, rule.lipschitz_hess
-    log2 = math.log(tmul * rule.T * rule.dim / rule.xi) ** 2
-    if rule.variant == "srvrc_free" or t % rule.S_h == 0:
-        raw = ch * L * L * log2 / (rho * rule.eps)
-        return _clamp_ceil(raw, rule.n)
-    if h_prev_norm is None:
-        raise ValueError(f"step {t} is not an epoch reset: previous step length required")
-    raw = ch * rho * rule.S_h * h_prev_norm**2 * log2 / rule.eps
-    return _clamp_ceil(raw, rule.n)
+    if variant not in _RULE_CONSTANTS:
+        raise ValueError(f"unknown batch-rule variant {variant!r}")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if not 0 < xi < 1:
+        raise ValueError("xi must lie in (0, 1)")
+    free = variant == "srvrc_free"
+    if rule is not None:
+        S = rule.S
 
+        def sizes(t: int, h_prev: float | None) -> tuple[int, int]:
+            if t % S == 0:
+                return rule.B_g, rule.B_h
+            return max(1, rule.B_g // S), rule.B_h if free else max(1, rule.B_h // S)
 
-def practical_batch(rule: PracticalBatchRule, t: int) -> tuple[int, int]:
-    """(gradient, Hessian) sizes at step t under the fixed practical schedule."""
-    if t % rule.S == 0:
-        return rule.B_g, rule.B_h
-    return max(1, rule.B_g // rule.S), max(1, rule.B_h // rule.S)
+        return S, S, sizes
+
+    n, L, M = problem.n, problem.lipschitz_grad, problem.grad_bound
+    cg, ch, tmul = _RULE_CONSTANTS[variant]
+    S_g, S_h = default_epochs(n, eps, L, rho, M)
+    T = max(T, 1)
+
+    def sizes(t: int, h_prev: float | None) -> tuple[int, int]:
+        log_g = math.log(tmul * T / xi) ** 2
+        if t % S_g == 0:
+            Bg = n if not math.isfinite(M) else _clamp_ceil(cg * M**2 * log_g / eps**2, n)
+        else:
+            Bg = _clamp_ceil(cg * L**2 * S_g * h_prev**2 * log_g / eps**2, n)
+        log_h = math.log(tmul * T * problem.dim / xi) ** 2
+        if free or t % S_h == 0:
+            return Bg, _clamp_ceil(ch * L * L * log_h / (rho * eps), n)
+        return Bg, _clamp_ceil(ch * rho * S_h * h_prev**2 * log_h / eps, n)
+
+    return S_g, S_h, sizes
 
 
 def _recursive_update(state, name, problem, x_t, x_prev, B, rng, counter, reset_due, oracle):

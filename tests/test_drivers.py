@@ -18,7 +18,7 @@ from vrcubic.drivers import (
     run_srvrc,
     run_srvrc_free,
 )
-from vrcubic.estimators import PracticalBatchRule, TheoreticalBatchRule
+from vrcubic.estimators import PracticalBatchRule, batch_schedule
 from vrcubic.finite_sum import from_components
 from vrcubic.objectives import binary_logreg_from_arrays, make_synthetic
 
@@ -209,6 +209,11 @@ class TestSolverConfigValidation:
             assert getattr(SolverConfig(eps=1e-3, **{name: np.int64(3)}), name) == 3
         with pytest.raises(ValueError, match="subsolver_max_iters must be nonnegative"):
             SolverConfig(eps=1e-3, subsolver_max_iters=-1)
+        # only the Lanczos cap may be None; None for T or seed used to fail
+        # as a bare comparison with 0
+        for name in ("T", "seed"):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got None$"):
+                SolverConfig(eps=1e-3, **{name: None})
         assert SolverConfig(eps=1e-3, subsolver_max_iters=0).subsolver_max_iters == 0
 
     def test_x0_finite(self):
@@ -225,9 +230,8 @@ class TestSolverConfigValidation:
 
     def test_theoretical_rule_is_derived_not_passed(self):
         # the driver derives the theoretical schedule from the problem, so a
-        # rule built for another problem or driver cannot be handed in
-        rule = TheoreticalBatchRule(n=100, dim=8, eps=1e-3, xi=0.1, T=20, lipschitz_grad=2.0,
-                                    lipschitz_hess=2.5, grad_bound=math.inf, S_g=1, S_h=1)
+        # schedule built for another problem or driver cannot be handed in
+        rule = batch_schedule(make_synthetic(0, 100, 8), None, 1e-3, 2.5, 0.1, 20, "srvrc")
         with pytest.raises(TypeError, match="PracticalBatchRule"):
             SolverConfig(eps=1e-3, batch=rule)
         config = SolverConfig(eps=1e-3, batch=PracticalBatchRule(10, 10, 2))
@@ -433,6 +437,28 @@ class TestAccounting:
         assert fresh.counters.grad_calls == sum(row.Bg for row in fresh.trace) == 680
         recursive = run_srvrc(problem, dataclasses.replace(config, gradient_recursion=True))
         assert recursive.counters.grad_calls > sum(row.Bg for row in recursive.trace)
+
+    @pytest.mark.parametrize("runner, variant", [(run_srvrc, "srvrc"), (run_srvrc_free, "srvrc_free")])
+    @pytest.mark.parametrize("rule", [None, PracticalBatchRule(100, 50, 4)],
+                             ids=["theoretical", "practical"])
+    def test_trace_batches_follow_the_schedule(self, runner, variant, rule):
+        # each row's sizes are the schedule's at its step, given the previous
+        # step's length, or 0 after a rejection: then the theoretical
+        # corrections shrink to 1 component
+        problem = make_synthetic(seed=3, n=200, d=4)
+        config = SolverConfig(eps=0.1, T=30, penalty=AdaptivePenalty(0.05), batch=rule, seed=1,
+                              x0=np.full(4, 0.8))
+        accepted = []
+        result = runner(problem, config, callback=lambda snap: accepted.append(snap.accepted))
+        assert not all(accepted)
+        _, _, sizes = batch_schedule(problem, rule, config.eps, problem.lipschitz_hess,
+                                     config.xi, config.T, variant)
+        h_prev = None
+        for row, taken in zip(result.trace, accepted):
+            assert (row.Bg, row.Bh) == tuple(min(problem.n, b) for b in sizes(row.t, h_prev))
+            h_prev = row.h_norm if taken else 0.0
+        if rule is None:
+            assert min(row.Bg for row in result.trace) == 1
 
     def test_batch_columns_clamped_to_n(self):
         problem = make_synthetic(seed=10, n=15, d=3)

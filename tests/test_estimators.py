@@ -7,11 +7,8 @@ from numpy.testing import assert_allclose
 from vrcubic.estimators import (
     EstimatorState,
     PracticalBatchRule,
-    TheoreticalBatchRule,
+    batch_schedule,
     default_epochs,
-    practical_batch,
-    theoretical_batch_g,
-    theoretical_batch_h,
     update_gradient_estimator,
     update_hessian_estimator,
 )
@@ -19,94 +16,88 @@ from vrcubic.finite_sum import (
     OracleCounter,
     batch_gradient,
     batch_hessian,
+    from_components,
     full_index,
 )
 from vrcubic.objectives import make_synthetic
 
 
-def rule(**overrides):
-    base = dict(
-        n=10**6,
-        dim=10,
-        eps=0.1,
-        xi=0.1,
-        T=100,
-        lipschitz_grad=1.0,
-        lipschitz_hess=1.0,
-        grad_bound=1.0,
-        S_g=3,
-        S_h=3,
-        variant="srvrc",
-    )
-    base.update(overrides)
-    return TheoreticalBatchRule(**base)
+def schedule(n=10**6, dim=10, eps=0.1, xi=0.1, T=100, L=1.0, rho=1.0, M=1.0, variant="srvrc",
+             rule=None):
+    """batch_schedule on a problem with only the constants it reads set (its oracles unused)."""
+    problem = from_components(n=n, dim=dim, value=lambda i, x: 0.0, grad=lambda i, x: x,
+                              lipschitz_grad=L, lipschitz_hess=rho, grad_bound=M)
+    return batch_schedule(problem, rule, eps, rho, xi, T, variant)
+
+
+def sizes(**constants):
+    return schedule(**constants)[2]
 
 
 class TestGradientBatchFormula:
     def test_zero_displacement_clamps_to_one(self):
-        assert theoretical_batch_g(rule(), t=1, h_prev_norm=0.0) == 1
+        assert sizes()(1, 0.0)[0] == 1
 
     def test_unbounded_gradient_forces_full_batch_at_reset(self):
-        r = rule(grad_bound=math.inf, n=500)
-        assert theoretical_batch_g(r, t=0, h_prev_norm=None) == 500
+        assert sizes(M=math.inf, n=500)(0, None)[0] == 500
 
     def test_reset_formula_value(self):
         # direct evaluation: 1440 * M^2 * log(2T/xi)^2 / eps^2
         # = 1440 * log(2000)^2 / 0.01 = 8_319_415.47... -> ceil then cap at n
         raw = 1440.0 * math.log(2000.0) ** 2 / 0.01
-        assert theoretical_batch_g(rule(n=10**9), t=0, h_prev_norm=None) == math.ceil(raw)
-        assert theoretical_batch_g(rule(n=10**6), t=0, h_prev_norm=None) == 10**6
+        assert sizes(n=10**9)(0, None)[0] == math.ceil(raw)
+        assert sizes(n=10**6)(0, None)[0] == 10**6
 
     def test_nonreset_formula_value(self):
-        # 1440 * L^2 * S_g * h^2 * log(2T/xi)^2 / eps^2 at h=0.05, S_g=3
+        # 1440 * L^2 * S_g * h^2 * log(2T/xi)^2 / eps^2 at h=0.05, S_g=3; rho enters
+        # only through S_g = ceil(sqrt(rho*eps)/L * sqrt(M^2/eps^2)) = ceil(sqrt(5)) = 3
+        S_g, _, at = schedule(rho=0.5)
+        assert S_g == 3
         raw = 1440.0 * 1.0 * 3 * 0.05**2 * math.log(2000.0) ** 2 / 0.01
-        assert theoretical_batch_g(rule(), t=2, h_prev_norm=0.05) == math.ceil(raw)
-
-    def test_nonreset_needs_displacement(self):
-        with pytest.raises(ValueError, match="previous step length"):
-            theoretical_batch_g(rule(), t=1, h_prev_norm=None)
+        assert at(2, 0.05)[0] == math.ceil(raw)
 
     def test_monotone_in_displacement_and_T(self):
-        r = rule(n=10**9)
-        b1 = theoretical_batch_g(r, t=1, h_prev_norm=0.1)
-        b2 = theoretical_batch_g(r, t=1, h_prev_norm=0.2)
+        at = sizes(n=10**9)
+        b1 = at(1, 0.1)[0]
+        b2 = at(1, 0.2)[0]
         assert b1 <= b2
-        b3 = theoretical_batch_g(rule(n=10**9, T=1000), t=1, h_prev_norm=0.1)
+        b3 = sizes(n=10**9, T=1000)(1, 0.1)[0]
         assert b1 <= b3
 
     def test_free_variant_uses_3T_split(self):
         # srvrc_free replaces log(2T/xi) with log(3T/xi)
-        r = rule(n=10**9, variant="srvrc_free", S_h=1)
         raw = 2640.0 * math.log(3 * 100 / 0.1) ** 2 / 0.01
-        assert theoretical_batch_g(r, t=0, h_prev_norm=None) == math.ceil(raw)
+        assert sizes(n=10**9, variant="srvrc_free")(0, None)[0] == math.ceil(raw)
 
 
 class TestHessianBatchFormula:
     def test_zero_displacement_clamps_to_one(self):
-        assert theoretical_batch_h(rule(), t=1, h_prev_norm=0.0) == 1
+        assert sizes()(1, 0.0)[1] == 1
 
     def test_reset_formula_value(self):
         # 800 * L^2 * log(2Td/xi)^2 / (rho*eps), eps=0.01:
         # 800 * log(20000)^2 / 0.01 = 7_846_325.1...
-        r = rule(n=10**9, eps=0.01)
         raw = 800.0 * math.log(2 * 100 * 10 / 0.1) ** 2 / 0.01
-        assert theoretical_batch_h(r, t=0, h_prev_norm=None) == math.ceil(raw)
-        assert theoretical_batch_h(rule(n=10**6, eps=0.01), t=0, h_prev_norm=None) == 10**6
+        assert sizes(n=10**9, eps=0.01)(0, None)[1] == math.ceil(raw)
+        assert sizes(n=10**6, eps=0.01)(0, None)[1] == 10**6
 
     def test_nonreset_formula_value(self):
-        # 800 * rho * S_h * h^2 * log(2Td/xi)^2 / eps
+        # 800 * rho * S_h * h^2 * log(2Td/xi)^2 / eps at S_h=3; L enters only
+        # through S_h = ceil(sqrt(L/(rho*eps))) = ceil(sqrt(5)) = 3
+        _, S_h, at = schedule(L=0.5)
+        assert S_h == 3
         raw = 800.0 * 1.0 * 3 * 0.05**2 * math.log(20000.0) ** 2 / 0.1
-        assert theoretical_batch_h(rule(), t=1, h_prev_norm=0.05) == math.ceil(raw)
+        assert at(1, 0.05)[1] == math.ceil(raw)
 
     def test_free_variant_ignores_reset_clock(self):
         # Hessian-free schedule: 1200 * L^2 * log(3Td/xi)^2 / (rho*eps) at
         # every step, displacement ignored
-        r = rule(n=10**9, variant="srvrc_free", S_h=1)
+        at = sizes(n=10**9, variant="srvrc_free")
         raw = 1200.0 * math.log(3 * 100 * 10 / 0.1) ** 2 / (1.0 * 0.1)
         expect = math.ceil(raw)
-        assert theoretical_batch_h(r, t=0, h_prev_norm=None) == expect
-        assert theoretical_batch_h(r, t=5, h_prev_norm=None) == expect
-        assert theoretical_batch_h(r, t=5, h_prev_norm=123.0) == expect
+        assert at(0, None)[1] == expect
+        assert at(5, 0.0)[1] == expect
+        assert at(5, 123.0)[1] == expect
 
 
 class TestEpochDefaults:
@@ -129,20 +120,36 @@ class TestEpochDefaults:
         S_g, _ = default_epochs(n, eps, L, rho, M)
         assert S_g == math.ceil(math.sqrt(rho * eps) / L * math.sqrt(min(n, M**2 / eps**2)))
 
+    def test_theoretical_schedule_uses_them(self):
+        S_g, S_h, _ = schedule(n=10**9, M=2.0)
+        assert (S_g, S_h) == default_epochs(10**9, 0.1, 1.0, 1.0, 2.0)
+
 
 class TestPracticalBatch:
     def test_reset_returns_base_sizes(self):
-        r = PracticalBatchRule(B_g=1000, B_h=300, S=10)
-        assert practical_batch(r, 0) == (1000, 300)
-        assert practical_batch(r, 10) == (1000, 300)
+        S_g, S_h, at = schedule(rule=PracticalBatchRule(B_g=1000, B_h=300, S=10))
+        assert (S_g, S_h) == (10, 10)
+        assert at(0, None) == (1000, 300)
+        assert at(10, 0.5) == (1000, 300)
 
     def test_nonreset_divides_by_S(self):
-        r = PracticalBatchRule(B_g=1000, B_h=300, S=10)
-        assert practical_batch(r, 3) == (100, 30)
+        assert sizes(rule=PracticalBatchRule(B_g=1000, B_h=300, S=10))(3, 0.5) == (100, 30)
 
     def test_small_base_clamps_to_one(self):
-        r = PracticalBatchRule(B_g=5, B_h=5, S=10)
-        assert practical_batch(r, 3) == (1, 1)
+        assert sizes(rule=PracticalBatchRule(B_g=5, B_h=5, S=10))(3, 0.5) == (1, 1)
+
+    def test_free_variant_keeps_hessian_size(self):
+        # the Hessian-vector sample of the free driver is B_h at every step
+        at = sizes(rule=PracticalBatchRule(B_g=1000, B_h=300, S=10), variant="srvrc_free")
+        assert at(0, None) == (1000, 300)
+        assert at(3, 0.5) == (100, 300)
+
+    def test_sizes_ignore_problem_and_displacement(self):
+        rule = PracticalBatchRule(B_g=60, B_h=30, S=3)
+        for constants in ({}, {"n": 10, "L": 50.0, "M": math.inf}):
+            at = sizes(rule=rule, **constants)
+            assert [at(t, h) for t, h in ((0, None), (1, 0.0), (2, 9.0), (3, 1e-9))] == [
+                (60, 30), (20, 10), (20, 10), (60, 30)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -246,8 +253,6 @@ class TestGradientEstimator:
         # linear components: gradient differences vanish, so any batch works
         n, d = 12, 3
         G = np.random.default_rng(4).standard_normal((n, d))
-        from vrcubic.finite_sum import from_components
-
         p = from_components(
             n=n,
             dim=d,
@@ -337,8 +342,6 @@ class TestHessianEstimator:
         # non-reset update from U_prev with J={0} gives exactly
         # A_0 - A_0 + U_prev = U_prev; with distinct points and the synthetic
         # regularizer the difference term is the penalty curvature change
-        from vrcubic.finite_sum import from_components
-
         A = [np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.0, 0.0], [0.0, 4.0]])]
         p = from_components(
             n=2,
@@ -370,15 +373,15 @@ class TestHessianEstimator:
 class TestRuleValidation:
     def test_epochs_must_be_positive(self):
         with pytest.raises(ValueError):
-            rule(S_g=0)
+            PracticalBatchRule(B_g=1, B_h=1, S=0)
 
     def test_xi_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            rule(xi=1.5)
+        with pytest.raises(ValueError, match="xi"):
+            schedule(xi=1.5)
 
     def test_variant_names_checked(self):
         with pytest.raises(ValueError, match="variant"):
-            rule(variant="something")
+            schedule(variant="something")
 
     def test_state_reset_flags(self):
         s = EstimatorState(S_g=3, S_h=2, t=6)
