@@ -6,15 +6,17 @@ array operations, the number of rows, the number of features and the
 largest feature index (``_shape``); the output arrays are then allocated at
 their final size, and the second pass tokenizes the lines ``_BLOCK_LINES``
 at a time (``parse_block``) and writes each block straight into them
-(``_fill``).  ``parse_libsvm`` fills CSR arrays from an in-memory source;
-``read_libsvm_dense`` fills the dense matrix from a file, plain or gzip,
-and holds no more of the file than a window.  ``parse_block`` walks the
-lines of a block one by one only to name the first bad one.
+(``_fill``).  Every source is a binary stream that each pass rewinds
+(``_rewound``): ``parse_libsvm`` fills CSR arrays from a str or bytes in
+memory, and ``read_libsvm_dense`` fills the dense matrix from a file, plain
+or gzip, and holds no more of the file than a window.  ``parse_block``
+walks the lines of a block one by one only to name the first bad one.
 """
 
 from __future__ import annotations
 
 import gzip
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,12 +70,6 @@ class LibsvmDataset:
     def n(self) -> int:
         return self.labels.size
 
-    @property
-    def rows(self) -> list[list[tuple[int, float]]]:
-        """Each row as a list of (index, value) pairs."""
-        idx, val, bounds = self.indices.tolist(), self.data.tolist(), self.indptr.tolist()
-        return [list(zip(idx[a:b], val[a:b])) for a, b in zip(bounds, bounds[1:])]
-
     def to_dense(self) -> np.ndarray:
         """The n x num_features matrix, scattered _BLOCK_LINES rows at a time."""
         X = np.zeros((self.n, self.num_features))
@@ -83,14 +79,6 @@ class LibsvmDataset:
             X[np.repeat(np.arange(start, start + bounds.size - 1), np.diff(bounds)),
               self.indices[nz] - 1] = self.data[nz]
         return X
-
-    def binary_labels(self) -> np.ndarray:
-        """Map the two distinct raw labels to {0, 1}, smaller raw value to 0."""
-        return binary_labels(self.labels)
-
-    def class_ids(self, num_classes: int) -> np.ndarray:
-        """Map raw labels to 0..m-1, accepting either 0- or 1-based integers."""
-        return class_ids(self.labels, num_classes)
 
 
 def binary_labels(labels: np.ndarray) -> np.ndarray:
@@ -121,41 +109,46 @@ def class_ids(labels: np.ndarray, num_classes: int) -> np.ndarray:
 def parse_libsvm(source) -> LibsvmDataset:
     """Parse svmlight/libsvm text: one "<label> <idx>:<val> ..." row per line.
 
-    ``source`` is a str or a bytes-like buffer (split into lines as
-    ``str.splitlines`` splits), or an iterable of str or bytes lines.  Only
+    ``source`` is a str or a C-contiguous bytes-like object, split into
+    lines as ``str.splitlines`` splits; anything else is a TypeError.  Only
     ASCII is accepted.  Feature indices are 1-based, below 10**18 and strictly
     increasing within a row; labels and values are what ``float()`` reads,
     finite, and take no digit-group underscores ("1_0").  Blank lines are
     skipped; errors report the 1-based line number of the first bad line.
 
-    A str is encoded once and a buffer is copied a window at a time; the
-    CSR arrays are allocated once from the first pass's counts, so the parse
-    holds the source, the parsed arrays and one window's temporaries.
+    A str is encoded once, a ``bytes`` is read in place and any other buffer
+    is copied once; the CSR arrays are allocated once from the first pass's
+    counts, so the parse holds the source, the parsed arrays and one
+    window's temporaries.
     """
-    return _parse(_source_windows(source), _csr)
+    bad = None
+    if isinstance(source, str):  # encoded once, up to its first non-ASCII character
+        try:
+            source = source.encode("ascii")
+        except UnicodeEncodeError as exc:
+            source, bad = source[:exc.start].encode("ascii"), source[exc.start]
+    try:
+        contiguous = memoryview(source).c_contiguous
+    except TypeError:  # not a buffer: io.BytesIO(None) would read as empty input
+        contiguous = False
+    if not contiguous:
+        raise TypeError("parse_libsvm reads a str or a C-contiguous bytes-like object, "
+                        f"got {type(source).__name__}")
+    return _parse(_rewound(io.BytesIO(source), bad), _csr)
 
 
 def read_libsvm_dense(path) -> tuple[np.ndarray, np.ndarray]:
     """The dense n x num_features matrix and the raw labels of a libsvm file.
 
     The file is parsed as ``parse_libsvm`` parses its bytes, with the same
-    errors, and X is byte-identical to ``parse_libsvm(...).to_dense()``.  A
-    plain file smaller than a window is read once.  Any other file is read
-    once per pass, and one ending in ".gz" is decompressed as it is read, so
-    the build holds X, the labels, a window and a few arrays the size of its
-    bytes or of its lines, never the whole file or a CSR copy.
+    errors, and X is byte-identical to ``parse_libsvm(...).to_dense()``.  The
+    file is read once per pass, and one ending in ".gz" is decompressed as it
+    is read, so the build holds X, the labels, a window and a few arrays the
+    size of its bytes or of its lines, never the whole file or a CSR copy.
     """
-    path = Path(path)
-    gz = path.suffix == ".gz"
-    if not gz and path.stat().st_size < _SCAN_BYTES:
-        return _parse(_source_windows(path.read_bytes()), _dense)
+    gz = Path(path).suffix == ".gz"
     with (gzip.open if gz else open)(path, "rb") as fh:
-
-        def windows():
-            fh.seek(0)
-            return _windows(fh.readinto, _SCAN_BYTES)
-
-        return _parse(windows, _dense)
+        return _parse(_rewound(fh), _dense)
 
 
 def serialize_libsvm(dataset: LibsvmDataset) -> str:
@@ -271,32 +264,12 @@ def _fill(windows, sink) -> None:
             raise LibsvmParseError(error)
 
 
-def _source_windows(source):
-    """A function that starts the windows of an in-memory source again each call."""
-    bad = None
-    if isinstance(source, str):  # encoded once, up to its first non-ASCII character
-        at = _non_ascii_at(source)
-        source, bad = source[:at].encode("ascii"), source[at:at + 1] or None
-    try:
-        view = memoryview(source)
-    except TypeError:
-        window = _joined_lines(source)
-        return lambda: iter([window])
-    if not view.c_contiguous:
-        view = memoryview(view.tobytes())
-    view = view.cast("B")
+def _rewound(fh, bad=None):
+    """A function that starts the windows of the binary stream fh again each call."""
 
     def windows():
-        pos = 0
-
-        def readinto(out) -> int:
-            nonlocal pos
-            piece = view[pos:pos + len(out)]
-            out[:len(piece)] = piece
-            pos += len(piece)
-            return len(piece)
-
-        return _windows(readinto, min(_SCAN_BYTES, len(view) + 1), bad)
+        fh.seek(0)
+        return _windows(fh.readinto, _SCAN_BYTES, bad)
 
     return windows
 
@@ -325,7 +298,8 @@ def _windows(readinto, size: int, bad=None):
         if not got or at < data.size:
             char = data[at:at + 1].tobytes() or bad  # the line that holds it is left out
             starts, ends = _bounds(data, breaks, None if char else at)
-            yield data, starts, ends, first, char and _non_ascii_error(first + ends.size, char, 0)
+            error = char and f"line {first + ends.size}: non-ASCII character {char!r}"
+            yield data, starts, ends, first, error
             return
         if data[-1] == ord("\r"):
             breaks = breaks[:-1]
@@ -368,36 +342,6 @@ def _scan(buf: np.ndarray) -> tuple[np.ndarray, int]:
         if high.size:
             return np.concatenate(breaks), lo + int(rare[stop])
     return np.concatenate(breaks), buf.size
-
-
-def _joined_lines(lines):
-    """The one window of an iterable of str or bytes lines: one line per element."""
-    encoded, bad = [], None
-    for k, line in enumerate(lines):
-        at = _non_ascii_at(line)
-        if at < len(line):
-            bad = _non_ascii_error(k + 1, line, at)
-            break
-        encoded.append(line.encode("ascii") if isinstance(line, str) else bytes(line))
-    raw = b"\n".join(encoded)
-    size = np.fromiter(map(len, encoded), np.intp, len(encoded)) + 1
-    starts = np.cumsum(size) - size
-    return np.frombuffer(raw, np.uint8), starts, starts + size - 1, 1, bad
-
-
-def _non_ascii_at(text) -> int:
-    """Position of the first non-ASCII character of a str or bytes, or its length."""
-    if text.isascii():
-        return len(text)
-    try:
-        text.decode("ascii") if isinstance(text, bytes) else text.encode("ascii")
-    except UnicodeError as exc:
-        return exc.start
-    return len(text)
-
-
-def _non_ascii_error(lineno: int, text, at: int) -> str:
-    return f"line {lineno}: non-ASCII character {text[at:at + 1]!r}"
 
 
 def parse_block(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, first: int):

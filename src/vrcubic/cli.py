@@ -22,7 +22,8 @@ A dataset file is read in two passes over windows of whole lines
 (``_libsvm.read_libsvm_dense``): a scan for the number of rows and the
 largest feature index, then a parse straight into the dense X allocated at
 that shape, so a build holds X and one window, not the file's bytes or a CSR
-copy.  Files ending in .gz are decompressed as they are read, once per pass.
+copy.  Every file is read once per pass, whatever its size, and files ending
+in .gz are decompressed as they are read.
 """
 
 from __future__ import annotations

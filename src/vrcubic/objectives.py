@@ -17,6 +17,8 @@ from ._libsvm import (  # re-exported: the libsvm format lives in _libsvm
     _BLOCK_LINES,
     LibsvmDataset,
     LibsvmParseError,
+    binary_labels,
+    class_ids,
     parse_libsvm,
     serialize_libsvm,
 )
@@ -195,7 +197,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def make_binary_logreg(dataset: LibsvmDataset, lam: float = 1e-3) -> FiniteSumProblem:
     """Binary problem from a parsed dataset; smaller raw label becomes class 0."""
-    return binary_logreg_from_arrays(dataset.to_dense(), dataset.binary_labels(), lam)
+    return binary_logreg_from_arrays(dataset.to_dense(), binary_labels(dataset.labels), lam)
 
 
 def multiclass_logreg_from_arrays(
@@ -285,7 +287,7 @@ def make_multiclass_logreg(
 ) -> FiniteSumProblem:
     """Multiclass problem from a parsed dataset (labels 0- or 1-based)."""
     return multiclass_logreg_from_arrays(
-        dataset.to_dense(), dataset.class_ids(num_classes), num_classes, lam=lam
+        dataset.to_dense(), class_ids(dataset.labels, num_classes), num_classes, lam=lam
     )
 
 

@@ -373,13 +373,13 @@ class TestFiniteDiffCheck:
         assert finite_diff_grad_check(problem, np.zeros(3)) <= 1e-12
 
     def test_logreg_gradient_verifies(self):
-        problem = make_binary_logreg(parse_libsvm(BINARY_LINES), lam=0.1)
+        problem = make_binary_logreg(parse_libsvm("\n".join(BINARY_LINES)), lam=0.1)
         rng = np.random.default_rng(5)
         x = 0.5 * rng.standard_normal(problem.dim)
         assert finite_diff_grad_check(problem, x) <= 1e-5
 
     def test_corrupted_gradient_is_flagged(self):
-        base = make_binary_logreg(parse_libsvm(BINARY_LINES), lam=0.1)
+        base = make_binary_logreg(parse_libsvm("\n".join(BINARY_LINES)), lam=0.1)
         broken = from_components(  # component i is the kernel on [i]
             n=base.n,
             dim=base.dim,
@@ -403,7 +403,7 @@ class TestFiniteDiffCheck:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_nonfinite_difference_is_not_agreement(self):
-        base = make_binary_logreg(parse_libsvm(BINARY_LINES), lam=0.1)
+        base = make_binary_logreg(parse_libsvm("\n".join(BINARY_LINES)), lam=0.1)
         broken = from_components(  # every gradient coordinate is off by 5
             n=base.n,
             dim=base.dim,

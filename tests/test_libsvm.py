@@ -86,7 +86,7 @@ def test_dense_x_and_labels_match_parse_libsvm(name, tmp_path, monkeypatch):
     X, y = built(monkeypatch, write(tmp_path, raw, "data.svm.gz" if name == "gzip" else "data.svm"))
     assert X.shape == (expected.n, expected.num_features)
     assert X.tobytes() == expected.to_dense().tobytes()
-    assert y.tobytes() == expected.binary_labels().tobytes()
+    assert y.tobytes() == _libsvm.binary_labels(expected.labels).tobytes()
 
 
 def bad_in_third_window():
@@ -125,7 +125,7 @@ def test_an_x_too_large_to_allocate_raises_the_allocation_error(tmp_path, monkey
     assert not isinstance(info.value, LibsvmParseError)
 
 
-def test_a_file_is_read_once_per_pass_and_a_small_one_once(tmp_path, monkeypatch):
+def test_a_file_is_read_once_per_pass_whatever_its_size(tmp_path, monkeypatch):
     raw = rows(120, np.random.default_rng(4))
     reads = []
 
@@ -151,8 +151,20 @@ def test_a_file_is_read_once_per_pass_and_a_small_one_once(tmp_path, monkeypatch
     X, _ = _libsvm.read_libsvm_dense(write(tmp_path, raw))
     assert sum(reads) == 2 * len(raw) and X.tobytes() == parse_libsvm(raw).to_dense().tobytes()
     reads.clear()
-    X, _ = _libsvm.read_libsvm_dense(write(tmp_path, raw[:WINDOW - 1], "small.svm"))
-    assert reads == [] and X.shape == parse_libsvm(raw[:WINDOW - 1]).to_dense().shape
+    small = raw[:WINDOW - 1]
+    X, _ = _libsvm.read_libsvm_dense(write(tmp_path, small, "small.svm"))
+    assert sum(reads) == 2 * len(small) and X.tobytes() == parse_libsvm(small).to_dense().tobytes()
+
+
+@pytest.mark.parametrize("source", [
+    [b"1 1:0.5 3:2\n", "-1 2:1\n"],
+    None,  # io.BytesIO(None) is an empty stream, not a refusal
+    3,
+    memoryview(ROW * 4)[::2],
+], ids=["list-of-lines", "none", "int", "strided-memoryview"])
+def test_other_sources_are_refused(source):
+    with pytest.raises(TypeError, match="^parse_libsvm reads a str or a C-contiguous bytes-like"):
+        parse_libsvm(source)
 
 
 def dataset_file(tmp_path, n, d, values, blank_lines=False):

@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vrcubic import objectives
+from vrcubic._libsvm import binary_labels, class_ids
 from vrcubic.cli import build_problem
 from vrcubic.diagnostics import min_eigenvalue
 from vrcubic.drivers import AdaptivePenalty, SolverConfig, run_srvrc, run_srvrc_free
@@ -53,13 +54,19 @@ def fd_gradient(problem, x, step=1e-6):
     return g
 
 
+def csr_rows(ds):
+    """Each row of a parsed dataset as a list of (index, value) pairs, from its CSR arrays."""
+    idx, val, bounds = ds.indices.tolist(), ds.data.tolist(), ds.indptr.tolist()
+    return [list(zip(idx[a:b], val[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 class TestLibsvmParsing:
     def test_single_line(self):
         ds = parse_libsvm("1 1:0.5 3:2.0\n")
         assert ds.n == 1
         assert ds.num_features == 3
         assert ds.labels[0] == 1.0
-        assert ds.rows[0] == [(1, 0.5), (3, 2.0)]
+        assert csr_rows(ds)[0] == [(1, 0.5), (3, 2.0)]
 
     def test_empty_input_rejected(self):
         with pytest.raises(LibsvmParseError, match="empty"):
@@ -67,17 +74,17 @@ class TestLibsvmParsing:
 
     def test_binary_label_mapping_sorts_raw_values(self):
         ds = parse_libsvm("-1 1:1.0\n+1 1:2.0\n")
-        y = ds.binary_labels()
+        y = binary_labels(ds.labels)
         assert_allclose(y, [0.0, 1.0])
 
     def test_binary_label_mapping_is_order_independent(self):
         ds = parse_libsvm("3 1:1.0\n1 1:2.0\n3 1:0.5\n")
-        assert_allclose(ds.binary_labels(), [1.0, 0.0, 1.0])
+        assert_allclose(binary_labels(ds.labels), [1.0, 0.0, 1.0])
 
     def test_nonbinary_labels_rejected(self):
         ds = parse_libsvm("1 1:1.0\n2 1:1.0\n3 1:1.0\n")
         with pytest.raises(ValueError, match="2 distinct"):
-            ds.binary_labels()
+            binary_labels(ds.labels)
 
     def test_malformed_feature_names_line_number(self):
         for bad in ("banana", "1:nan", "1:inf", "2:-inf"):
@@ -113,7 +120,7 @@ class TestLibsvmParsing:
         assert ds2.n == ds.n
         assert ds2.num_features == ds.num_features
         assert_allclose(ds2.labels, ds.labels)
-        assert ds2.rows == ds.rows
+        assert csr_rows(ds2) == csr_rows(ds)
 
     def test_equality_compares_the_arrays(self):
         text = "1 1:1\n-1 2:1\n"
@@ -134,16 +141,16 @@ class TestLibsvmParsing:
 
     def test_class_ids_one_based(self):
         ds = parse_libsvm("1 1:1\n3 1:1\n2 1:1\n")
-        assert_allclose(ds.class_ids(3), [0, 2, 1])
+        assert_allclose(class_ids(ds.labels, 3), [0, 2, 1])
 
     def test_class_ids_zero_based(self):
         ds = parse_libsvm("0 1:1\n2 1:1\n")
-        assert_allclose(ds.class_ids(3), [0, 2])
+        assert_allclose(class_ids(ds.labels, 3), [0, 2])
 
     def test_class_ids_out_of_range(self):
         ds = parse_libsvm("5 1:1\n")
         with pytest.raises(ValueError, match="out of range"):
-            ds.class_ids(3)
+            class_ids(ds.labels, 3)
 
 
 def reference_parse_libsvm(source):
@@ -268,13 +275,11 @@ class TestLibsvmDifferential:
     """The array parser against the per-token reference on a seeded corpus."""
 
     def check(self, text, every_form=True):
-        """Compare on text as str and, with every_form, as bytes and as a list of lines."""
+        """Compare on text as str and, with every_form, as bytes."""
         expected = parse_outcome(reference_parse_libsvm, text)
         assert parse_outcome(parse_libsvm, text) == expected
         if every_form:
             assert parse_outcome(parse_libsvm, text.encode("ascii")) == expected
-            pieces = text.splitlines(keepends=True)
-            assert parse_outcome(parse_libsvm, pieces) == parse_outcome(reference_parse_libsvm, pieces)
         return expected
 
     def test_seeded_corpus(self):
@@ -335,12 +340,6 @@ class TestLibsvmAscii:
     def test_earlier_bad_line_reported_first(self):
         with pytest.raises(LibsvmParseError, match="^line 1: bad label 'x'$"):
             parse_libsvm("x 1:1\n1 1:1 é\n")
-
-    def test_lines_as_str_or_bytes(self):
-        ds = parse_libsvm([b"1 1:0.5 3:2\n", "-1 2:1\n"])
-        assert ds.rows == [[(1, 0.5), (3, 2.0)], [(2, 1.0)]]
-        with pytest.raises(LibsvmParseError, match=r"^line 3: non-ASCII character b'\\x80'$"):
-            parse_libsvm(["1 1:1", b"", b"1 \x80:1"])
 
 
 class TestColumnScaling:
@@ -985,13 +984,9 @@ def test_mutating_a_full_batch_answer_changes_no_later_answer(difficulty):
 
 
 class TestLibsvmBuffers:
-    """Any bytes-like source is read as the bytes it holds."""
+    """Any C-contiguous bytes-like source is read as the bytes it holds."""
 
-    @pytest.mark.parametrize("kind", [
-        bytearray,
-        memoryview,
-        lambda raw: memoryview(np.repeat(np.frombuffer(raw, np.uint8), 2)[::2]),  # strided
-    ], ids=["bytearray", "memoryview", "strided-memoryview"])
+    @pytest.mark.parametrize("kind", [bytearray, memoryview], ids=["bytearray", "memoryview"])
     def test_same_dataset_and_errors_as_bytes(self, kind):
         rng = np.random.default_rng(5)
         raw = random_document(rng, 3 * objectives._BLOCK_LINES, bad_share=0.0).encode("ascii")
