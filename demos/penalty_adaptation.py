@@ -6,6 +6,7 @@ Start cubic regularization with an absurdly small penalty on a bumpy
 one-dimensional objective.  Early steps overshoot, the trust ratio
 collapses, and the controller rejects them while doubling the penalty;
 once the penalty matches the local curvature the steps start landing.
+Every line below is one row of the run's trace.
 """
 
 import numpy as np
@@ -22,20 +23,19 @@ problem = from_components(
     lipschitz_hess=1.0,
 )
 
-snapshots = []
 config = SolverConfig(
     eps=1e-4,
     T=100,
     x0=np.array([0.1]),
     penalty=AdaptivePenalty(m0=1e-8),
 )
-result = run_cr(problem, config, callback=snapshots.append)
+result = run_cr(problem, config)
 
-print(" t   penalty      x         step taken?")
-for s in snapshots:
-    print(f"{s.t:2d}   {s.penalty:8.2e}  {s.x[0]:+8.4f}   {'yes' if s.accepted else 'REJECTED'}")
+print(" t   penalty     cos(x)   step taken?")
+for row in result.trace:
+    print(f"{row.t:2d}   {row.Mt:8.2e}  {row.f:+8.4f}   {'yes' if row.accepted else 'REJECTED'}")
 
-rejected = sum(1 for s in snapshots if not s.accepted)
+rejected = sum(1 for row in result.trace if not row.accepted)
 print()
 print(f"{result.exit} at x = {result.x_out[0]:+.4f} (cos = {np.cos(result.x_out[0]):+.5f})")
 print(f"{rejected} rejections before the penalty reached a workable scale")

@@ -237,7 +237,11 @@ def _top(cfg: dict, where: str) -> None:
     """The document's own keys and its algorithm, checked before any section is built."""
     _check_keys(cfg, {"algorithm", "problem", "solver", "output"},
                 {"algorithm", "problem", "solver"}, where)
-    if cfg["algorithm"] not in _ALGORITHMS:
+    _check_algorithm(cfg["algorithm"], where)
+
+
+def _check_algorithm(algorithm, where: str = "config") -> None:
+    if algorithm not in _ALGORITHMS:
         raise ConfigError(f"{where}.algorithm: must be one of {_ALGORITHMS}")
 
 
@@ -312,6 +316,7 @@ def write_trace_csv(path: Path, trace) -> None:
 
 
 def certify_constant(algorithm: str) -> float:
+    _check_algorithm(algorithm)
     return 1300.0 if algorithm == "srvrc_free" else 600.0
 
 

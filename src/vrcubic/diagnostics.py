@@ -20,6 +20,7 @@ from .cubic import _lanczos, _tridiagonal
 from .finite_sum import (
     FiniteSumProblem,
     OracleCounter,
+    _check_positive,
     batch_gradient,
     batch_hessian,
     batch_hvp,
@@ -80,13 +81,6 @@ def _lambda_min_via_hvp(problem: FiniteSumProblem, x: np.ndarray, counter: Oracl
             check += math.ceil(check / 8)
     # step d, or an invariant span: T_k's eigenvalues are then exact
     return float(np.linalg.eigvalsh(_tridiagonal(alpha, beta))[0])
-
-
-def _check_positive(**params: float) -> None:
-    """Raise ValueError naming the first parameter that is not finite and > 0."""
-    for name, value in params.items():
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _mu_parts(

@@ -38,6 +38,7 @@ from .finite_sum import (
     FiniteSumProblem,
     OracleCounter,
     _check_integer,
+    _check_positive,
     batch_hvp,
     batch_value,
     full_index,
@@ -166,6 +167,8 @@ class SolverConfig:
             raise ValueError("xi must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not isinstance(self.penalty, PenaltyPolicy):
+            raise TypeError("penalty must be a FixedPenalty, TheoreticalPenalty or AdaptivePenalty")
         if self.batch is not None and not isinstance(self.batch, PracticalBatchRule):
             raise TypeError("batch must be a PracticalBatchRule or None (the theoretical schedule)")
         if self.subsolver_max_iters is not None and self.subsolver_max_iters < 0:
@@ -180,6 +183,8 @@ class SolverConfig:
 
 @dataclass
 class TraceRow:
+    """One iteration's scalars; RunResult.trace is the run's only per-iteration record."""
+
     t: int
     f: float
     h_norm: float
@@ -190,33 +195,34 @@ class TraceRow:
     grad_calls: int
     hess_calls: int
     hvp_calls: int
+    accepted: bool  # the step was taken; a rejected ARC step keeps x and doubles Mt
     wall_ms: float
 
 
 @dataclass
 class IterationSnapshot:
-    """Per-iteration view handed to driver callbacks (white-box testing hooks)."""
+    """What a driver callback gets each iteration: the row just traced, plus the arrays."""
 
-    t: int
-    x: np.ndarray
-    v: np.ndarray
-    U: np.ndarray | None
-    h: np.ndarray
-    m_value: float
-    penalty: float
-    accepted: bool
+    row: TraceRow  # the object appended to RunResult.trace
+    x: np.ndarray  # a copy of the iterate
+    v: np.ndarray  # the gradient estimate
+    U: np.ndarray | None  # the Hessian estimate; None in the free driver
+    h: np.ndarray  # the step
 
 
 @dataclass
 class RunResult:
     x_out: np.ndarray
     exit: str  # "converged" | "budget-exhausted"
-    iterations: int
     trace: list[TraceRow]
     counters: OracleCounter
     diag_counters: OracleCounter
     f_out: float
     wall_ms_total: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def budget_from_gap(delta_f: float, eps: float, rho: float, algorithm: str = "srvrc") -> int:
@@ -229,9 +235,7 @@ def budget_from_gap(delta_f: float, eps: float, rho: float, algorithm: str = "sr
         raise ValueError(f"unknown algorithm {algorithm!r}: expected one of {_ALGORITHMS}")
     if not (delta_f >= 0 and math.isfinite(delta_f)):
         raise ValueError(f"objective gap must be nonnegative and finite, got {delta_f!r}")
-    for name, value in (("eps", eps), ("rho", rho)):
-        if not _finite_positive(value):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    _check_positive(eps=eps, rho=rho)
     coef = 25.0 if algorithm == "srvrc_free" else 40.0
     return max(1, math.ceil(coef * delta_f * math.sqrt(rho) / eps**1.5))
 
@@ -329,43 +333,32 @@ def _run(problem: FiniteSumProblem, config: SolverConfig, callback, variant: str
             terminal = h_norm <= radius
         x_trial = x + sol.h  # evaluated here, and the next iterate if taken
         f_trial = None
-        accepted = True
+        accepted = True  # a terminal step is always taken
         penalty_next = penalty
         if not terminal and adaptive:
             f_trial = batch_value(problem, x_trial, full, diag)
             pred = -sol.m_value
             ratio = (f_t - f_trial) / pred if pred > 0 else -math.inf
             penalty_next, accepted = adaptive_penalty_update(penalty, ratio)
-        trace.append(
-            TraceRow(
-                t=t,
-                f=f_t,
-                h_norm=h_norm,
-                m_value=sol.m_value,
-                Bg=Bg,
-                Bh=Bh,
-                Mt=penalty,
-                grad_calls=oracle.grad_calls,
-                hess_calls=oracle.hess_calls,
-                hvp_calls=oracle.hvp_calls,
-                wall_ms=(time.perf_counter() - start) * 1000.0,
-            )
+        row = TraceRow(
+            t=t,
+            f=f_t,
+            h_norm=h_norm,
+            m_value=sol.m_value,
+            Bg=Bg,
+            Bh=Bh,
+            Mt=penalty,
+            grad_calls=oracle.grad_calls,
+            hess_calls=oracle.hess_calls,
+            hvp_calls=oracle.hvp_calls,
+            accepted=accepted,
+            wall_ms=(time.perf_counter() - start) * 1000.0,
         )
+        trace.append(row)
         if callback is not None:
-            callback(
-                IterationSnapshot(
-                    t=t,
-                    x=x.copy(),
-                    v=v,
-                    U=U,
-                    h=sol.h,
-                    m_value=sol.m_value,
-                    penalty=penalty,
-                    accepted=accepted or terminal,
-                )
-            )
+            callback(IterationSnapshot(row=row, x=x.copy(), v=v, U=U, h=sol.h))
         x_prev = x
-        if accepted:  # a terminal step is always taken
+        if accepted:
             x, f_t = x_trial, f_trial
         if terminal:
             exit_status = "converged"
@@ -377,7 +370,6 @@ def _run(problem: FiniteSumProblem, config: SolverConfig, callback, variant: str
     return RunResult(
         x_out=x,
         exit=exit_status,
-        iterations=len(trace),
         trace=trace,
         counters=oracle,
         diag_counters=diag,

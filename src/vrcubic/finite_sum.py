@@ -9,6 +9,7 @@ that oracle accounting stays in one place.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
@@ -38,6 +39,13 @@ def _check_integer(name: str, value) -> None:
     """TypeError unless value is an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_positive(**params: float) -> None:
+    """Raise ValueError naming the first parameter that is not finite and > 0."""
+    for name, value in params.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -103,6 +111,8 @@ class FiniteSumProblem:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_integer("n", self.n)
+        _check_integer("dim", self.dim)
         if self.n <= 0:
             raise ValueError(f"need at least one component, got n={self.n}")
         if self.dim <= 0:

@@ -114,6 +114,12 @@ def _unit_column_scales(X: np.ndarray) -> np.ndarray:
     return scale
 
 
+def _check_lam(lam: float) -> None:
+    """ValueError unless lam >= 0 and finite: the L and rho below hold for lam >= 0 only."""
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be nonnegative and finite, got {lam!r}")
+
+
 def binary_logreg_from_arrays(
     X: np.ndarray, y: np.ndarray, lam: float = 1e-3
 ) -> FiniteSumProblem:
@@ -121,6 +127,7 @@ def binary_logreg_from_arrays(
 
     f_i(w) = log(1 + exp(x_i.w)) - y_i x_i.w + lam * r(w),  y_i in {0, 1}.
     """
+    _check_lam(lam)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
@@ -210,6 +217,7 @@ def multiclass_logreg_from_arrays(
 
     The variable is W (m rows of d weights) stored row-major as w = W.ravel().
     """
+    _check_lam(lam)
     X = np.asarray(X, dtype=float)
     class_id = np.asarray(class_id, dtype=int)
     n, d = X.shape

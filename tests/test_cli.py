@@ -645,6 +645,9 @@ class TestCertifyConstant:
         assert certify_constant("cr") == 600.0
         assert certify_constant("scr") == 600.0
         assert certify_constant("srvrc_free") == 1300.0
+        # a misspelt name used to get 600
+        with pytest.raises(ConfigError, match=r"^config\.algorithm: must be one of \("):
+            certify_constant("srvcr")
 
 
 class TestTracedImportSites:

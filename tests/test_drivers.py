@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vrcubic.cli import write_trace_csv
 from vrcubic.cubic import SolverDivergenceError, solve_exact
 from vrcubic.drivers import (
     AdaptivePenalty,
@@ -147,6 +149,11 @@ class TestAdaptivePenaltyUpdate:
                 FixedPenalty(bad)
             with pytest.raises(ValueError, match="initial penalty must be positive and finite"):
                 AdaptivePenalty(m0=bad)
+        # a bare number is no penalty policy: it used to fail in the driver
+        # as "'float' object has no attribute 'm0'"
+        for bad in (5.0, None, "adaptive"):
+            with pytest.raises(TypeError, match="^penalty must be a FixedPenalty"):
+                SolverConfig(eps=1e-3, penalty=bad)
 
 
 class TestBudgetFromGap:
@@ -448,15 +455,14 @@ class TestAccounting:
         problem = make_synthetic(seed=3, n=200, d=4)
         config = SolverConfig(eps=0.1, T=30, penalty=AdaptivePenalty(0.05), batch=rule, seed=1,
                               x0=np.full(4, 0.8))
-        accepted = []
-        result = runner(problem, config, callback=lambda snap: accepted.append(snap.accepted))
-        assert not all(accepted)
+        result = runner(problem, config)
+        assert not all(row.accepted for row in result.trace)
         _, _, sizes = batch_schedule(problem, rule, config.eps, problem.lipschitz_hess,
                                      config.xi, config.T, variant)
         h_prev = None
-        for row, taken in zip(result.trace, accepted):
+        for row in result.trace:
             assert (row.Bg, row.Bh) == tuple(min(problem.n, b) for b in sizes(row.t, h_prev))
-            h_prev = row.h_norm if taken else 0.0
+            h_prev = row.h_norm if row.accepted else 0.0
         if rule is None:
             assert min(row.Bg for row in result.trace) == 1
 
@@ -508,12 +514,12 @@ class TestAdaptiveDriver:
         )
         result = run_cr(problem, config, callback=snaps.append)
         assert result.exit == "converged"
-        rejected = [s.t for s in snaps if not s.accepted]
+        rejected = [s.row.t for s in snaps if not s.row.accepted]
         assert rejected, "the tiny starting penalty must force at least one rejection"
         for s, nxt in zip(snaps, snaps[1:]):
-            if not s.accepted:
+            if not s.row.accepted:
                 assert_allclose(nxt.x, s.x)
-                assert nxt.penalty == pytest.approx(2.0 * s.penalty)
+                assert nxt.row.Mt == pytest.approx(2.0 * s.row.Mt)
         # ends at a true local minimum of cos
         assert_allclose(np.cos(result.x_out[0]), -1.0, atol=1e-4)
 
@@ -526,6 +532,25 @@ class TestAdaptiveDriver:
         ms = [row.Mt for row in result.trace]
         assert ms[0] == 1e-8
         assert max(ms) > ms[0]
+
+    def test_trace_records_each_rejection(self, tmp_path):
+        # a rejected step keeps the iterate, so the next row repeats its f at
+        # twice its penalty; the CLI's trace CSV carries the flag as written
+        problem = cosine_problem()
+        config = SolverConfig(
+            eps=1e-4, T=100, x0=np.array([0.1]), penalty=AdaptivePenalty(m0=1e-8)
+        )
+        result = run_cr(problem, config)
+        rows = result.trace
+        assert not rows[0].accepted and rows[-1].accepted
+        for row, nxt in zip(rows, rows[1:]):
+            if not row.accepted:
+                assert (nxt.f, nxt.Mt) == (row.f, 2.0 * row.Mt)
+        write_trace_csv(tmp_path / "run.trace.csv", rows)
+        with open(tmp_path / "run.trace.csv", newline="") as fh:
+            written = [line["accepted"] for line in csv.DictReader(fh)]
+        assert written == [str(row.accepted) for row in rows]
+        assert "False" in written
 
     def test_fixed_penalty_column_is_constant(self):
         problem = make_synthetic(seed=3, n=20, d=3)
@@ -731,11 +756,9 @@ class TestCallbacks:
         result = run_srvrc(problem, config, callback=snaps.append)
         assert len(snaps) == result.iterations
         for s, row in zip(snaps, result.trace):
-            assert s.t == row.t
+            assert s.row is row
             assert s.v.shape == (4,)
             assert s.U.shape == (4, 4)
-            assert s.penalty == row.Mt
-            assert s.m_value == row.m_value
             assert_allclose(np.linalg.norm(s.h), row.h_norm)
 
     def test_matvec_driver_snapshot_has_no_matrix(self):

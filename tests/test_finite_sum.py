@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -209,15 +210,23 @@ class TestCounters:
 
 class TestValidation:
     def test_bad_problem_sizes(self):
-        with pytest.raises(ValueError):
-            from_components(
-                n=0,
-                dim=2,
-                value=lambda i, x: 0.0,
-                grad=lambda i, x: np.zeros(2),
-                lipschitz_grad=1.0,
-                lipschitz_hess=1.0,
-            )
+        # a float or bool size is refused when built, not at the first
+        # full-batch query or inside np.zeros
+        for n, dim, error, message in [
+            (0, 2, ValueError, "need at least one component, got n=0"),
+            (2.5, 2, TypeError, "n must be an integer, got 2.5"),
+            (True, 2, TypeError, "n must be an integer, got True"),
+            (1, 2.0, TypeError, "dim must be an integer, got 2.0"),
+        ]:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                from_components(
+                    n=n,
+                    dim=dim,
+                    value=lambda i, x: 0.0,
+                    grad=lambda i, x: np.zeros(2),
+                    lipschitz_grad=1.0,
+                    lipschitz_hess=1.0,
+                )
 
     def test_nonpositive_lipschitz_rejected(self):
         with pytest.raises(ValueError):

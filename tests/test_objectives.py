@@ -552,6 +552,20 @@ def multiclass_golden_problem():
 
 
 # (exit, iterations, oracle bill, diagnostic bill) of seeded run_srvrc runs on
+@pytest.mark.parametrize("factory", [
+    lambda lam: binary_logreg_from_arrays([[1.0, 1.0]], [1.0], lam),
+    lambda lam: multiclass_logreg_from_arrays([[1.0, 1.0]], [0], 2, lam),
+], ids=["binary", "multiclass"])
+@pytest.mark.parametrize("lam", [-0.01, -0.5, math.nan, math.inf])
+def test_logreg_lam_must_be_nonnegative_and_finite(factory, lam):
+    # L and rho add lam times the penalty's curvature bounds, which hold from
+    # above only for lam >= 0: at lam = -0.01 the binary L read 0.48 where
+    # ||hess f_0(1, -1)|| is 0.505
+    with pytest.raises(ValueError, match=f"^lam must be nonnegative and finite, got {lam!r}$"):
+        factory(lam)
+    assert factory(0.0).extra["lam"] == 0.0
+
+
 # multiclass_golden_problem(), captured while the Hessian kernel was a loop of
 # per-component Kronecker products, bills re-captured once full-batch
 # corrections became resets and the loop stopped re-asking queries it holds;
