@@ -6,11 +6,15 @@ array operations, the number of rows, the number of features and the
 largest feature index (``_shape``); the output arrays are then allocated at
 their final size, and the second pass tokenizes the lines ``_BLOCK_LINES``
 at a time (``parse_block``) and writes each block straight into them
-(``_fill``).  Every source is a binary stream that each pass rewinds
-(``_rewound``): ``parse_libsvm`` fills CSR arrays from a str or bytes in
-memory, and ``read_libsvm_dense`` fills the dense matrix from a file, plain
-or gzip, and holds no more of the file than a window.  ``parse_block``
-walks the lines of a block one by one only to name the first bad one.
+(``_fill``).  Labels, indices and values of at most eight bytes are
+decoded eight bytes at a time with exact integer arithmetic (``_swar``);
+longer ones, and any of another form, go to ``float()`` and ``int()`` in
+bulk, so every number is the one ``float()`` or ``int()`` reads.  Every
+source is a binary stream that each pass rewinds (``_rewound``):
+``parse_libsvm`` fills CSR arrays from a str or bytes in memory, and
+``read_libsvm_dense`` fills the dense matrix from a file, plain or gzip,
+and holds no more of the file than a window.  ``parse_block`` walks the
+lines of a block one by one only to name the first bad one.
 """
 
 from __future__ import annotations
@@ -23,15 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _swar
+
 
 class LibsvmParseError(ValueError):
     """Raised on malformed svmlight/libsvm text; message names the line."""
 
 
-# Feature indices are decoded from their ASCII digits in int64; an index needs
-# fewer digits than this, leading zeros aside.
-_INDEX_DIGITS = 18
-_POW10 = np.array([10**k for k in range(_INDEX_DIGITS)], dtype=np.int64)
+# Feature indices are below this, to fit in int64.
+_INDEX_LIMIT = 10**18
 # The ASCII bytes that str.split() splits on.
 _SPACE = np.array([chr(b).isspace() for b in range(128)] + [False] * 128)
 # The ASCII bytes that str.splitlines() ends a line at; "\r\n" is one break.
@@ -41,6 +45,11 @@ _BREAK = np.array([b in b"\n\r\x0b\x0c\x1c\x1d\x1e" for b in range(256)])
 _SCAN_BYTES = 400 * 1024
 # Lines parsed at a time: bounds the transient token arrays and byte masks.
 _BLOCK_LINES = 256
+# 8-byte words searched back from a line's end for its last colon before
+# all of the window's colons are listed: enough for 17-digit values.
+_PROBES = 4
+# Lines searched at a time: bounds the search's arrays on short lines.
+_SEARCH_LINES = 4096
 
 
 @dataclass
@@ -211,8 +220,9 @@ def _shape(windows) -> tuple[int, int, int]:
 
     Rows are the lines that hold a byte other than whitespace, and feature
     tokens are colons.  Indices strictly increase within a line, so the
-    largest is the largest of the digits before each line's last colon.  On
-    text with a bad line the counts only bound the lines before it.
+    largest is the largest of the digits before each line's last colon,
+    searched for a few words back from each line's end (``_largest_index``).
+    On text with a bad line the counts only bound the lines before it.
     """
     rows = nnz = num_features = 0
     for buf, starts, ends, _, _ in windows:
@@ -229,26 +239,23 @@ def _shape(windows) -> tuple[int, int, int]:
             spans = np.column_stack((starts[maybe], ends[maybe])).ravel()
             blank[maybe] = ~np.logical_or.reduceat(word, spans)[::2]
         rows += blank.size - np.count_nonzero(blank)
-        colon = np.flatnonzero(buf[:ends[-1]] == ord(":"))
-        nnz += colon.size
-        if colon.size:  # a line without a colon takes another line's, no larger
-            last = colon[np.searchsorted(colon, ends) - 1]
-            num_features = max(num_features, _index_before(buf, last))
+        nnz += np.count_nonzero(buf[:ends[-1]] == ord(":"))
+        text = _swar.padded(buf[:ends[-1]])
+        for at in range(0, ends.size, _SEARCH_LINES):
+            num_features = max(num_features, _largest_index(text, ends[at:at + _SEARCH_LINES]))
     return rows, nnz, num_features
 
 
-def _index_before(buf: np.ndarray, colons: np.ndarray) -> int:
-    """The largest number written in the (at most _INDEX_DIGITS) digits before the colons."""
-    index = np.zeros(colons.size, np.int64)
-    live = np.ones(colons.size, bool)
-    for place in range(_INDEX_DIGITS):
-        at = colons - 1 - place
-        digit = buf.take(at, mode="clip") - np.uint8(ord("0"))
-        live &= digit <= 9  # in valid text, a blank precedes each index
-        if not live.any():
-            break
-        index += np.where(live, digit, 0) * _POW10[place]
-    return int(index.max())
+def _largest_index(text: np.ndarray, ends: np.ndarray) -> int:
+    """The largest number before the last colon of the lines that end at ends
+    (0: none); text is the window after ``_swar.padded``."""
+    last, todo, at = _swar.last_of(text, ends, ord(":"), _PROBES)
+    if todo.size:  # lines whose last colon is further back, or that have none
+        colon = np.flatnonzero(text[8:8 + at.max()] == ord(":"))
+        if colon.size:  # a line without a colon takes another line's, no larger
+            last[todo] = colon[np.searchsorted(colon, at) - 1]
+    last = last[last >= 0]
+    return int(_swar.digits_before(text, last).max()) if last.size else 0
 
 
 def _fill(windows, sink) -> None:
@@ -369,7 +376,6 @@ def _bulk_parse(buf: np.ndarray, line_starts: np.ndarray):
     """
     if ord("_") in buf:
         return None
-    text = buf.copy()  # what float() reads: labels and values, all else blanked
     # Tokens.  Above " " every byte is a token byte; at or below, all but the
     # bytes.split() separators (space and \t\n\v\f\r) are rare, so they are
     # classified one by one.
@@ -378,7 +384,6 @@ def _bulk_parse(buf: np.ndarray, line_starts: np.ndarray):
     rare = np.flatnonzero((buf < ord("\t")) | (buf - 14 < 18))
     space = _SPACE[buf[rare]]
     word[rare + 1] = ~space
-    text[rare[space]] = ord(" ")
     start, end = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T
     # The first token at or after each line's start is a label (the next
     # line's, when the line is blank).
@@ -394,36 +399,43 @@ def _bulk_parse(buf: np.ndarray, line_starts: np.ndarray):
     if colon.size != feature.size or not ((fstart < colon) & (colon < end[feature] - 1)).all():
         return None
 
-    # An index that parses is +?[0-9]+ (a "-" makes it negative or no
-    # number).  Decode its digits, then blank it and its colon out of the text.
-    width = colon + 1 - fstart
-    offset = np.cumsum(width) - width
-    at = np.arange(width.sum()) + np.repeat(fstart - offset, width)
-    digit = buf[at] - ord("0")
-    plus = np.count_nonzero(buf[fstart] == ord("+"))
-    if np.count_nonzero(digit > 9) != plus + feature.size:  # no other byte but "+" and ":"
+    # Labels, and values after their colon, are decimals; indices before it are integers.
+    lo = start.copy()
+    lo[feature] = colon + 1
+    text = _swar.padded(buf)
+    numbers, fast = _swar.decimals(text, lo, end)
+    index, fast_index = _swar.integers(text, fstart, colon)
+    del text  # before the copies that the longer tokens need
+    slow, slow_index = np.flatnonzero(~fast), np.flatnonzero(~fast_index)
+    try:  # the longer tokens, and any of another form, as float() and int() read them
+        numbers[slow] = _read_all(buf, lo[slow], end[slow], float, float)
+        index[slow_index] = _read_all(buf, fstart[slow_index], colon[slow_index], int, np.int64)
+    except (ValueError, OverflowError):
         return None
-    digit[digit > 9] = 0
-    place = np.repeat(colon, width) - at - 1
-    if (digit[place >= _INDEX_DIGITS] > 0).any():
-        return None
-    index = np.add.reduceat(
-        digit * _POW10[np.clip(place, 0, _INDEX_DIGITS - 1)], offset
-    ) if feature.size else np.zeros(0, np.int64)
     first_of_row = label[feature - 1]
-    if not ((index >= 1).all() and ((np.diff(index) > 0) | first_of_row[1:]).all()):
-        return None
-    text[at] = ord(" ")
-
-    # Labels and values, in token order.
-    try:
-        numbers = np.fromiter(map(float, text.tobytes().split()), float, start.size)
-    except ValueError:
-        return None
-    if not np.isfinite(numbers).all():
+    if not (((index >= 1) & (index < _INDEX_LIMIT)).all()
+            and ((np.diff(index) > 0) | first_of_row[1:]).all()
+            and np.isfinite(numbers).all()):
         return None
     counts = np.diff(np.flatnonzero(label), append=start.size) - 1
     return numbers[label], counts, index, numbers[feature]
+
+
+def _read_all(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, read, dtype) -> np.ndarray:
+    """read() of each token buf[lo[j]:hi[j]], from one bytes.split() of a copy of
+    buf in which every other byte is blank."""
+    if not lo.size:
+        return np.zeros(0, dtype)
+    # 0xFF over the tokens and 0 between them, run by run; then buf over
+    # the tokens and blanks between them.
+    bounds = np.zeros(2 * lo.size + 2, np.intp)
+    bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = lo, hi, buf.size
+    fill = np.zeros(bounds.size - 1, np.uint8)
+    fill[1::2] = 0xFF
+    text = np.repeat(fill, np.diff(bounds))
+    text &= buf ^ np.uint8(ord(" "))
+    text ^= np.uint8(ord(" "))
+    return np.fromiter(map(read, text.tobytes().split()), dtype, lo.size)
 
 
 def _line_error(line: str) -> str | None:
@@ -451,7 +463,7 @@ def _line_error(line: str) -> str | None:
             return f"feature value {tok!r} is not finite"
         if idx < 1:
             return f"feature index must be >= 1, got {idx}"
-        if idx >= 10**_INDEX_DIGITS:
+        if idx >= _INDEX_LIMIT:
             return f"feature index {idx} is too large"
         if idx <= prev_idx:
             return f"feature indices must be strictly increasing ({idx} after {prev_idx})"

@@ -204,6 +204,8 @@ def _problem(prob: dict, where: str) -> tuple[str, dict]:
         )
     if ds["objective"] == "multiclass_logreg" and "num_classes" not in ds:
         raise ConfigError(f"{where}.dataset: multiclass_logreg needs num_classes")
+    if ds.get("lam", 0.0) < 0:  # _read has refused a non-finite one
+        raise ConfigError(f"{where}.dataset.lam: must be nonnegative and finite, got {ds['lam']}")
     return "dataset", ds
 
 

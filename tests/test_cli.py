@@ -147,6 +147,18 @@ class TestValidateConfig:
             with pytest.raises(ConfigError, match=rf"config\.problem\.dataset\.{key}: expected "):
                 validate_config(cfg)
 
+    def test_negative_lam_is_refused_before_the_file_is_read(self):
+        cfg = base_config()
+        cfg["problem"] = {"dataset": {"path": "missing.svm", "objective": "binary_logreg",
+                                      "lam": -0.01}}
+        message = r"config\.problem\.dataset\.lam: must be nonnegative and finite, got -0\.01$"
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
+        with pytest.raises(ConfigError, match=message):
+            build_problem(cfg["problem"])  # not "dataset file not found"
+        cfg["problem"]["dataset"]["lam"] = 0
+        validate_config(cfg)
+
     def test_multiclass_needs_num_classes(self):
         cfg = base_config()
         cfg["problem"] = {"dataset": {"path": "x", "objective": "multiclass_logreg"}}
@@ -440,6 +452,15 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "HVP check not run (no Hessian oracle)" in out
         assert "max HVP error" not in out
+
+    def test_negative_lam_fails_with_its_key(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["problem"] = {"dataset": {"path": str(tmp_path / "missing.svm"),
+                                      "objective": "binary_logreg", "lam": -0.01}}
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["check", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}.problem.dataset.lam: must be nonnegative and finite, got -0.01\n")
 
     def test_bad_config_fails(self, tmp_path, capsys):
         cfg = base_config(algorithm="sgd")

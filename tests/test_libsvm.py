@@ -1,4 +1,5 @@
-"""The two-pass libsvm file reader behind cli.build_problem, against parse_libsvm.
+"""The two-pass libsvm file reader behind cli.build_problem, against parse_libsvm,
+and its eight-byte number decoder, against float() and int().
 
 Each file is read in windows of WINDOW bytes, so a few lines span several
 windows; the expected X, labels and errors come from parse_libsvm on the
@@ -6,12 +7,14 @@ file's bytes at the default window, which holds every file here whole.
 """
 
 import gzip
+import io
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vrcubic import _libsvm, cli
+from vrcubic import _libsvm, _swar, cli
 from vrcubic.cli import build_problem
 from vrcubic.objectives import LibsvmDataset, LibsvmParseError, parse_libsvm, serialize_libsvm
 
@@ -213,3 +216,117 @@ def test_a_file_of_short_lines_holds_x_and_window_sized_arrays(blank_lines, tmp_
     assert problem.n == n and problem.dim == d
     # X, the raw and the 0/1 labels, and a dozen arrays about the size of a window
     assert peak < n * d * 8 + 2 * n * 8 + 12 * _libsvm._SCAN_BYTES
+
+
+def token_spans(tokens):
+    """The padded text of the tokens, one blank apart, and each token's [lo, hi) in it."""
+    buf = np.frombuffer(" ".join(tokens).encode("ascii"), np.uint8)
+    sizes = np.array([len(tok) for tok in tokens])
+    lo = np.cumsum(sizes + 1) - sizes - 1
+    return _swar.padded(buf), lo, lo + sizes
+
+
+def as_floats(tokens):
+    return np.array([float(tok) for tok in tokens]).tobytes()
+
+
+# (token, decoded arithmetically): the rest are left to float(), or are no number.
+DECIMALS = [
+    ("0", True), ("-0", True), ("-0.0000", True), ("+1", True), (".5", True), ("5.", True),
+    ("-.5", True), ("007.5", True), ("12345678", True), ("1.234567", True), ("+9999999", True),
+    ("123456789", False), ("0.123456789", False), ("1e5", False), ("1.5E-3", False),
+    ("inf", False), ("-nan", False), (repr(-0.35966845567139044), False),
+]
+NOT_NUMBERS = [".", "-", "1.2.3", "1-2", "--1", "+-1", "1+", "1.-", "..5"]
+
+
+def test_decimal_tokens_decode_as_float_reads_them():
+    tokens = [tok for tok, _ in DECIMALS]
+    values, fast = _swar.decimals(*token_spans(tokens))
+    assert fast.tolist() == [short for _, short in DECIMALS]
+    assert values[fast].tobytes() == as_floats(np.array(tokens)[fast])
+    # end to end: fast or not, each label and value is float()'s, sign of zero and all
+    finite = [tok for tok in tokens if np.isfinite(float(tok))]
+    ds = parse_libsvm("".join(f"{tok} 1:{tok}\n" for tok in finite))
+    assert ds.labels.tobytes() == ds.data.tobytes() == as_floats(finite)
+    for tok in ("inf", "-nan"):
+        with pytest.raises(LibsvmParseError, match="^line 1: label .* is not finite$"):
+            parse_libsvm(f"{tok} 1:1\n")
+
+
+@pytest.mark.parametrize("token", NOT_NUMBERS)
+def test_tokens_of_no_number_are_refused(token):
+    _, fast = _swar.decimals(*token_spans([token]))
+    assert not fast.any()
+    with pytest.raises(ValueError):
+        float(token)
+    with pytest.raises(LibsvmParseError, match=re.escape(f"line 1: bad label {token!r}") + "$"):
+        parse_libsvm(f"{token} 1:1\n")
+    with pytest.raises(LibsvmParseError, match=re.escape(f"line 2: bad feature token '3:{token}'")):
+        parse_libsvm(f"1 1:1\n1 3:{token}\n")
+
+
+def test_fuzzed_short_decimals_decode_as_float_reads_them():
+    rng = np.random.default_rng(29)
+    tokens = []
+    for _ in range(100_000):
+        digits = "".join(map(str, rng.integers(0, 10, size=rng.integers(1, 9))))
+        if rng.random() < 0.6:  # a point anywhere, ends included
+            at = rng.integers(0, len(digits) + 1)
+            digits = digits[:at] + "." + digits[at:]
+        token = ["", "-", "+"][rng.integers(3)] + digits
+        tokens.append(token if len(token) <= 8 else token[-8:].lstrip("+-") or "0")
+    values, fast = _swar.decimals(*token_spans(tokens))
+    assert fast.all() and values.tobytes() == as_floats(tokens)
+    plain = [tok for tok in tokens if "." not in tok and "-" not in tok]
+    index, fast = _swar.integers(*token_spans(plain))
+    assert fast.all() and index.tolist() == [int(tok) for tok in plain]
+
+
+def test_a_block_of_short_and_long_tokens_reads_as_float_reads_it():
+    rng = np.random.default_rng(5)
+    values = ["0.5", "1e-3", repr(rng.standard_normal()), "+2", "-4.5E+2", "123456789", ".25",
+              "-0", "0.000000001", "7."]
+    lines, expected = [], []
+    for row in range(_libsvm._BLOCK_LINES + 3):
+        label = values[row % len(values)]
+        picked = [values[k] for k in rng.permutation(len(values))[:4]]
+        lines.append(" ".join([label] + [f"{j}:{v}" for j, v in zip((2, 5, 123456789, 10**17), picked)]))
+        expected.append([label] + picked)
+    ds = parse_libsvm("\n".join(lines) + "\n")
+    assert ds.labels.tobytes() == as_floats([row[0] for row in expected])
+    assert ds.data.tobytes() == as_floats([v for row in expected for v in row[1:]])
+    assert ds.indices.tolist() == [2, 5, 123456789, 10**17] * len(lines)
+    assert ds.num_features == 10**17
+
+
+@pytest.mark.parametrize("index, value", [
+    ("+7", 7), ("007", 7), ("12345678", 12345678), ("123456789", 123456789),
+    (str(10**18 - 1), 10**18 - 1), ("0" * 30 + "12345678901", 12345678901),
+])
+def test_indices_decode_as_int_reads_them(index, value):
+    ds = parse_libsvm(f"1 {index}:1\n-1 1:2 {index}:3\n")
+    assert ds.indices.tolist() == [value, 1, value] and ds.num_features == value
+
+
+@pytest.mark.parametrize("raw, shape", [
+    (b"1 3:1 7:" + b"0" * 40 + b"1\n", (1, 2, 7)),  # the last colon is 42 bytes from the end
+    (b"1 3:1 12:1" + b" " * 50 + b"\n-1 4:1\n", (2, 3, 12)),
+    (b"1 5:1\n2\n3" + b" " * 50 + b"\n", (3, 1, 5)),  # lines with no colon take an earlier one
+    (b"3" + b" " * 50 + b"\n1 5:1\n", (2, 1, 5)),
+    (b"1 123456789:" + b"1" * 30 + b"\n-1 " + b"0" * 20 + b"98765432101:1\n", (2, 2, 98765432101)),
+])
+def test_the_shape_pass_finds_each_lines_last_index_however_far_back(raw, shape):
+    assert _libsvm._shape(_libsvm._rewound(io.BytesIO(raw))()) == shape
+    ds = parse_libsvm(raw)
+    assert (ds.n, ds.indices.size, ds.num_features) == shape
+
+
+@pytest.mark.parametrize("index, message", [
+    (str(10**18), f"feature index {10**18} is too large"),
+    ("-3", "feature index must be >= 1, got -3"),
+    ("3.0", "bad feature token '3.0:1'"),
+])
+def test_indices_out_of_range_are_refused(index, message):
+    with pytest.raises(LibsvmParseError, match=f"^line 2: {message}$"):
+        parse_libsvm(f"1 1:1\n1 {index}:1\n")
