@@ -72,6 +72,74 @@ def _row_blocks(n: int, row_bytes: int) -> list[slice]:
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
+class _Scratch(threading.local):
+    """One thread's buffers, which the logistic kernels reuse from call to call.
+
+    ``_SCRATCH(name, *shape)`` views the first entries of the buffer
+    ``name``, grown to fit.  A block-sized temporary freed at the top of the
+    heap can be handed back to the system and faulted in again by the next
+    call; one set per thread, not per problem, holds at most a block per
+    name however many problems a process keeps.  A kernel overwrites what
+    it reads of a buffer, and no answer is a view of one.
+    """
+
+    def __init__(self):
+        self.bufs = {}
+
+    def __call__(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self.bufs[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+_SCRATCH = _Scratch()
+
+
+def _walk(X: np.ndarray, picks: np.ndarray | None, row_bytes: int):
+    """(block, rows, buffer) over the rows a batch reads, in _row_blocks of
+    ``row_bytes`` a row: X's own rows when picks is None, else picks' rows
+    gathered into the buffer, one _SCRATCH buffer of one block for every block.
+
+    Gathering wraps indices instead of checking them (finite_sum._charge
+    checks them), so np.take writes into the buffer without a buffered copy.
+    """
+    blocks = _row_blocks(X.shape[0] if picks is None else picks.size, row_bytes)
+    buf = _SCRATCH("rows", blocks[0].stop, X.shape[1])
+    for b in blocks:
+        out = buf[:b.stop - b.start]
+        rows = X[b] if picks is None else X.take(picks[b], axis=0, out=out, mode="wrap")
+        yield b, rows, out
+
+
+def _last_forward(compute):
+    """compute(w, picks), remembered for the last point only.
+
+    A factory's value, gradient, Hessian and Hessian-vector kernels share the
+    forward pass at one point through it.  The key is the bytes of w, and of
+    picks (the indices of a gathered batch's rows; None for a batch read in
+    place), so a point changed in place, -0.0 against 0.0, or another
+    gathered batch at the same point computes afresh; the answer is the one
+    a fresh problem gives.  The component data must not change after the
+    build.  Kernels called on several threads at once may each compute the
+    pass, but none is handed another key's.
+    """
+    last = {}
+
+    def forward(w, picks):
+        w = np.asarray(w, dtype=float)
+        key = (w.tobytes(), None if picks is None else (picks.dtype, picks.tobytes()))
+        state = last.get(key)
+        if state is None:
+            state = compute(w, picks)
+            last.clear()
+            last[key] = state
+        return state
+
+    return forward
+
+
 def _in_place_weights(idx: np.ndarray, n: int, crossover: float) -> np.ndarray | None:
     """Weights c with mean_{i in idx} f_i = sum_{k<n} c[k] f_k, or None.
 
@@ -135,36 +203,53 @@ def binary_logreg_from_arrays(
         raise ValueError("binary labels must be in {0, 1}")
     rmax = _max_row_norm(X)
 
-    def rows(idx, crossover):
-        """Rows, labels and weights c: the batch mean is sum_k c[k] * (row k's term)."""
+    def rows_pass(w, picks):
+        if picks is None:
+            z = X @ w
+        else:
+            z = np.empty(picks.size)
+            for b, rows, _ in _walk(X, picks, X.itemsize * d):
+                np.matmul(rows, w, out=z[b])
+        return z, _sigmoid(z)
+
+    last = _last_forward(rows_pass)
+
+    def forward(idx, w, crossover):
+        """(z, s, c, y, picks): z = X w and s = sigmoid(z) over the rows the batch
+        reads, their weights c and labels, and the gathered indices or None:
+        the batch mean is sum_k c[k] * (row k's term)."""
         c = _in_place_weights(idx, n, crossover)
-        if c is None:
-            return X[idx], y[idx], 1.0 / idx.size
-        return X, y, c
+        if c is not None:
+            return *last(w, None), c, y, None
+        return *last(w, idx), 1.0 / idx.size, y[idx], idx
 
     def bval(idx, w):
-        Xr, yr, c = rows(idx, _LOGREG_IN_PLACE)
-        z = Xr @ w
+        z, _, c, yr, _ = forward(idx, w, _LOGREG_IN_PLACE)
         return float(np.sum(c * (np.logaddexp(0.0, z) - yr * z))) + lam * _reg_value(w)
 
     def bgrad(idx, w):
-        Xr, yr, c = rows(idx, _LOGREG_IN_PLACE)
-        return Xr.T @ (c * (_sigmoid(Xr @ w) - yr)) + lam * _reg_grad(w)
+        _, s, c, yr, picks = forward(idx, w, _LOGREG_IN_PLACE)
+        r = c * (s - yr)
+        if picks is None:
+            return X.T @ r + lam * _reg_grad(w)
+        g = sum(rows.T @ r[b] for b, rows, _ in _walk(X, picks, X.itemsize * d))
+        return g + lam * _reg_grad(w)
 
     def bhess(idx, w):
-        # A sum over row blocks: no temporary holds more than one block of rows.
-        c = _in_place_weights(idx, n, _LOGREG_HESS_IN_PLACE)
-        H = np.zeros((d, d))
-        for block in _row_blocks(n if c is not None else idx.size, X.itemsize * d):
-            Xr, cr = (X[block], c[block]) if c is not None else (X[idx[block]], 1.0 / idx.size)
-            s = _sigmoid(Xr @ w)
-            H += (Xr * (cr * s * (1.0 - s))[:, None]).T @ Xr
+        # H = sum over row blocks of Y^T Y, Y = rows * sqrt(c s (1 - s)) written into
+        # one block's buffer: np.matmul calls SYRK, so every term and H are symmetric.
+        _, s, c, _, picks = forward(idx, w, _LOGREG_HESS_IN_PLACE)
+        root = np.sqrt(c * s * (1.0 - s))
+        H, T = np.zeros((d, d)), np.empty((d, d))
+        for b, rows, Y in _walk(X, picks, X.itemsize * d):
+            np.multiply(rows, root[b, None], out=Y)
+            H += np.matmul(Y.T, Y, out=T)
         H[np.diag_indices(d)] += lam * _reg_curv(w)
         return H
 
     def hvp_at(idx, w):
-        Xr, _, c = rows(idx, _LOGREG_HESS_IN_PLACE)
-        s = _sigmoid(Xr @ w)
+        _, s, c, _, picks = forward(idx, w, _LOGREG_HESS_IN_PLACE)
+        Xr = X if picks is None else X[picks]
         D = c * s * (1.0 - s)
         r = lam * _reg_curv(w)
         return lambda v: Xr.T @ (D * (Xr @ v)) + r * v
@@ -228,29 +313,30 @@ def multiclass_logreg_from_arrays(
     Y[np.arange(n), class_id] = 1.0
     rmax = _max_row_norm(X)
 
-    def _softmax(Z):
-        Z = Z - Z.max(axis=1, keepdims=True)
-        E = np.exp(Z)
-        return E / E.sum(axis=1, keepdims=True)
+    def logits_pass(w, picks):
+        Z = np.empty((picks.size, m))
+        for b, rows, _ in _walk(X, picks, X.itemsize * d):
+            np.matmul(rows, w.reshape(m, d).T, out=Z[b])
+        zmax = Z.max(axis=1, keepdims=True)
+        E = np.exp(Z - zmax)
+        total = E.sum(axis=1, keepdims=True)
+        return Z, (zmax + np.log(total))[:, 0], E / total
+
+    forward = _last_forward(logits_pass)  # (logits, log-sum-exp, softmax) of idx's rows
 
     def bval(idx, w):
-        W = w.reshape(m, d)
-        Z = X[idx] @ W.T
-        zmax = Z.max(axis=1)
-        lse = zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
+        Z, lse, _ = forward(w, idx)
         picked = Z[np.arange(idx.size), class_id[idx]]
         return float(np.mean(lse - picked)) + lam * _reg_value(w)
 
     def bgrad(idx, w):
-        W = w.reshape(m, d)
-        Xb = X[idx]
-        P = _softmax(Xb @ W.T)
-        G = (P - Y[idx]).T @ Xb / idx.size
+        R = forward(w, idx)[2] - Y[idx]
+        G = sum(R[b].T @ rows for b, rows, _ in _walk(X, idx, X.itemsize * d)) / idx.size
         return G.ravel() + lam * _reg_grad(w)
 
     def hvp_at(idx, w):
         Xb = X[idx]
-        P = _softmax(Xb @ w.reshape(m, d).T)
+        P = forward(w, idx)[2]
         r = lam * _reg_curv(w)
 
         def apply(v):
@@ -263,14 +349,18 @@ def multiclass_logreg_from_arrays(
 
     def bhess(idx, w):
         # Summed over the batch the Hessian is blockdiag_a(sum_k p_ka x_k x_k^T) - Z^T Z,
-        # where row k of Z is outer(p_k, x_k).ravel().
-        Xb = X[idx]
-        P = _softmax(Xb @ w.reshape(m, d).T)
-        Z = (P[:, :, None] * Xb[:, None, :]).reshape(idx.size, m * d)
-        H = -(Z.T @ Z)
-        for a in range(m):
-            block = slice(a * d, (a + 1) * d)
-            H[block, block] += Z[:, block].T @ Xb
+        # where row k of Z is outer(p_k, x_k).ravel(), formed one row block at a time
+        # in one buffer.
+        P, row_bytes = forward(w, idx)[2], m * d * X.itemsize
+        H, T = np.zeros((m * d, m * d)), np.empty((m * d, m * d))
+        buf = _SCRATCH("Z", _row_blocks(idx.size, row_bytes)[0].stop, m, d)
+        for b, rows, _ in _walk(X, idx, row_bytes):
+            k = b.stop - b.start
+            Z = np.multiply(P[b, :, None], rows[:, None, :], out=buf[:k]).reshape(k, m * d)
+            H -= np.matmul(Z.T, Z, out=T)
+            for a in range(m):
+                block = slice(a * d, (a + 1) * d)
+                H[block, block] += Z[:, block].T @ rows
         H /= idx.size
         H[np.diag_indices(m * d)] += lam * _reg_curv(w)
         return H

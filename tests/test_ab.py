@@ -56,3 +56,15 @@ def test_summary_counts_the_pairs_in_which_the_change_is_lower():
 def test_summary_fails_on_differing_counts_or_a_failed_run(results, failure):
     lines, agree = ab.summarize(results, END_TO_END)
     assert not agree and failure in lines
+
+
+def test_summary_prints_each_runs_calibration_time_beside_its_pair():
+    results = {side: [result(0.2), result(0.2)] for side in ab.SIDES}
+    for side, times in (("base", (0.011, 0.0135)), ("change", (0.012, 0.01))):
+        for run, seconds in zip(results[side], times):
+            run["calibration_s"] = seconds
+    lines, agree = ab.summarize(results, END_TO_END)
+    assert agree
+    assert lines[-1] == "  calibration_s  0.011/0.012 0.0135/0.01"
+    del results["base"][1]["calibration_s"]
+    assert not any("calibration_s" in line for line in ab.summarize(results, END_TO_END)[0])

@@ -41,6 +41,16 @@ from vrcubic.objectives import (
 COUNTER = OracleCounter()  # shared sink for tests that ignore accounting
 
 
+def traced_peak(call):
+    """The peak of tracemalloc's traced memory while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def fd_gradient(problem, x, step=1e-6):
     """Central-difference gradient of the full objective; the reference oracle."""
     g = np.zeros(problem.dim)
@@ -1087,6 +1097,49 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < objectives._SYNTHETIC_CHUNK_BYTES + 2 * d * d * 8 + 2**20
 
+    @pytest.mark.parametrize("kernel, share", [(batch_value, 0.4), (batch_gradient, 0.4),
+                                               (batch_hessian, 0.9)])
+    def test_a_gathered_binary_batch_holds_one_row_block(self, kernel, share):
+        """Below its in-place crossover a binary kernel gathers one block of rows at a time."""
+        rng = np.random.default_rng(10)
+        d = 100
+        n = 16 * (objectives._SYNTHETIC_CHUNK_BYTES // (8 * d)) + 3
+        p = binary_logreg_from_arrays(rng.standard_normal((n, d)),
+                                      (rng.random(n) < 0.5).astype(float))
+        idx = rng.integers(0, n, size=int(share * n))
+        peak = traced_peak(lambda: kernel(p, 0.1 * rng.standard_normal(d), idx, COUNTER))
+        # One block of rows, H and one product, and a few arrays of |idx| entries;
+        # X[idx] is 2.6 MB at share 0.4 and 5.9 MB at 0.9.
+        budget = objectives._SYNTHETIC_CHUNK_BYTES + 2 * d * d * 8 + 8 * idx.size * 8
+        assert peak < budget + 2**17
+
+    def test_multiclass_hessian_forms_z_one_row_block_at_a_time(self):
+        rng = np.random.default_rng(12)
+        m, d = 5, 20
+        n = 8 * (objectives._SYNTHETIC_CHUNK_BYTES // (8 * m * d)) + 3
+        p = multiclass_logreg_from_arrays(rng.standard_normal((n, d)), rng.integers(0, m, n), m)
+        w = 0.1 * rng.standard_normal(m * d)
+        peak = traced_peak(lambda: batch_hessian(p, w, full_index(p), COUNTER))
+        # One block of Z and of rows, H and one product, and the forward pass's
+        # n x m arrays; the n x m*d Z alone is 3.3 MB.
+        budget = objectives._SYNTHETIC_CHUNK_BYTES + 2 * (m * d) ** 2 * 8 + 4 * n * m * 8
+        assert peak < budget + 2**19
+
+    @pytest.mark.parametrize("classes", [0, 5])
+    def test_a_later_hessian_reuses_the_block_buffers(self, classes):
+        """Once a Hessian has run, the next one allocates no block of rows or of Z."""
+        rng = np.random.default_rng(13)
+        d = 20 if classes else 100
+        dim, m = (classes * d, classes) if classes else (d, 1)
+        n = 2 * (objectives._SYNTHETIC_CHUNK_BYTES // (8 * dim)) + 3
+        X = rng.standard_normal((n, d))
+        p = (multiclass_logreg_from_arrays(X, rng.integers(0, classes, n), classes) if classes
+             else binary_logreg_from_arrays(X, (rng.random(n) < 0.5).astype(float)))
+        batch_hessian(p, np.full(dim, 0.1), full_index(p), COUNTER)
+        peak = traced_peak(lambda: batch_hessian(p, np.full(dim, 0.2), full_index(p), COUNTER))
+        # H, one product, and the forward pass's arrays of n x m entries.
+        assert peak < objectives._SYNTHETIC_CHUNK_BYTES / 2 + 2 * dim * dim * 8 + 8 * n * m * 8
+
     def test_build_problem_holds_the_file_csr_arrays_and_dense_x(self, tmp_path):
         rng = np.random.default_rng(20)
         n, d = 20000, 100
@@ -1130,3 +1183,75 @@ class TestRowBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[True] <= peaks[False] + 2**20
+
+
+def logistic_problems(seed):
+    """A binary and a multiclass problem on one seeded X of several row blocks."""
+    rng = np.random.default_rng(seed)
+    n, d, m = 900, 60, 3
+    X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.5)
+    return {"binary": binary_logreg_from_arrays(X, (rng.random(n) < 0.5).astype(float), 1e-2),
+            "multiclass": multiclass_logreg_from_arrays(X, rng.integers(0, m, n), m, 1e-2)}
+
+
+def answers(problem, x, idx, v):
+    """Every kernel's answer at (idx, x), as bytes."""
+    return [np.asarray(batch_value(problem, x, idx, COUNTER)).tobytes(),
+            batch_gradient(problem, x, idx, COUNTER).tobytes(),
+            batch_hessian(problem, x, idx, COUNTER).tobytes(),
+            batch_hvp(problem, x, idx, COUNTER)(v).tobytes()]
+
+
+class TestForwardState:
+    """The logistic kernels share one forward pass per point, and answer as a
+    freshly built problem does, byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["binary", "multiclass"])
+    def test_every_query_answers_as_a_fresh_problem(self, kind):
+        problem = logistic_problems(40)[kind]
+        rng = np.random.default_rng(41)
+        n, dim = problem.n, problem.dim
+        x1, x2, v = (0.3 * rng.standard_normal(dim) for _ in range(3))
+        zero, negative_zero = np.zeros(dim), np.zeros(dim)
+        negative_zero[::2] = -0.0
+        # Full, in place for value and gradient only, and two gathered batches of one size.
+        batches = [np.arange(n), rng.integers(0, n, size=int(0.7 * n)),
+                   rng.integers(0, n, size=int(0.3 * n)), rng.integers(0, n, size=int(0.3 * n))]
+        moving = x1.copy()
+        queries = [(x1, batches[0]), (x2, batches[0]), (x1, batches[0]),
+                   (moving, batches[0]), (moving, batches[0]), (moving, batches[1])]
+        queries += [(x, idx) for x in (zero, negative_zero, zero) for idx in batches]
+        queries += [(x1, idx) for idx in batches + batches[::-1]]
+        for k, (x, idx) in enumerate(queries):
+            if k == 4:
+                moving[:] = x2  # changed in place between two queries
+            fresh = logistic_problems(40)[kind]
+            assert answers(problem, x, idx, v) == answers(fresh, x, idx, v), k
+
+    def test_the_four_kernels_share_one_forward_pass_per_point(self, monkeypatch):
+        calls = []
+        sigmoid = objectives._sigmoid
+        monkeypatch.setattr(objectives, "_sigmoid", lambda z: calls.append(z.size) or sigmoid(z))
+        problem = logistic_problems(42)["binary"]
+        x, full = np.full(problem.dim, 0.1), full_index(problem)
+        answers(problem, x, full, np.ones(problem.dim))
+        answers(problem, x, full, np.ones(problem.dim))
+        assert calls == [problem.n]
+        answers(problem, x.copy(), full, np.ones(problem.dim))  # the same bytes
+        y = x.copy()
+        y[0] = np.nextafter(y[0], 1.0)
+        answers(problem, y, full, np.ones(problem.dim))
+        gathered = np.arange(0, problem.n, 3)
+        answers(problem, y, gathered, np.ones(problem.dim))
+        assert calls == [problem.n, problem.n, gathered.size]
+
+    @pytest.mark.parametrize("batch", ["full", "weighted", "gathered"])
+    @pytest.mark.parametrize("budget", [16 * 60 * 8, objectives._SYNTHETIC_CHUNK_BYTES])
+    def test_binary_hessians_are_exactly_symmetric(self, monkeypatch, batch, budget):
+        monkeypatch.setattr(objectives, "_SYNTHETIC_CHUNK_BYTES", budget)
+        problem = logistic_problems(43)["binary"]
+        rng = np.random.default_rng(44)
+        idx = {"full": np.arange(problem.n), "weighted": rng.integers(0, problem.n, problem.n),
+               "gathered": rng.integers(0, problem.n, problem.n // 3)}[batch]
+        H = batch_hessian(problem, rng.standard_normal(problem.dim), idx, COUNTER)
+        assert np.array_equal(H, H.T)
