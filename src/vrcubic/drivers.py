@@ -71,18 +71,12 @@ _ARC_SHRINK, _ARC_GROW = 0.5, 2.0
 _ARC_FLOOR, _ARC_CAP = 1e-8, 1e12
 
 
-def _finite_positive(value: float) -> bool:
-    """value > 0 and finite; False for NaN and +inf."""
-    return value > 0 and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class FixedPenalty:
     value: float
 
     def __post_init__(self):
-        if not _finite_positive(self.value):
-            raise ValueError("fixed penalty must be positive and finite")
+        _check_positive(**{"fixed penalty": self.value})
 
 
 @dataclass(frozen=True)
@@ -97,8 +91,7 @@ class AdaptivePenalty:
     m0: float = 1.0
 
     def __post_init__(self):
-        if not _finite_positive(self.m0):
-            raise ValueError("initial penalty must be positive and finite")
+        _check_positive(**{"initial penalty": self.m0})
 
 
 PenaltyPolicy = FixedPenalty | TheoreticalPenalty | AdaptivePenalty
@@ -153,10 +146,9 @@ class SolverConfig:
     gradient_recursion: bool = True
 
     def __post_init__(self):
-        if not _finite_positive(self.eps):
-            raise ValueError("eps must be positive and finite")
-        if self.rho is not None and not _finite_positive(self.rho):
-            raise ValueError("rho must be positive and finite")
+        _check_positive(eps=self.eps)
+        if self.rho is not None:
+            _check_positive(rho=self.rho)
         _check_integer("T", self.T)
         _check_integer("seed", self.seed)
         if self.subsolver_max_iters is not None:
@@ -173,8 +165,8 @@ class SolverConfig:
             raise TypeError("batch must be a PracticalBatchRule or None (the theoretical schedule)")
         if self.subsolver_max_iters is not None and self.subsolver_max_iters < 0:
             raise ValueError("subsolver_max_iters must be nonnegative")
-        if self.finalsolver_eps_g is not None and not _finite_positive(self.finalsolver_eps_g):
-            raise ValueError("finalsolver_eps_g must be positive and finite")
+        if self.finalsolver_eps_g is not None:
+            _check_positive(finalsolver_eps_g=self.finalsolver_eps_g)
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
             if not np.isfinite(self.x0).all():

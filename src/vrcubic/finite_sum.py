@@ -74,7 +74,8 @@ class FiniteSumProblem:
     ----------
     n, dim : number of components and ambient dimension.
     lipschitz_grad : L, gradient Lipschitz constant of every f_i.
-    lipschitz_hess : rho > 0, Hessian Lipschitz constant of every f_i.
+    lipschitz_hess : rho, Hessian Lipschitz constant of every f_i; both
+        constants must be positive and finite.
     grad_bound : bound on ||grad f_i(x) - grad F(x)||_2, np.inf if none holds.
     batch_*_fn : vectorized kernels computing the multiset mean of the
         component values, gradients or Hessians in one shot, called as
@@ -117,10 +118,7 @@ class FiniteSumProblem:
             raise ValueError(f"need at least one component, got n={self.n}")
         if self.dim <= 0:
             raise ValueError(f"need positive dimension, got dim={self.dim}")
-        if not self.lipschitz_hess > 0:
-            raise ValueError("lipschitz_hess must be positive")
-        if not self.lipschitz_grad > 0:
-            raise ValueError("lipschitz_grad must be positive")
+        _check_positive(lipschitz_hess=self.lipschitz_hess, lipschitz_grad=self.lipschitz_grad)
         for kind in ("value", "grad"):
             if getattr(self, f"batch_{kind}_fn") is None:
                 raise ValueError(

@@ -506,6 +506,10 @@ def make_synthetic(
     answer is the one the in-place sum gives, and a full query still bills n.
     ``extra["A_upper"]`` and ``extra["b"]`` are read-only, so those means
     cannot go stale.
+
+    No Hessian-vector kernel is handed over: a product operator would build
+    the same d x d mean as the Hessian kernel, so the problem takes the one
+    FiniteSumProblem derives from it, ``batch_hess(idx, x).__matmul__``.
     """
     for name, size, what in (("n", n, "at least one component"), ("d", d, "positive dimension")):
         _check_integer(name, size)
@@ -547,13 +551,6 @@ def make_synthetic(
             H[np.diag_indices(d)] += alpha * _reg_curv(x)
         return H
 
-    def hvp_at(idx, x):
-        Abar = means(idx)[0]
-        if not alpha:
-            return Abar.__matmul__
-        r = alpha * _reg_curv(x)
-        return lambda v: Abar @ v + r * v
-
     return FiniteSumProblem(
         n=n,
         dim=d,
@@ -563,7 +560,6 @@ def make_synthetic(
         batch_value_fn=bval,
         batch_grad_fn=bgrad,
         batch_hess_fn=bhess,
-        batch_hvp_fn=hvp_at,
         name=f"synthetic-{difficulty}",
         extra={"A_upper": P, "b": b, "alpha": alpha, "seed": seed},
     )

@@ -155,6 +155,13 @@ class TestAdaptivePenaltyUpdate:
             with pytest.raises(TypeError, match="^penalty must be a FixedPenalty"):
                 SolverConfig(eps=1e-3, penalty=bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("name, policy", [("fixed penalty", FixedPenalty),
+                                              ("initial penalty", AdaptivePenalty)])
+    def test_penalty_messages_name_the_value(self, name, policy, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad!r}$"):
+            policy(bad)
+
 
 class TestBudgetFromGap:
     def test_reference_values(self):
@@ -203,6 +210,13 @@ class TestSolverConfigValidation:
                 settings = {"eps": 1e-3, name: bad}
                 with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
                     SolverConfig(**settings)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("name", ["eps", "rho", "finalsolver_eps_g"])
+    def test_messages_name_the_value(self, name, bad):
+        settings = {"eps": 1e-3, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad!r}$"):
+            SolverConfig(**settings)
 
     def test_budget_nonnegative(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -238,6 +239,15 @@ class TestValidation:
                 lipschitz_grad=1.0,
                 lipschitz_hess=0.0,
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("name", ["lipschitz_grad", "lipschitz_hess"])
+    def test_lipschitz_messages_name_the_value(self, name, bad):
+        # an infinite constant would turn every penalty and batch size into inf or NaN
+        constants = {"lipschitz_grad": 1.0, "lipschitz_hess": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad!r}$"):
+            from_components(n=1, dim=2, value=lambda i, x: 0.0, grad=lambda i, x: np.zeros(2),
+                            **constants)
 
 
 def penalized_quadratics(n=40, d=4, seed=0):

@@ -966,7 +966,7 @@ def in_place_reference(p, idx, x, v):
     if alpha:
         H[np.diag_indices(d)] += alpha * objectives._reg_curv(x)
     value = 0.5 * float(x @ Abar @ x) + float(bbar @ x) + alpha * objectives._reg_value(x)
-    hv = Abar @ v + alpha * objectives._reg_curv(x) * v if alpha else Abar @ v
+    hv = H @ v
     return value, Abar @ x + bbar + alpha * objectives._reg_grad(x), H, hv
 
 
@@ -991,6 +991,20 @@ def test_full_batch_answers_equal_the_in_place_sum_bytewise(difficulty):
             assert batch_hessian(p, x, idx, counter).tobytes() == hess.tobytes(), name
             assert batch_hvp(p, x, idx, counter)(v).tobytes() == hv.tobytes(), name
             assert counter == OracleCounter(idx.size, idx.size, idx.size, idx.size), name
+
+
+@pytest.mark.parametrize("batch", ["full", "weighted", "gathered"])
+@pytest.mark.parametrize("difficulty", ["nonconvex", "convex"])
+def test_synthetic_products_are_the_batch_hessian_times_v(difficulty, batch):
+    """make_synthetic hands over no Hessian-vector kernel: its operator is the
+    batch Hessian's own product, in place or gathered."""
+    p = make_synthetic(seed=30, n=80, d=5, difficulty=difficulty)
+    rng = np.random.default_rng(31)
+    idx = {"full": np.arange(p.n), "weighted": rng.integers(0, p.n, p.n // 2),
+           "gathered": rng.integers(0, p.n, p.n // 8)}[batch]
+    x, v = rng.standard_normal(p.dim), rng.standard_normal(p.dim)
+    want = batch_hessian(p, x, idx, COUNTER) @ v
+    assert batch_hvp(p, x, idx, COUNTER)(v).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("difficulty", ["nonconvex", "convex"])
