@@ -135,7 +135,8 @@ def cauchy_point(model: CubicModel) -> np.ndarray:
         return np.zeros(model.dim)
     tau = model.penalty
     curv = float(model.b @ model.apply(model.b)) / (tau * bnorm**2)
-    radius = -curv + math.sqrt(curv * curv + 2.0 * bnorm / tau)
+    root = math.sqrt(curv * curv + 2.0 * bnorm / tau)  # r = root - curv solves r^2 + 2 curv r = 2|b|/tau
+    radius = 2.0 * bnorm / tau / (curv + root) if curv > 0 else root - curv  # without cancellation
     return -radius / bnorm * model.b
 
 

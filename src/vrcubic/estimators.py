@@ -84,10 +84,13 @@ class PracticalBatchRule:
             raise ValueError("batch sizes and epoch length must be >= 1")
 
 
-def _clamp_ceil(raw: float, n: int) -> int:
-    if not math.isfinite(raw):
-        return n
-    return max(1, min(n, math.ceil(raw)))
+def _capped(raw, cap: int) -> float:
+    """min(cap, raw()), or cap where raw() is NaN, overflows or divides by an underflowed 0."""
+    try:
+        value = raw()
+    except (OverflowError, ZeroDivisionError):
+        return cap
+    return value if value < cap else cap
 
 
 def default_epochs(
@@ -99,9 +102,8 @@ def default_epochs(
     S_h = sqrt(min(n, L/(rho*eps))), both rounded up to at least 1.
     """
     L, rho, M = lipschitz_grad, lipschitz_hess, grad_bound
-    eff_g = n if not math.isfinite(M) else min(n, M * M / (eps * eps))
-    s_g = math.sqrt(rho * eps) / L * math.sqrt(eff_g)
-    s_h = math.sqrt(min(n, L / (rho * eps)))
+    s_g = math.sqrt(rho * eps) / L * math.sqrt(_capped(lambda: M * M / (eps * eps), n))
+    s_h = math.sqrt(_capped(lambda: L / (rho * eps), n))
     return max(1, math.ceil(s_g)), max(1, math.ceil(s_h))
 
 
@@ -147,13 +149,15 @@ def batch_schedule(
     def sizes(t: int, h_prev: float | None) -> tuple[int, int]:
         log_g = math.log(tmul * T / xi) ** 2
         if t % S_g == 0:
-            Bg = n if not math.isfinite(M) else _clamp_ceil(cg * M**2 * log_g / eps**2, n)
+            Bg = _capped(lambda: cg * M**2 * log_g / eps**2, n)
         else:
-            Bg = _clamp_ceil(cg * L**2 * S_g * h_prev**2 * log_g / eps**2, n)
+            Bg = _capped(lambda: cg * L**2 * S_g * h_prev**2 * log_g / eps**2, n)
         log_h = math.log(tmul * T * problem.dim / xi) ** 2
         if free or t % S_h == 0:
-            return Bg, _clamp_ceil(ch * L * L * log_h / (rho * eps), n)
-        return Bg, _clamp_ceil(ch * rho * S_h * h_prev**2 * log_h / eps, n)
+            Bh = _capped(lambda: ch * L * L * log_h / (rho * eps), n)
+        else:
+            Bh = _capped(lambda: ch * rho * S_h * h_prev**2 * log_h / eps, n)
+        return max(1, math.ceil(Bg)), max(1, math.ceil(Bh))
 
     return S_g, S_h, sizes
 

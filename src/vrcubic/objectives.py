@@ -56,12 +56,10 @@ _SYNTHETIC_IN_PLACE = 0.25
 _LOGREG_IN_PLACE = 0.5
 _LOGREG_HESS_IN_PLACE = 0.95
 
-# Bytes of rows that one pass of a blocked kernel reads (_row_blocks): 32
-# Gaussian d x d matrices at d = 40, which each make_synthetic thread draws
-# and normalizes in its one buffer before packing their upper triangles
-# (about 210 KB of the store), or 512 rows of a d = 100 logistic X.  Smaller
-# blocks lose the batched LAPACK or BLAS call's gain to per-call overhead;
-# larger ones raise the temporaries each block holds.
+# Bytes of rows in one block of _row_blocks: 32 Gaussian d x d matrices at d = 40
+# (a make_synthetic thread's draw chunk), 62 packed triangles of them, or 512 rows
+# of a d = 100 logistic X.  Smaller blocks lose the batched LAPACK or BLAS call's
+# gain to per-call overhead; larger ones raise each block's temporaries.
 _SYNTHETIC_CHUNK_BYTES = 400 * 1024
 
 
@@ -73,7 +71,7 @@ def _row_blocks(n: int, row_bytes: int) -> list[slice]:
 
 
 class _Scratch(threading.local):
-    """One thread's buffers, which the logistic kernels reuse from call to call.
+    """One thread's buffers, which the blocked kernels reuse from call to call.
 
     ``_SCRATCH(name, *shape)`` views the first entries of the buffer
     ``name``, grown to fit.  A block-sized temporary freed at the top of the
@@ -99,14 +97,19 @@ _SCRATCH = _Scratch()
 
 def _walk(X: np.ndarray, picks: np.ndarray | None, row_bytes: int):
     """(block, rows, buffer) over the rows a batch reads, in _row_blocks of
-    ``row_bytes`` a row: X's own rows when picks is None, else picks' rows
-    gathered into the buffer, one _SCRATCH buffer of one block for every block.
+    ``row_bytes`` a row (none over zero rows): X's own rows when picks is None,
+    else picks' rows gathered into the buffer, one _SCRATCH buffer of one block
+    for every block.  Gathering wraps indices instead of checking them
+    (finite_sum._charge checks them), so np.take needs no buffered copy.
 
-    Gathering wraps indices instead of checking them (finite_sum._charge
-    checks them), so np.take writes into the buffer without a buffered copy.
+    The one row walker: a pass that needs a block-sized temporary (a gather, row
+    norms, |X|, the Hessian's scaled rows) walks; one matrix-vector product over
+    the whole store (the binary in-place forward pass and gradient, the synthetic
+    in-place and full means) reads it in place; the Hessian-vector operators
+    hold their gathered rows.
     """
     blocks = _row_blocks(X.shape[0] if picks is None else picks.size, row_bytes)
-    buf = _SCRATCH("rows", blocks[0].stop, X.shape[1])
+    buf = _SCRATCH("rows", blocks[0].stop if blocks else 0, X.shape[1])
     for b in blocks:
         out = buf[:b.stop - b.start]
         rows = X[b] if picks is None else X.take(picks[b], axis=0, out=out, mode="wrap")
@@ -176,8 +179,8 @@ def _unit_column_scales(X: np.ndarray) -> np.ndarray:
     """Each column's max absolute value, or 1.0 for a zero column, taken one
     row block at a time; ``X /= _unit_column_scales(X)`` scales X in place."""
     scale = np.zeros(X.shape[1])
-    for rows in _row_blocks(X.shape[0], X.itemsize * X.shape[1]):
-        np.maximum(scale, np.abs(X[rows]).max(axis=0), out=scale)
+    for _, rows, buf in _walk(X, None, X.itemsize * X.shape[1]):
+        np.maximum(scale, np.abs(rows, out=buf).max(axis=0), out=scale)
     scale[scale == 0.0] = 1.0
     return scale
 
@@ -230,9 +233,7 @@ def binary_logreg_from_arrays(
     def bgrad(idx, w):
         _, s, c, yr, picks = forward(idx, w, _LOGREG_IN_PLACE)
         r = c * (s - yr)
-        if picks is None:
-            return X.T @ r + lam * _reg_grad(w)
-        g = sum(rows.T @ r[b] for b, rows, _ in _walk(X, picks, X.itemsize * d))
+        g = X.T @ r if picks is None else sum(rows.T @ r[b] for b, rows, _ in _walk(X, picks, X.itemsize * d))
         return g + lam * _reg_grad(w)
 
     def bhess(idx, w):
@@ -271,10 +272,8 @@ def binary_logreg_from_arrays(
 
 def _max_row_norm(X: np.ndarray) -> float:
     """max_i ||X[i]|| (0.0 without rows), from np.linalg.norm on row blocks."""
-    if not X.shape[0]:
-        return 0.0
-    blocks = _row_blocks(X.shape[0], X.itemsize * X.shape[1])
-    return float(np.max([np.linalg.norm(X[rows], axis=1).max() for rows in blocks]))
+    blocks = _walk(X, None, X.itemsize * X.shape[1])
+    return float(np.max([np.linalg.norm(rows, axis=1).max() for _, rows, _ in blocks], initial=0.0))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -494,22 +493,17 @@ def make_synthetic(
 
     Each A_i is stored once, as its upper triangle: ``extra["A_upper"]`` has
     shape (n, d(d+1)/2) in np.triu_indices(d) order, and unpack_upper gives
-    the (n, d, d) stack.  A batch averages packed rows and unpacks one d x d
-    mean.  The A_i are drawn and normalized in chunks, on one thread per CPU
-    available to the process, and no full stack is held; the unpacked A_i and
-    b are byte-identical to drawing and normalizing each A_i in turn,
-    whatever the thread count.
+    the (n, d, d) stack.  The A_i are drawn and normalized in chunks, on one
+    thread per available CPU, byte-identical to drawing and normalizing each
+    in turn whatever the thread count; no full stack is held.
 
-    The full-batch means of A_i and b_i do not depend on x, so they are
-    computed once here; a batch whose in-place weights are uniform (the full
-    index set in any order) reads them instead of all n components.  The
-    answer is the one the in-place sum gives, and a full query still bills n.
-    ``extra["A_upper"]`` and ``extra["b"]`` are read-only, so those means
-    cannot go stale.
-
-    No Hessian-vector kernel is handed over: a product operator would build
-    the same d x d mean as the Hessian kernel, so the problem takes the one
-    FiniteSumProblem derives from it, ``batch_hess(idx, x).__matmul__``.
+    A batch unpacks one d x d mean of packed rows.  Below the in-place crossover
+    it sums the blocks that _walk gathers, so it copies one block, not |idx|
+    rows; above it, a gemv weights all n rows in place.  The full means do not
+    depend on x: computed once here, they answer a batch of uniform weights (the
+    full index set in any order), which still bills n.  ``extra["A_upper"]`` and
+    ``extra["b"]`` are read-only, so they cannot go stale.  No Hessian-vector
+    kernel is handed over: FiniteSumProblem derives its product from the Hessian.
     """
     for name, size, what in (("n", n, "at least one component"), ("d", d, "positive dimension")):
         _check_integer(name, size)
@@ -532,7 +526,8 @@ def make_synthetic(
     def means(idx):
         c = _in_place_weights(idx, n, _SYNTHETIC_IN_PLACE)
         if c is None:
-            return unpack_upper(P[idx].mean(axis=0)), b[idx].mean(axis=0)
+            total = sum(rows.sum(axis=0) for _, rows, _ in _walk(P, idx, P.itemsize * P.shape[1]))
+            return unpack_upper(total / idx.size), b[idx].mean(axis=0)
         if np.array_equal(c, uniform):
             return Afull.copy(), bfull.copy()
         return unpack_upper(c @ P), c @ b

@@ -702,6 +702,15 @@ class TestTracedImportSites:
             "adaptive_penalty_update",
             "batch_value",
         },
+        "scr": {
+            "run_scr",
+            "update_gradient_estimator",
+            "update_hessian_estimator",
+            "solve_exact",
+            "adaptive_penalty_update",
+            "batch_value",
+        },
+        "srvcr": set(),  # a misspelt name is refused before anything runs
     }
 
     @pytest.mark.parametrize("algorithm", sorted(CALLED))
@@ -717,15 +726,21 @@ class TestTracedImportSites:
 
             monkeypatch.setattr(module, name, counting)
 
-        for name in ("run_srvrc", "run_srvrc_free"):
+        for name in ("run_srvrc", "run_srvrc_free", "run_scr"):
             wrap(cli, name)
         for name in self.SITES:
             wrap(drivers, name)
         cfg = base_config()
         cfg["solver"].update(penalty={"mode": "adaptive"}, subsolver_max_iters=300)
+        if algorithm == "scr":  # fixed sample sizes come from a practical rule
+            cfg["solver"]["batch"] = {"mode": "practical", "B_g": 40, "B_h": 20, "S": 1}
         problem = build_problem(cfg["problem"])
-        result = cli.run_algorithm(algorithm, problem, build_solver_config(cfg["solver"], algorithm, problem))
-        assert result.exit == "converged"
+        config = build_solver_config(cfg["solver"], algorithm, problem)
+        if self.CALLED[algorithm]:
+            assert cli.run_algorithm(algorithm, problem, config).exit == "converged"
+        else:
+            with pytest.raises(ConfigError, match=f"^unknown algorithm '{algorithm}'$"):
+                cli.run_algorithm(algorithm, problem, config)
         assert called == self.CALLED[algorithm]
 
     @pytest.mark.parametrize("source", ["synthetic", "dataset"])

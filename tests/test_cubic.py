@@ -123,6 +123,13 @@ class TestCauchyPoint:
         m = CubicModel(b=np.ones(1), A=np.zeros((1, 1)), penalty=2.0, hess_norm_bound=0.0)
         assert_allclose(cauchy_point(m), [-1.0], rtol=1e-12)
 
+    def test_step_keeps_its_digits_when_the_curvature_dominates(self):
+        # curv >> ||b||/tau: -curv + sqrt(curv^2 + 2||b||/tau) cancelled to a
+        # derivative of 8.6e-6 |b| here
+        b, A, tau = 5.56e-7, 47.7, 2.04e-3
+        m = CubicModel(b=np.array([b]), A=np.array([[A]]), penalty=tau, hess_norm_bound=A)
+        assert abs(cubic_gradient(m, cauchy_point(m))[0]) <= 1e-12 * b
+
     def test_zero_b_degenerates_to_origin(self):
         m = CubicModel(b=np.zeros(3), A=np.eye(3), penalty=1.0, hess_norm_bound=1.0)
         assert_allclose(cauchy_point(m), np.zeros(3))

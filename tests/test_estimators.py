@@ -41,6 +41,16 @@ class TestGradientBatchFormula:
     def test_unbounded_gradient_forces_full_batch_at_reset(self):
         assert sizes(M=math.inf, n=500)(0, None)[0] == 500
 
+    @pytest.mark.parametrize("constants, t", [
+        ({"M": 1e200}, 0),  # M**2 overflowed: OverflowError
+        ({"eps": 1e-170}, 0),  # eps**2 underflowed to 0: ZeroDivisionError
+        ({"eps": 1e-170, "L": 1e-90}, 1),  # the same in a correction (S_g > 1)
+    ], ids=["M-square-overflows", "eps-square-underflows", "correction"])
+    def test_sizes_past_float_range_clamp_to_n(self, constants, t):
+        S_g, _, at = schedule(n=500, **constants)
+        assert t < S_g
+        assert at(t, 1.0) == (500, 500)
+
     def test_reset_formula_value(self):
         # direct evaluation: 1440 * M^2 * log(2T/xi)^2 / eps^2
         # = 1440 * log(2000)^2 / 0.01 = 8_319_415.47... -> ceil then cap at n

@@ -826,6 +826,9 @@ class TestDerivativeSweep:
         lambda: multiclass_logreg_from_arrays(
             np.random.default_rng(14).standard_normal((10, 3)),
             np.arange(10) % 3, 3, lam=1e-2),
+        lambda: make_multiclass_logreg(  # 1-based labels
+            parse_libsvm("".join(f"{k % 3 + 1} 1:{k / 7} 3:{1 - k / 5}\n" for k in range(10))),
+            3, lam=1e-2),
     ])
     def test_ten_random_points(self, factory):
         p = factory()
@@ -1126,6 +1129,29 @@ class TestRowBlocks:
         # X[idx] is 2.6 MB at share 0.4 and 5.9 MB at 0.9.
         budget = objectives._SYNTHETIC_CHUNK_BYTES + 2 * d * d * 8 + 8 * idx.size * 8
         assert peak < budget + 2**17
+
+    @pytest.mark.parametrize("kernel, answer", [(batch_value, 0), (batch_gradient, 1),
+                                                (batch_hessian, 2)])
+    def test_a_gathered_synthetic_batch_holds_one_row_block(self, kernel, answer):
+        """Below the crossover a synthetic mean sums one block of packed rows at a time."""
+        rng = np.random.default_rng(14)
+        n, d = 3000, 40
+        p = make_synthetic(1201, n, d)
+        idx, x = rng.integers(0, n, size=700), rng.standard_normal(d)  # 12 blocks of 62 rows
+        assert idx.size < objectives._SYNTHETIC_IN_PLACE * n
+        got = []
+        peak = traced_peak(lambda: got.append(kernel(p, x, idx, COUNTER)))
+        # One block of packed rows, b[idx] and two d x d arrays; P[idx] is 4.6 MB.
+        budget = objectives._SYNTHETIC_CHUNK_BYTES + idx.size * d * 8 + 2 * d * d * 8
+        assert peak < budget + 2**17
+        # the block sums agree with the in-place sum within roundoff
+        assert_allclose(got[0], in_place_reference(p, idx, x, x)[answer], rtol=1e-12, atol=1e-13)
+
+    def test_walk_yields_nothing_over_zero_rows(self):
+        X = np.zeros((0, 3))
+        assert list(objectives._walk(X, None, 24)) == []
+        assert list(objectives._walk(np.ones((4, 3)), np.zeros(0, np.intp), 24)) == []
+        assert scale_columns_unit(X).shape == (0, 3)
 
     def test_multiclass_hessian_forms_z_one_row_block_at_a_time(self):
         rng = np.random.default_rng(12)
