@@ -15,8 +15,9 @@ an error: tuning runs die loudly on typos instead of silently using defaults.
 Each section has one reader that checks its keys and JSON types and returns
 its values converted; validate_config, build_problem and build_solver_config
 all go through these readers, so every entry point rejects the same configs.
-The readers also build the solver settings, so a value the settings reject
-(a negative eps, a zero batch size) is reported at load, with its section.
+The readers also build the solver settings and call the library's own
+argument checks, so a value the library rejects (a negative eps, a zero batch
+size or synthetic n, a num_classes of 0) is reported at load, with its section.
 Dataset paths resolve against VRCUBIC_DATA_ROOT when set and not absolute.
 A dataset file is read in two passes over windows of whole lines
 (``_libsvm.read_libsvm_dense``): a scan for the number of rows and the
@@ -60,12 +61,14 @@ from .estimators import PracticalBatchRule
 from .finite_sum import (
     FiniteSumProblem,
     OracleCounter,
+    _check_integer,
+    _check_nonnegative,
     batch_hessian,
     batch_hvp,
     full_index,
 )
 from .objectives import (
-    SYNTHETIC_DIFFICULTIES,
+    _check_synthetic,
     _unit_column_scales,
     binary_logreg_from_arrays,
     make_synthetic,
@@ -98,7 +101,6 @@ _SOLVER_TYPES = {**typing.get_type_hints(SolverConfig), "budget_gap": float,
                  "penalty": _PENALTIES, "batch": _BATCHES}
 _SOLVER_KEYS = set(_SOLVER_TYPES)
 _SYNTHETIC_TYPES = {"seed": int, "n": int, "d": int, "difficulty": str}
-_SYNTHETIC_MIN = {"seed": 0, "n": 1, "d": 1}
 _DATASET_TYPES = {"path": str, "objective": str, "lam": float, "num_classes": int,
                   "scale_features": bool}
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
@@ -172,40 +174,36 @@ def _mode(section: dict, modes: dict, where: str):
         raise ConfigError(f"{where}: needs {', '.join(map(repr, missing))} "
                           f"({mode} mode needs {', '.join(required)})")
     values = _read({k: v for k, v in section.items() if k != "mode"}, types, set(), where)
-    return _construct(cls, values, where) if cls else None
+    return _construct(cls, where, **values) if cls else None
 
 
-def _construct(cls, values: dict, where: str):
-    """cls(**values), with the ValueError of a value cls rejects named by its section."""
+def _construct(build, where: str, *args, **kwargs):
+    """build(*args, **kwargs), with the ValueError of a value it rejects named by its section."""
     try:
-        return cls(**values)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _problem(prob: dict, where: str) -> tuple[str, dict]:
-    """("synthetic" or "dataset", that section's checked values)."""
+    """("synthetic" or "dataset", that section's checked values, the seed and lam defaulted)."""
     _check_keys(prob, {"synthetic", "dataset"}, set(), where)
     if ("synthetic" in prob) == ("dataset" in prob):
         raise ConfigError(f"{where}: give exactly one of 'synthetic' or 'dataset'")
     if "synthetic" in prob:
         where = f"{where}.synthetic"
-        syn = _read(prob["synthetic"], _SYNTHETIC_TYPES, {"n", "d"}, where)
-        for key, least in _SYNTHETIC_MIN.items():
-            if syn.get(key, least) < least:
-                raise ConfigError(f"{where}.{key}: must be at least {least}, got {syn[key]}")
-        if syn.get("difficulty", "nonconvex") not in SYNTHETIC_DIFFICULTIES:
-            raise ConfigError(f"{where}.difficulty: must be one of {list(SYNTHETIC_DIFFICULTIES)}")
+        syn = {"seed": 0, **_read(prob["synthetic"], _SYNTHETIC_TYPES, {"n", "d"}, where)}
+        _construct(_check_synthetic, where, **syn)
         return "synthetic", syn
-    ds = _read(prob["dataset"], _DATASET_TYPES, {"path", "objective"}, f"{where}.dataset")
+    where = f"{where}.dataset"
+    ds = {"lam": 1e-3, **_read(prob["dataset"], _DATASET_TYPES, {"path", "objective"}, where)}
     if ds["objective"] not in ("binary_logreg", "multiclass_logreg"):
-        raise ConfigError(
-            f"{where}.dataset.objective: must be 'binary_logreg' or 'multiclass_logreg'"
-        )
+        raise ConfigError(f"{where}.objective: must be 'binary_logreg' or 'multiclass_logreg'")
     if ds["objective"] == "multiclass_logreg" and "num_classes" not in ds:
-        raise ConfigError(f"{where}.dataset: multiclass_logreg needs num_classes")
-    if ds.get("lam", 0.0) < 0:  # _read has refused a non-finite one
-        raise ConfigError(f"{where}.dataset.lam: must be nonnegative and finite, got {ds['lam']}")
+        raise ConfigError(f"{where}: multiclass_logreg needs num_classes")
+    _construct(_check_nonnegative, where, lam=ds["lam"])
+    if "num_classes" in ds:
+        _construct(_check_integer, where, "num_classes", ds["num_classes"], 1)
     return "dataset", ds
 
 
@@ -215,9 +213,9 @@ def _solver(solver: dict, where: str) -> tuple[SolverConfig, float | None]:
     if "T" in values and "budget_gap" in values:
         raise ConfigError(f"{where}: give at most one of 'T' and 'budget_gap'")
     gap = values.pop("budget_gap", None)
-    if gap is not None and gap < 0:
-        raise ConfigError(f"{where}.budget_gap: objective gap must be nonnegative, got {gap}")
-    return _construct(SolverConfig, values, where), gap
+    if gap is not None:
+        _construct(_check_nonnegative, where, budget_gap=gap)
+    return _construct(SolverConfig, where, **values), gap
 
 
 def load_config(path: str | Path) -> dict:
@@ -266,18 +264,17 @@ def build_problem(prob_cfg: dict) -> FiniteSumProblem:
     """The problem a problem section describes, checked as validate_config checks it."""
     source, spec = _problem(prob_cfg, "config.problem")
     if source == "synthetic":
-        return make_synthetic(**{"seed": 0, **spec})
+        return make_synthetic(**spec)
     path = _resolve_dataset_path(spec["path"])
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
     X, labels = read_libsvm_dense(path)
     if spec.get("scale_features", False):
         X /= _unit_column_scales(X)  # in place: X is the reader's own array
-    lam = spec.get("lam", 1e-3)
     if spec["objective"] == "binary_logreg":
-        return binary_logreg_from_arrays(X, binary_labels(labels), lam)
+        return binary_logreg_from_arrays(X, binary_labels(labels), spec["lam"])
     m = spec["num_classes"]
-    return multiclass_logreg_from_arrays(X, class_ids(labels, m), m, lam)
+    return multiclass_logreg_from_arrays(X, class_ids(labels, m), m, spec["lam"])
 
 
 def build_solver_config(solver_cfg: dict, algorithm: str, problem: FiniteSumProblem) -> SolverConfig:

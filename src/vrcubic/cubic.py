@@ -34,6 +34,8 @@ from typing import Callable
 
 import numpy as np
 
+from .finite_sum import _check_nonnegative, _check_positive, _check_probability
+
 __all__ = [
     "CubicModel",
     "CubicSolution",
@@ -74,10 +76,8 @@ class CubicModel:
         self.b = np.asarray(self.b, dtype=float)
         if self.b.ndim != 1:
             raise ValueError("linear term b must be a vector")
-        if not self.penalty > 0:
-            raise ValueError(f"penalty must be positive, got {self.penalty}")
-        if self.hess_norm_bound < 0:
-            raise ValueError("hess_norm_bound must be nonnegative")
+        _check_positive(penalty=self.penalty)
+        _check_nonnegative(hess_norm_bound=self.hess_norm_bound)
         if self.is_explicit:
             A = np.asarray(self.A, dtype=float)
             if A.shape != (self.b.size, self.b.size):
@@ -323,8 +323,8 @@ def cubic_krylov(
     """
     if grad_tol is None and target is None:
         raise ValueError("cubic_krylov needs a grad_tol or a target")
-    if grad_tol is not None and not grad_tol > 0:
-        raise ValueError("grad_tol must be positive")
+    if grad_tol is not None:
+        _check_positive(grad_tol=grad_tol)
     steps = model.dim if max_iters is None else max(1, min(model.dim, max_iters))
     perturb = rng is not None and target is not None
     status, start = "krylov", "b"
@@ -390,12 +390,8 @@ def cubic_subsolver(
     Cauchy point measured on the true model, so the reported value is the
     true model value and never positive.
     """
-    if not 0.0 < eps_quality < 1.0:
-        raise ValueError("eps_quality must lie in (0, 1)")
-    if not 0.0 < fail_prob < 1.0:
-        raise ValueError("fail_prob must lie in (0, 1)")
-    if not eta > 0 or not zeta > 0:
-        raise ValueError("eta and zeta must be positive")
+    _check_probability(eps_quality=eps_quality, fail_prob=fail_prob)
+    _check_positive(eta=eta, zeta=zeta)
 
     tau = model.penalty
     d = model.dim
@@ -448,8 +444,7 @@ def cubic_finalsolver(
         raise ValueError(
             f"step size {eta} violates the descent precondition (needs eta < {limit:.3e})"
         )
-    if not grad_tol > 0:
-        raise ValueError("grad_tol must be positive")
+    _check_positive(grad_tol=grad_tol)
 
     x, k = _descend(model, model.b, eta, cauchy_point(model), max_iters + 1,
                     lambda k, x, Ax, grad: float(np.linalg.norm(grad)) <= grad_tol, "finalsolver")

@@ -38,7 +38,9 @@ from .finite_sum import (
     FiniteSumProblem,
     OracleCounter,
     _check_integer,
+    _check_nonnegative,
     _check_positive,
+    _check_probability,
     batch_hvp,
     batch_value,
     full_index,
@@ -149,22 +151,15 @@ class SolverConfig:
         _check_positive(eps=self.eps)
         if self.rho is not None:
             _check_positive(rho=self.rho)
-        _check_integer("T", self.T)
-        _check_integer("seed", self.seed)
+        _check_integer("T", self.T, 0)
+        _check_integer("seed", self.seed, 0)
         if self.subsolver_max_iters is not None:
-            _check_integer("subsolver_max_iters", self.subsolver_max_iters)
-        if self.T < 0:
-            raise ValueError("iteration budget must be nonnegative")
-        if not 0 < self.xi < 1:
-            raise ValueError("xi must lie in (0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            _check_integer("subsolver_max_iters", self.subsolver_max_iters, 0)
+        _check_probability(xi=self.xi)
         if not isinstance(self.penalty, PenaltyPolicy):
             raise TypeError("penalty must be a FixedPenalty, TheoreticalPenalty or AdaptivePenalty")
         if self.batch is not None and not isinstance(self.batch, PracticalBatchRule):
             raise TypeError("batch must be a PracticalBatchRule or None (the theoretical schedule)")
-        if self.subsolver_max_iters is not None and self.subsolver_max_iters < 0:
-            raise ValueError("subsolver_max_iters must be nonnegative")
         if self.finalsolver_eps_g is not None:
             _check_positive(finalsolver_eps_g=self.finalsolver_eps_g)
         if self.x0 is not None:
@@ -225,8 +220,7 @@ def budget_from_gap(delta_f: float, eps: float, rho: float, algorithm: str = "sr
     """
     if algorithm not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}: expected one of {_ALGORITHMS}")
-    if not (delta_f >= 0 and math.isfinite(delta_f)):
-        raise ValueError(f"objective gap must be nonnegative and finite, got {delta_f!r}")
+    _check_nonnegative(**{"objective gap": delta_f})
     _check_positive(eps=eps, rho=rho)
     coef = 25.0 if algorithm == "srvrc_free" else 40.0
     return max(1, math.ceil(coef * delta_f * math.sqrt(rho) / eps**1.5))

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_sum import (FiniteSumProblem, OracleCounter, _check_integer, batch_gradient,
-                         batch_hessian, sample_multiset)
+from .finite_sum import (FiniteSumProblem, OracleCounter, _check_integer, _check_positive,
+                         _check_probability, batch_gradient, batch_hessian, sample_multiset)
 
 __all__ = [
     "EstimatorState",
@@ -79,9 +79,7 @@ class PracticalBatchRule:
 
     def __post_init__(self):
         for name in ("B_g", "B_h", "S"):
-            _check_integer(name, getattr(self, name))
-        if self.B_g < 1 or self.B_h < 1 or self.S < 1:
-            raise ValueError("batch sizes and epoch length must be >= 1")
+            _check_integer(name, getattr(self, name), 1)
 
 
 def _capped(raw, cap: int) -> float:
@@ -126,10 +124,8 @@ def batch_schedule(
     """
     if variant not in _RULE_CONSTANTS:
         raise ValueError(f"unknown batch-rule variant {variant!r}")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if not 0 < xi < 1:
-        raise ValueError("xi must lie in (0, 1)")
+    _check_positive(eps=eps)
+    _check_probability(xi=xi)
     free = variant == "srvrc_free"
     if rule is not None:
         S = rule.S

@@ -29,16 +29,21 @@ __all__ = [
     "DENSE_LIMIT",
 ]
 
-DENSE_LIMIT = 2000  # above this dimension no d x d Hessian is ever formed
+# Above this dimension a problem has no Hessian oracle.  A Hessian-only problem
+# (make_synthetic, say) still forms one d x d mean per Hessian-vector operator.
+DENSE_LIMIT = 2000
 
 # oracle kinds: each names a batch_<kind>_fn kernel and an OracleCounter.<kind>_calls
 _ORACLE_NAMES = {"value": "value", "grad": "gradient", "hess": "Hessian", "hvp": "Hessian-vector"}
 
 
-def _check_integer(name: str, value) -> None:
-    """TypeError unless value is an integer; a bool is not one."""
+def _check_integer(name: str, value, least: int) -> None:
+    """TypeError unless value is an integer (a bool is not one), ValueError below least."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        rule = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _check_positive(**params: float) -> None:
@@ -46,6 +51,20 @@ def _check_positive(**params: float) -> None:
     for name, value in params.items():
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_nonnegative(**params: float) -> None:
+    """Raise ValueError naming the first parameter that is not finite and >= 0."""
+    for name, value in params.items():
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
+def _check_probability(**params: float) -> None:
+    """Raise ValueError naming the first parameter that is not in the open interval (0, 1)."""
+    for name, value in params.items():
+        if not 0 < value < 1:
+            raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 @dataclass
@@ -112,12 +131,8 @@ class FiniteSumProblem:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_integer("n", self.n)
-        _check_integer("dim", self.dim)
-        if self.n <= 0:
-            raise ValueError(f"need at least one component, got n={self.n}")
-        if self.dim <= 0:
-            raise ValueError(f"need positive dimension, got dim={self.dim}")
+        _check_integer("n", self.n, 1)
+        _check_integer("dim", self.dim, 1)
         _check_positive(lipschitz_hess=self.lipschitz_hess, lipschitz_grad=self.lipschitz_grad)
         for kind in ("value", "grad"):
             if getattr(self, f"batch_{kind}_fn") is None:
@@ -181,10 +196,8 @@ def sample_multiset(rng: np.random.Generator, n: int, B: int) -> np.ndarray:
     randomness, so full-batch requests stay deterministic and are charged n
     calls, never more.
     """
-    if n <= 0:
-        raise ValueError(f"cannot sample from n={n} components")
-    if B <= 0:
-        raise ValueError(f"batch size must be positive, got B={B}")
+    _check_integer("n", n, 1)
+    _check_integer("B", B, 1)
     if B >= n:
         return np.arange(n)
     idx = rng.integers(0, n, size=B)

@@ -14,7 +14,6 @@ import threading
 import numpy as np
 
 from ._libsvm import (  # re-exported: the libsvm format lives in _libsvm
-    _BLOCK_LINES,
     LibsvmDataset,
     LibsvmParseError,
     binary_labels,
@@ -22,7 +21,7 @@ from ._libsvm import (  # re-exported: the libsvm format lives in _libsvm
     parse_libsvm,
     serialize_libsvm,
 )
-from .finite_sum import FiniteSumProblem, _check_integer
+from .finite_sum import FiniteSumProblem, _check_integer, _check_nonnegative
 
 __all__ = [
     "LibsvmParseError",
@@ -185,12 +184,6 @@ def _unit_column_scales(X: np.ndarray) -> np.ndarray:
     return scale
 
 
-def _check_lam(lam: float) -> None:
-    """ValueError unless lam >= 0 and finite: the L and rho below hold for lam >= 0 only."""
-    if not (lam >= 0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be nonnegative and finite, got {lam!r}")
-
-
 def binary_logreg_from_arrays(
     X: np.ndarray, y: np.ndarray, lam: float = 1e-3
 ) -> FiniteSumProblem:
@@ -198,7 +191,7 @@ def binary_logreg_from_arrays(
 
     f_i(w) = log(1 + exp(x_i.w)) - y_i x_i.w + lam * r(w),  y_i in {0, 1}.
     """
-    _check_lam(lam)
+    _check_nonnegative(lam=lam)  # the L and rho below hold for lam >= 0 only
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
@@ -301,15 +294,16 @@ def multiclass_logreg_from_arrays(
 
     The variable is W (m rows of d weights) stored row-major as w = W.ravel().
     """
-    _check_lam(lam)
+    _check_nonnegative(lam=lam)
+    _check_integer("num_classes", num_classes, 1)
     X = np.asarray(X, dtype=float)
     class_id = np.asarray(class_id, dtype=int)
     n, d = X.shape
-    m = int(num_classes)
+    m = num_classes
+    if class_id.shape != (n,):
+        raise IndexError(f"{class_id.size} labels for {n} rows")
     if class_id.size and (class_id.min() < 0 or class_id.max() >= m):
         raise ValueError(f"label out of range for {m} classes")
-    Y = np.zeros((n, m))
-    Y[np.arange(n), class_id] = 1.0
     rmax = _max_row_norm(X)
 
     def logits_pass(w, picks):
@@ -329,7 +323,8 @@ def multiclass_logreg_from_arrays(
         return float(np.mean(lse - picked)) + lam * _reg_value(w)
 
     def bgrad(idx, w):
-        R = forward(w, idx)[2] - Y[idx]
+        R = forward(w, idx)[2].copy()  # the softmax minus the one-hot labels
+        R[np.arange(idx.size), class_id[idx]] -= 1.0
         G = sum(R[b].T @ rows for b, rows, _ in _walk(X, idx, X.itemsize * d)) / idx.size
         return G.ravel() + lam * _reg_grad(w)
 
@@ -383,6 +378,7 @@ def make_multiclass_logreg(
     dataset: LibsvmDataset, num_classes: int, lam: float = 1e-3
 ) -> FiniteSumProblem:
     """Multiclass problem from a parsed dataset (labels 0- or 1-based)."""
+    _check_integer("num_classes", num_classes, 1)  # before class_ids reads the labels with it
     return multiclass_logreg_from_arrays(
         dataset.to_dense(), class_ids(dataset.labels, num_classes), num_classes, lam=lam
     )
@@ -477,6 +473,14 @@ def _draw_components(rng, P: np.ndarray, d: int, convex: bool) -> None:
         raise errors[0]
 
 
+def _check_synthetic(seed: int, n: int, d: int, difficulty: str = "nonconvex") -> None:
+    """make_synthetic's argument rules, which a config's synthetic section follows too."""
+    for name, value, least in (("seed", seed, 0), ("n", n, 1), ("d", d, 1)):
+        _check_integer(name, value, least)
+    if difficulty not in SYNTHETIC_DIFFICULTIES:
+        raise ValueError(f"difficulty must be one of {list(SYNTHETIC_DIFFICULTIES)}, got {difficulty!r}")
+
+
 def make_synthetic(
     seed: int, n: int, d: int, difficulty: str = "nonconvex"
 ) -> FiniteSumProblem:
@@ -505,12 +509,7 @@ def make_synthetic(
     ``extra["b"]`` are read-only, so they cannot go stale.  No Hessian-vector
     kernel is handed over: FiniteSumProblem derives its product from the Hessian.
     """
-    for name, size, what in (("n", n, "at least one component"), ("d", d, "positive dimension")):
-        _check_integer(name, size)
-        if size < 1:
-            raise ValueError(f"need {what}, got {name}={size}")
-    if difficulty not in SYNTHETIC_DIFFICULTIES:
-        raise ValueError(f"unknown difficulty {difficulty!r}")
+    _check_synthetic(seed, n, d, difficulty)
     rng = np.random.default_rng(seed)
     alpha = 0.0 if difficulty == "convex" else 0.5
 

@@ -131,10 +131,10 @@ class TestValidateConfig:
                 validate_config(cfg)
         # well-typed values make_synthetic would refuse are refused at load too
         for key, value, message in (("difficulty", "hard", "one of"), ("n", 0, "at least 1"),
-                                    ("d", 0, "at least 1"), ("seed", -1, "at least 0")):
+                                    ("d", 0, "at least 1"), ("seed", -1, "nonnegative")):
             cfg["problem"] = {"synthetic": {"n": 40, "d": 4, key: value}}
             with pytest.raises(ConfigError,
-                               match=rf"config\.problem\.synthetic\.{key}: must be {message}"):
+                               match=rf"config\.problem\.synthetic: {key} must be {message}"):
                 validate_config(cfg)
 
     def test_dataset_objective_checked(self):
@@ -151,13 +151,25 @@ class TestValidateConfig:
         cfg = base_config()
         cfg["problem"] = {"dataset": {"path": "missing.svm", "objective": "binary_logreg",
                                       "lam": -0.01}}
-        message = r"config\.problem\.dataset\.lam: must be nonnegative and finite, got -0\.01$"
+        message = r"config\.problem\.dataset: lam must be nonnegative and finite, got -0\.01$"
         with pytest.raises(ConfigError, match=message):
             validate_config(cfg)
         with pytest.raises(ConfigError, match=message):
             build_problem(cfg["problem"])  # not "dataset file not found"
         cfg["problem"]["dataset"]["lam"] = 0
         validate_config(cfg)
+
+    @pytest.mark.parametrize("objective", ["binary_logreg", "multiclass_logreg"])
+    def test_zero_classes_are_refused_before_the_file_is_read(self, objective):
+        # once refused only after the file was read, as "label out of range for 0 classes"
+        cfg = base_config()
+        cfg["problem"] = {"dataset": {"path": "missing.svm", "objective": objective,
+                                      "num_classes": 0}}
+        message = r"^config\.problem\.dataset: num_classes must be at least 1, got 0$"
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
+        with pytest.raises(ConfigError, match=message):
+            build_problem(cfg["problem"])  # not "dataset file not found"
 
     def test_multiclass_needs_num_classes(self):
         cfg = base_config()
@@ -211,7 +223,7 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=r"config\.solver\.batch\.S: expected an integer"):
             validate_config(cfg)
         cfg["solver"]["batch"] = {"mode": "practical", "B_g": 0, "B_h": 10, "S": 2}
-        with pytest.raises(ConfigError, match=r"config\.solver\.batch: batch sizes and epoch"):
+        with pytest.raises(ConfigError, match=r"config\.solver\.batch: B_g must be at least 1, got 0$"):
             validate_config(cfg)
         for mode in ("auto", ["practical"]):
             cfg["solver"]["batch"] = {"mode": mode}
@@ -460,7 +472,7 @@ class TestCheckCommand:
         path = write_config(tmp_path / "c.json", cfg)
         assert main(["check", path]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}.problem.dataset.lam: must be nonnegative and finite, got -0.01\n")
+            f"error: {path}.problem.dataset: lam must be nonnegative and finite, got -0.01\n")
 
     def test_bad_config_fails(self, tmp_path, capsys):
         cfg = base_config(algorithm="sgd")
@@ -505,6 +517,12 @@ class TestCompareCommand:
         assert min(gaps) >= 0.0
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == sorted(names)
+
+    def test_config_without_output_writes_only_the_table(self, tmp_path):
+        write_config(tmp_path / "solo.json", base_config())
+        assert main(["compare", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["compare.csv", "solo.json"]
+        assert (tmp_path / "compare.csv").read_text().splitlines()[1].startswith("solo,srvrc,")
 
     def test_failed_config_reported(self, tmp_path, capsys):
         good = base_config(output=str(tmp_path / "runs" / "good"))
@@ -593,7 +611,7 @@ class TestEntryPointsAgree:
         "penalty-negative": ({"penalty": {"mode": "fixed", "value": -1}},
                              r"config\.solver\.penalty: fixed penalty must be positive"),
         "gap-negative": ({"budget_gap": -1.0},
-                         r"config\.solver\.budget_gap: objective gap must be nonnegative"),
+                         r"config\.solver: budget_gap must be nonnegative and finite, got -1\.0$"),
         "seed-negative": ({"seed": -1}, r"config\.solver: seed must be nonnegative"),
         "rho-negative": ({"rho": -1}, r"config\.solver: rho must be positive"),
         "gap-nan": ({"budget_gap": float("nan")}, r"solver\.budget_gap: expected a number, got NaN"),
@@ -603,11 +621,12 @@ class TestEntryPointsAgree:
         "x0-nan": ({"x0": [float("nan"), 0, 0, 0]}, r"solver\.x0: expected a list of numbers"),
     }
     PROBLEM_FAULTS = {
-        "n-zero": ({"n": 0}, r"config\.problem\.synthetic\.n: must be at least 1"),
-        "d-zero": ({"d": 0}, r"config\.problem\.synthetic\.d: must be at least 1"),
-        "seed-negative": ({"seed": -1}, r"config\.problem\.synthetic\.seed: must be at least 0"),
+        "n-zero": ({"n": 0}, r"config\.problem\.synthetic: n must be at least 1, got 0$"),
+        "d-zero": ({"d": 0}, r"config\.problem\.synthetic: d must be at least 1, got 0$"),
+        "seed-negative": ({"seed": -1},
+                          r"config\.problem\.synthetic: seed must be nonnegative, got -1$"),
         "difficulty-unknown": ({"difficulty": "hard"},
-                               r"config\.problem\.synthetic\.difficulty: must be one of"),
+                               r"config\.problem\.synthetic: difficulty must be one of"),
     }
 
     @staticmethod

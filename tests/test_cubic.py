@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -392,6 +393,22 @@ class TestFinalsolver:
             cubic_finalsolver(m, eta=0.9 / (4 * (1 + R)), grad_tol=1e-8)
         assert len(applies) == 13
 
+    def test_non_finite_product_is_divergence(self):
+        # a NaN a product returns raises no floating-point error in the arithmetic
+        # that carries it; the iterate check stops the step that takes it into x
+        products = []
+
+        def hvp(v):
+            products.append(1)
+            return np.array([1.0, 2.0]) * v if len(products) < 3 else np.full(2, np.nan)
+
+        m = CubicModel(b=np.ones(2), A=hvp, penalty=1.0, hess_norm_bound=2.0)
+        with pytest.raises(SolverDivergenceError,
+                           match=r"^cubic finalsolver diverged at gradient step 2$") as info:
+            cubic_finalsolver(m, eta=0.01, grad_tol=1e-8)
+        assert str(info.value.__cause__) == "non-finite iterate"
+        assert len(products) == 3  # the Cauchy point's, then one per gradient step
+
 
 class TestKrylov:
     def test_cauchy_exit_draws_nothing(self):
@@ -614,3 +631,49 @@ def test_solver_exit_pinned(name):
         sol = solve(model)
         assert (sol.status, sol.iterations) == (status, iterations)
     assert len(applies) == products
+
+
+def unit_model(**fields):
+    return CubicModel(**{"b": np.ones(2), "A": np.eye(2), "penalty": 1.0, "hess_norm_bound": 1.0,
+                         **fields})
+
+
+def subsolve(**settings):
+    settings = {"eta": 0.01, "zeta": 0.5, "eps_quality": 0.5, "fail_prob": 0.1, **settings}
+    return cubic_subsolver(unit_model(), rng=np.random.default_rng(0), **settings)
+
+
+# name -> (a call that must be refused, its message); an infinite penalty once
+# failed in solve_exact as a ZeroDivisionError, and every infinite constant,
+# tolerance and step size here was accepted
+ARGUMENT_FAULTS = {
+    "penalty-infinite": (lambda: unit_model(penalty=math.inf),
+                         "penalty must be positive and finite, got inf"),
+    "penalty-zero": (lambda: unit_model(penalty=0.0), "penalty must be positive and finite, got 0.0"),
+    "bound-infinite": (lambda: unit_model(hess_norm_bound=math.inf),
+                       "hess_norm_bound must be nonnegative and finite, got inf"),
+    "bound-nan": (lambda: unit_model(hess_norm_bound=math.nan),
+                  "hess_norm_bound must be nonnegative and finite, got nan"),
+    "bound-negative": (lambda: unit_model(hess_norm_bound=-1.0),
+                       "hess_norm_bound must be nonnegative and finite, got -1.0"),
+    "b-matrix": (lambda: unit_model(b=np.ones((2, 1))), "linear term b must be a vector"),
+    "A-shape": (lambda: unit_model(A=np.eye(3)), "A has shape (3, 3), expected square of dim 2"),
+    "krylov-grad-tol-infinite": (lambda: cubic_krylov(unit_model(), grad_tol=math.inf),
+                                 "grad_tol must be positive and finite, got inf"),
+    "finalsolver-grad-tol-infinite": (
+        lambda: cubic_finalsolver(unit_model(), eta=0.01, grad_tol=math.inf),
+        "grad_tol must be positive and finite, got inf"),
+    "subsolver-eta-infinite": (lambda: subsolve(eta=math.inf), "eta must be positive and finite, got inf"),
+    "subsolver-zeta-infinite": (lambda: subsolve(zeta=math.inf),
+                                "zeta must be positive and finite, got inf"),
+    "subsolver-fail-prob-one": (lambda: subsolve(fail_prob=1.0), "fail_prob must lie in (0, 1), got 1.0"),
+    "subsolver-quality-zero": (lambda: subsolve(eps_quality=0.0),
+                               "eps_quality must lie in (0, 1), got 0.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENT_FAULTS))
+def test_bad_arguments_name_the_value(name):
+    build, message = ARGUMENT_FAULTS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

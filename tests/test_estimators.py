@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -388,6 +389,19 @@ class TestRuleValidation:
     def test_xi_in_unit_interval(self):
         with pytest.raises(ValueError, match="xi"):
             schedule(xi=1.5)
+
+    @pytest.mark.parametrize("build, message", [
+        # an infinite eps used to pass, then overflow in default_epochs
+        (lambda: schedule(eps=math.inf), "eps must be positive and finite, got inf"),
+        (lambda: schedule(eps=0.0), "eps must be positive and finite, got 0.0"),
+        (lambda: schedule(xi=1.0), "xi must lie in (0, 1), got 1.0"),
+        (lambda: schedule(xi=math.nan), "xi must lie in (0, 1), got nan"),
+        (lambda: PracticalBatchRule(B_g=0, B_h=1, S=1), "B_g must be at least 1, got 0"),
+        (lambda: PracticalBatchRule(B_g=1, B_h=1, S=-2), "S must be at least 1, got -2"),
+    ], ids=["eps-infinite", "eps-zero", "xi-one", "xi-nan", "B_g-zero", "S-negative"])
+    def test_bad_arguments_name_the_value(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_variant_names_checked(self):
         with pytest.raises(ValueError, match="variant"):

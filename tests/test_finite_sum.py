@@ -81,6 +81,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_multiset(np.random.default_rng(0), n, B)
 
+    @pytest.mark.parametrize("n, B, error, message", [
+        (0, 3, ValueError, "n must be at least 1, got 0"),
+        (5, 0, ValueError, "B must be at least 1, got 0"),
+        (5, 2.5, TypeError, "B must be an integer, got 2.5"),
+        (5, True, TypeError, "B must be an integer, got True"),  # once drew one index
+    ])
+    def test_sizes_name_the_value(self, n, B, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sample_multiset(np.random.default_rng(0), n, B)
+
 
 class TestBatchOracles:
     def test_singleton_gradient(self):
@@ -214,7 +224,7 @@ class TestValidation:
         # a float or bool size is refused when built, not at the first
         # full-batch query or inside np.zeros
         for n, dim, error, message in [
-            (0, 2, ValueError, "need at least one component, got n=0"),
+            (0, 2, ValueError, "n must be at least 1, got 0"),
             (2.5, 2, TypeError, "n must be an integer, got 2.5"),
             (True, 2, TypeError, "n must be an integer, got True"),
             (1, 2.0, TypeError, "dim must be an integer, got 2.0"),

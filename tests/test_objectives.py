@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import os
 import re
 import sys
 import threading
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vrcubic import objectives
+from vrcubic import _libsvm, objectives
 from vrcubic._libsvm import binary_labels, class_ids
 from vrcubic.cli import build_problem
 from vrcubic.diagnostics import min_eigenvalue
@@ -162,6 +163,11 @@ class TestLibsvmParsing:
         with pytest.raises(ValueError, match="out of range"):
             class_ids(ds.labels, 3)
 
+    def test_class_ids_non_integer(self):
+        ds = parse_libsvm("1 1:1\n2.5 1:1\n")
+        with pytest.raises(ValueError, match="^multiclass labels must be integers$"):
+            class_ids(ds.labels, 3)
+
 
 def reference_parse_libsvm(source):
     """The per-token libsvm parser that the array parser replaced, kept as a
@@ -303,20 +309,20 @@ class TestLibsvmDifferential:
     @pytest.fixture(scope="class")
     def good_block(self):
         rng = np.random.default_rng(11)
-        return [random_row(rng, edges=GAPS) for _ in range(objectives._BLOCK_LINES + 1)]
+        return [random_row(rng, edges=GAPS) for _ in range(_libsvm._BLOCK_LINES + 1)]
 
     @pytest.mark.parametrize("row", range(len(BAD_ROWS)))
     def test_each_error_at_a_block_boundary(self, row, good_block):
         label, feats = BAD_ROWS[row]
         bad = " ".join([label, *feats])
-        for before in (objectives._BLOCK_LINES - 1, objectives._BLOCK_LINES):
+        for before in (_libsvm._BLOCK_LINES - 1, _libsvm._BLOCK_LINES):
             lines = [*good_block[:before], bad, good_block[-1]]
             message = self.check("\r\n".join(lines) + "\n", every_form=False)
             assert message.startswith(f"line {before + 1}: "), message
 
     def test_long_documents_span_blocks(self):
         rng = np.random.default_rng(7)
-        text = random_document(rng, 3 * objectives._BLOCK_LINES + 5, bad_share=0.0)
+        text = random_document(rng, 3 * _libsvm._BLOCK_LINES + 5, bad_share=0.0)
         assert not isinstance(self.check(text), str)
 
     def test_index_digits_and_signs(self):
@@ -576,6 +582,29 @@ def test_logreg_lam_must_be_nonnegative_and_finite(factory, lam):
     assert factory(0.0).extra["lam"] == 0.0
 
 
+@pytest.mark.parametrize("factory", [
+    lambda m: multiclass_logreg_from_arrays([[1.0, 1.0]], [0], m),
+    lambda m: make_multiclass_logreg(parse_libsvm("1 1:1 2:1\n"), m),
+], ids=["arrays", "dataset"])
+@pytest.mark.parametrize("num_classes, error, message", [
+    (2.7, TypeError, "num_classes must be an integer, got 2.7"),
+    (True, TypeError, "num_classes must be an integer, got True"),
+    (0, ValueError, "num_classes must be at least 1, got 0"),
+], ids=["fraction", "bool", "zero"])
+def test_multiclass_num_classes_must_be_a_positive_integer(factory, num_classes, error, message):
+    # int(num_classes) used to build a 2-class problem from 2.7 and a 1-class one from
+    # True, and a dataset's 0 failed in class_ids as "label out of range for 0 classes"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        factory(num_classes)
+    assert factory(np.int64(2)).dim == 4
+
+
+def test_multiclass_needs_one_label_per_row():
+    for labels in (np.zeros(3, int), np.zeros(5, int)):
+        with pytest.raises(IndexError, match=f"^{labels.size} labels for 4 rows$"):
+            multiclass_logreg_from_arrays(np.ones((4, 2)), labels, 2)
+
+
 # multiclass_golden_problem(), captured while the Hessian kernel was a loop of
 # per-component Kronecker products, bills re-captured once full-batch
 # corrections became resets and the loop stopped re-asking queries it holds;
@@ -775,10 +804,10 @@ class TestSynthetic:
             make_synthetic(seed=0, n=0, d=2)
 
     @pytest.mark.parametrize("n, d, error, message", [
-        (0, 2, ValueError, "need at least one component, got n=0"),
-        (-1, 3, ValueError, "need at least one component, got n=-1"),
-        (3, 0, ValueError, "need positive dimension, got d=0"),
-        (3, -1, ValueError, "need positive dimension, got d=-1"),
+        (0, 2, ValueError, "n must be at least 1, got 0"),
+        (-1, 3, ValueError, "n must be at least 1, got -1"),
+        (3, 0, ValueError, "d must be at least 1, got 0"),
+        (3, -1, ValueError, "d must be at least 1, got -1"),
         (2.5, 2, TypeError, "n must be an integer, got 2.5"),
         (True, 2, TypeError, "n must be an integer, got True"),
         (3, True, TypeError, "d must be an integer, got True"),
@@ -791,6 +820,13 @@ class TestSynthetic:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             make_synthetic(0, n, d)
+
+    def test_available_cpus_without_affinity_counts_the_machine(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert objectives._available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert objectives._available_cpus() == 1
 
     def test_numpy_integer_sizes_accepted(self):
         p = make_synthetic(seed=0, n=np.int64(4), d=np.int32(2))
@@ -1030,7 +1066,7 @@ class TestLibsvmBuffers:
     @pytest.mark.parametrize("kind", [bytearray, memoryview], ids=["bytearray", "memoryview"])
     def test_same_dataset_and_errors_as_bytes(self, kind):
         rng = np.random.default_rng(5)
-        raw = random_document(rng, 3 * objectives._BLOCK_LINES, bad_share=0.0).encode("ascii")
+        raw = random_document(rng, 3 * _libsvm._BLOCK_LINES, bad_share=0.0).encode("ascii")
         assert bytes(kind(raw)) == raw
         assert parse_outcome(parse_libsvm, kind(raw)) == parse_outcome(parse_libsvm, raw)
         for raw in (b"1 1:1\n-1 2:\xff\n1 1:2\n", b"1 1:1\r\n2 \x80:1", b"\xc3\xa9 1:1\n",
@@ -1048,7 +1084,7 @@ class TestLibsvmBuffers:
 def test_empty_data_gives_one_message_from_both_factories():
     for build in (lambda: binary_logreg_from_arrays(np.zeros((0, 3)), np.zeros(0)),
                   lambda: multiclass_logreg_from_arrays(np.zeros((0, 3)), np.zeros(0, int), 2)):
-        with pytest.raises(ValueError, match="^need at least one component, got n=0$"):
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
             build()
 
 
