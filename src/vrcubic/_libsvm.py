@@ -100,11 +100,16 @@ def binary_labels(labels: np.ndarray) -> np.ndarray:
     return (labels == distinct[1]).astype(float)
 
 
+def _integer_ids(labels: np.ndarray) -> np.ndarray:
+    """labels as an int array; ValueError unless each is a finite integer."""
+    if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
+        raise ValueError("multiclass labels must be integers")
+    return labels.astype(int)
+
+
 def class_ids(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Map raw labels to 0..m-1, accepting either 0- or 1-based integers."""
-    if not np.all(labels == np.round(labels)):
-        raise ValueError("multiclass labels must be integers")
-    ids = labels.astype(int)
+    ids = _integer_ids(labels)
     if ids.min() >= 1 and ids.max() <= num_classes:
         ids = ids - 1
     elif ids.min() < 0 or ids.max() >= num_classes:

@@ -99,7 +99,6 @@ _PENALTIES = {"fixed": FixedPenalty, "theoretical": TheoreticalPenalty, "adaptiv
 _BATCHES = {"theoretical": None, "practical": PracticalBatchRule}
 _SOLVER_TYPES = {**typing.get_type_hints(SolverConfig), "budget_gap": float,
                  "penalty": _PENALTIES, "batch": _BATCHES}
-_SOLVER_KEYS = set(_SOLVER_TYPES)
 _SYNTHETIC_TYPES = {"seed": int, "n": int, "d": int, "difficulty": str}
 _DATASET_TYPES = {"path": str, "objective": str, "lam": float, "num_classes": int,
                   "scale_features": bool}

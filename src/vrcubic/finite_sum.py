@@ -205,11 +205,15 @@ def sample_multiset(rng: np.random.Generator, n: int, B: int) -> np.ndarray:
     return idx
 
 
-def _charge(problem: FiniteSumProblem, idx: np.ndarray, counter: OracleCounter | None, kind: str):
-    """Validate idx, then charge |idx| ``kind`` calls; returns (kernel, idx).
+def _charge(problem: FiniteSumProblem, x, idx: np.ndarray, counter: OracleCounter | None, kind: str):
+    """Validate x and idx, then charge |idx| ``kind`` calls; returns (kernel, x, idx).
 
-    A bad index multiset or a missing kernel raises before anything is charged.
+    A point of the wrong shape, a bad index multiset or a missing kernel raises
+    before anything is charged.
     """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.dim,):
+        raise ValueError(f"x has shape {x.shape}, expected ({problem.dim},)")
     idx = np.asarray(idx)
     if idx.size == 0:
         raise ValueError("empty index multiset")
@@ -227,7 +231,7 @@ def _charge(problem: FiniteSumProblem, idx: np.ndarray, counter: OracleCounter |
         raise ValueError(f"problem {problem.name!r} has no {_ORACLE_NAMES[kind]} oracle{why}")
     if counter is not None:
         setattr(counter, f"{kind}_calls", getattr(counter, f"{kind}_calls") + idx.size)
-    return kernel, idx
+    return kernel, x, idx
 
 
 def batch_value(
@@ -237,7 +241,7 @@ def batch_value(
     counter: OracleCounter | None = None,
 ) -> float:
     """Multiset mean of f_i(x) over idx; charges |idx| value calls."""
-    fn, idx = _charge(problem, idx, counter, "value")
+    fn, x, idx = _charge(problem, x, idx, counter, "value")
     return float(fn(idx, x))
 
 
@@ -248,7 +252,7 @@ def batch_gradient(
     counter: OracleCounter | None = None,
 ) -> np.ndarray:
     """Multiset mean of grad f_i(x) over idx; charges |idx| gradient calls."""
-    fn, idx = _charge(problem, idx, counter, "grad")
+    fn, x, idx = _charge(problem, x, idx, counter, "grad")
     return np.asarray(fn(idx, x), dtype=float)
 
 
@@ -259,7 +263,7 @@ def batch_hessian(
     counter: OracleCounter | None = None,
 ) -> np.ndarray:
     """Multiset mean of the component Hessians; charges |idx| Hessian calls."""
-    fn, idx = _charge(problem, idx, counter, "hess")
+    fn, x, idx = _charge(problem, x, idx, counter, "hess")
     return np.asarray(fn(idx, x), dtype=float)
 
 
@@ -276,8 +280,8 @@ def batch_hvp(
     nothing charged, and later changes to the caller's arrays do not reach
     the operator.  Each product charges |idx| Hessian-vector calls.
     """
-    fn, idx = _charge(problem, idx, None, "hvp")
-    linearization = fn(idx.copy(), np.array(x, dtype=float))
+    fn, x, idx = _charge(problem, x, idx, None, "hvp")
+    linearization = fn(idx.copy(), x.copy())
 
     def product(v: np.ndarray) -> np.ndarray:
         if counter is not None:

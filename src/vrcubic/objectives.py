@@ -16,6 +16,7 @@ import numpy as np
 from ._libsvm import (  # re-exported: the libsvm format lives in _libsvm
     LibsvmDataset,
     LibsvmParseError,
+    _integer_ids,
     binary_labels,
     class_ids,
     parse_libsvm,
@@ -94,12 +95,15 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
-def _walk(X: np.ndarray, picks: np.ndarray | None, row_bytes: int):
-    """(block, rows, buffer) over the rows a batch reads, in _row_blocks of
-    ``row_bytes`` a row (none over zero rows): X's own rows when picks is None,
-    else picks' rows gathered into the buffer, one _SCRATCH buffer of one block
-    for every block.  Gathering wraps indices instead of checking them
-    (finite_sum._charge checks them), so np.take needs no buffered copy.
+def _walk(X: np.ndarray, picks: np.ndarray | None, width: int = 1):
+    """(block, rows, buffer) over the rows a batch reads, in _row_blocks (none
+    over zero rows): X's own rows when picks is None, else picks' rows gathered
+    into the buffer, one _SCRATCH buffer of one block for every block.
+    Gathering wraps indices instead of checking them (finite_sum._charge
+    checks them), so np.take needs no buffered copy.
+
+    A block's row size is the bytes of one row of X, times ``width`` for a pass
+    whose per-row temporary is ``width`` rows wide (the multiclass Hessian's m).
 
     The one row walker: a pass that needs a block-sized temporary (a gather, row
     norms, |X|, the Hessian's scaled rows) walks; one matrix-vector product over
@@ -107,7 +111,7 @@ def _walk(X: np.ndarray, picks: np.ndarray | None, row_bytes: int):
     in-place and full means) reads it in place; the Hessian-vector operators
     hold their gathered rows.
     """
-    blocks = _row_blocks(X.shape[0] if picks is None else picks.size, row_bytes)
+    blocks = _row_blocks(X.shape[0] if picks is None else picks.size, width * X.itemsize * X.shape[1])
     buf = _SCRATCH("rows", blocks[0].stop if blocks else 0, X.shape[1])
     for b in blocks:
         out = buf[:b.stop - b.start]
@@ -178,7 +182,7 @@ def _unit_column_scales(X: np.ndarray) -> np.ndarray:
     """Each column's max absolute value, or 1.0 for a zero column, taken one
     row block at a time; ``X /= _unit_column_scales(X)`` scales X in place."""
     scale = np.zeros(X.shape[1])
-    for _, rows, buf in _walk(X, None, X.itemsize * X.shape[1]):
+    for _, rows, buf in _walk(X, None):
         np.maximum(scale, np.abs(rows, out=buf).max(axis=0), out=scale)
     scale[scale == 0.0] = 1.0
     return scale
@@ -191,20 +195,16 @@ def binary_logreg_from_arrays(
 
     f_i(w) = log(1 + exp(x_i.w)) - y_i x_i.w + lam * r(w),  y_i in {0, 1}.
     """
-    _check_nonnegative(lam=lam)  # the L and rho below hold for lam >= 0 only
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, d = X.shape
+    X, y, n, d, rmax = _logistic_data(X, y, lam)
     if set(np.unique(y)) - {0.0, 1.0}:
         raise ValueError("binary labels must be in {0, 1}")
-    rmax = _max_row_norm(X)
 
     def rows_pass(w, picks):
         if picks is None:
             z = X @ w
         else:
             z = np.empty(picks.size)
-            for b, rows, _ in _walk(X, picks, X.itemsize * d):
+            for b, rows, _ in _walk(X, picks):
                 np.matmul(rows, w, out=z[b])
         return z, _sigmoid(z)
 
@@ -226,7 +226,7 @@ def binary_logreg_from_arrays(
     def bgrad(idx, w):
         _, s, c, yr, picks = forward(idx, w, _LOGREG_IN_PLACE)
         r = c * (s - yr)
-        g = X.T @ r if picks is None else sum(rows.T @ r[b] for b, rows, _ in _walk(X, picks, X.itemsize * d))
+        g = X.T @ r if picks is None else sum(rows.T @ r[b] for b, rows, _ in _walk(X, picks))
         return g + lam * _reg_grad(w)
 
     def bhess(idx, w):
@@ -235,7 +235,7 @@ def binary_logreg_from_arrays(
         _, s, c, _, picks = forward(idx, w, _LOGREG_HESS_IN_PLACE)
         root = np.sqrt(c * s * (1.0 - s))
         H, T = np.zeros((d, d)), np.empty((d, d))
-        for b, rows, Y in _walk(X, picks, X.itemsize * d):
+        for b, rows, Y in _walk(X, picks):
             np.multiply(rows, root[b, None], out=Y)
             H += np.matmul(Y.T, Y, out=T)
         H[np.diag_indices(d)] += lam * _reg_curv(w)
@@ -263,10 +263,23 @@ def binary_logreg_from_arrays(
     )
 
 
-def _max_row_norm(X: np.ndarray) -> float:
-    """max_i ||X[i]|| (0.0 without rows), from np.linalg.norm on row blocks."""
-    blocks = _walk(X, None, X.itemsize * X.shape[1])
-    return float(np.max([np.linalg.norm(rows, axis=1).max() for _, rows, _ in blocks], initial=0.0))
+def _logistic_data(X, labels, lam: float):
+    """(X, labels, n, d, rmax), how both logistic factories read their data.
+
+    lam is checked (the L and rho of both families hold for lam >= 0 only), X
+    becomes a float matrix of n rows of d and labels a float vector of one
+    label per row, and rmax = max_i ||X[i]|| (0.0 without rows), from
+    np.linalg.norm on row blocks.
+    """
+    _check_nonnegative(lam=lam)
+    X, labels = np.asarray(X, dtype=float), np.asarray(labels, dtype=float)
+    n, d = X.shape
+    if labels.ndim != 1:
+        raise IndexError(f"labels have shape {labels.shape}, expected ({n},)")
+    if labels.size != n:
+        raise IndexError(f"{labels.size} labels for {n} rows")
+    norms = [np.linalg.norm(rows, axis=1).max() for _, rows, _ in _walk(X, None)]
+    return X, labels, n, d, float(np.max(norms, initial=0.0))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -294,21 +307,15 @@ def multiclass_logreg_from_arrays(
 
     The variable is W (m rows of d weights) stored row-major as w = W.ravel().
     """
-    _check_nonnegative(lam=lam)
+    X, labels, n, d, rmax = _logistic_data(X, class_id, lam)
     _check_integer("num_classes", num_classes, 1)
-    X = np.asarray(X, dtype=float)
-    class_id = np.asarray(class_id, dtype=int)
-    n, d = X.shape
-    m = num_classes
-    if class_id.shape != (n,):
-        raise IndexError(f"{class_id.size} labels for {n} rows")
+    class_id, m = _integer_ids(labels), num_classes
     if class_id.size and (class_id.min() < 0 or class_id.max() >= m):
         raise ValueError(f"label out of range for {m} classes")
-    rmax = _max_row_norm(X)
 
     def logits_pass(w, picks):
         Z = np.empty((picks.size, m))
-        for b, rows, _ in _walk(X, picks, X.itemsize * d):
+        for b, rows, _ in _walk(X, picks):
             np.matmul(rows, w.reshape(m, d).T, out=Z[b])
         zmax = Z.max(axis=1, keepdims=True)
         E = np.exp(Z - zmax)
@@ -325,7 +332,7 @@ def multiclass_logreg_from_arrays(
     def bgrad(idx, w):
         R = forward(w, idx)[2].copy()  # the softmax minus the one-hot labels
         R[np.arange(idx.size), class_id[idx]] -= 1.0
-        G = sum(R[b].T @ rows for b, rows, _ in _walk(X, idx, X.itemsize * d)) / idx.size
+        G = sum(R[b].T @ rows for b, rows, _ in _walk(X, idx)) / idx.size
         return G.ravel() + lam * _reg_grad(w)
 
     def hvp_at(idx, w):
@@ -345,12 +352,11 @@ def multiclass_logreg_from_arrays(
         # Summed over the batch the Hessian is blockdiag_a(sum_k p_ka x_k x_k^T) - Z^T Z,
         # where row k of Z is outer(p_k, x_k).ravel(), formed one row block at a time
         # in one buffer.
-        P, row_bytes = forward(w, idx)[2], m * d * X.itemsize
+        P = forward(w, idx)[2]
         H, T = np.zeros((m * d, m * d)), np.empty((m * d, m * d))
-        buf = _SCRATCH("Z", _row_blocks(idx.size, row_bytes)[0].stop, m, d)
-        for b, rows, _ in _walk(X, idx, row_bytes):
+        for b, rows, _ in _walk(X, idx, m):
             k = b.stop - b.start
-            Z = np.multiply(P[b, :, None], rows[:, None, :], out=buf[:k]).reshape(k, m * d)
+            Z = np.multiply(P[b, :, None], rows[:, None, :], out=_SCRATCH("Z", k, m, d)).reshape(k, m * d)
             H -= np.matmul(Z.T, Z, out=T)
             for a in range(m):
                 block = slice(a * d, (a + 1) * d)
@@ -525,7 +531,7 @@ def make_synthetic(
     def means(idx):
         c = _in_place_weights(idx, n, _SYNTHETIC_IN_PLACE)
         if c is None:
-            total = sum(rows.sum(axis=0) for _, rows, _ in _walk(P, idx, P.itemsize * P.shape[1]))
+            total = sum(rows.sum(axis=0) for _, rows, _ in _walk(P, idx))
             return unpack_upper(total / idx.size), b[idx].mean(axis=0)
         if np.array_equal(c, uniform):
             return Afull.copy(), bfull.copy()

@@ -544,7 +544,7 @@ class TestSettingSurface:
             "eps", "rho", "xi", "T", "penalty", "batch", "seed", "x0",
             "subsolver_max_iters", "finalsolver_eps_g", "gradient_recursion",
         }
-        assert cli._SOLVER_KEYS == fields | {"budget_gap"}
+        assert set(cli._SOLVER_TYPES) == fields | {"budget_gap"}
         for key in sorted(fields - {"eps"}):
             cfg = base_config()
             cfg["solver"][key] = "?"

@@ -165,6 +165,26 @@ class TestBatchOracles:
                         oracle(p, np.zeros(3), np.array(idx), c)
                 assert c == OracleCounter(), idx
 
+    @pytest.mark.parametrize("oracle", [batch_value, batch_gradient, batch_hessian, batch_hvp])
+    @pytest.mark.parametrize("x", [np.zeros((3, 1)), np.zeros(2)], ids=["column", "short"])
+    def test_point_of_wrong_shape_rejected(self, oracle, x):
+        # a column point once gave batch_gradient a (3, 6) or (3, 3) answer; none is charged
+        problems = (quadratic_problem([1.0, 2.0, 3.0]), make_synthetic(0, 6, 3),
+                    binary_logreg_from_arrays(np.eye(6, 3), np.arange(6) % 2))
+        for p in problems:
+            c = OracleCounter()
+            with pytest.raises(ValueError, match=rf"^x has shape {re.escape(str(x.shape))}, expected \(3,\)$"):
+                oracle(p, x, full_index(p), c)
+            assert c == OracleCounter(), p.name
+
+    def test_list_point_accepted(self):
+        p = binary_logreg_from_arrays(np.eye(6, 3), np.arange(6) % 2)
+        x = [0.3, -0.2, 0.1]
+        for oracle in (batch_value, batch_gradient, batch_hessian):
+            assert np.array_equal(oracle(p, x, full_index(p)), oracle(p, np.array(x), full_index(p)))
+        assert np.array_equal(batch_hvp(p, x, full_index(p))(np.ones(3)),
+                              batch_hvp(p, np.array(x), full_index(p))(np.ones(3)))
+
     def test_empty_batch_rejected(self):
         p = quadratic_problem([1.0, 2.0])
         for oracle in (batch_gradient, batch_hvp):

@@ -599,10 +599,23 @@ def test_multiclass_num_classes_must_be_a_positive_integer(factory, num_classes,
     assert factory(np.int64(2)).dim == 4
 
 
-def test_multiclass_needs_one_label_per_row():
-    for labels in (np.zeros(3, int), np.zeros(5, int)):
-        with pytest.raises(IndexError, match=f"^{labels.size} labels for 4 rows$"):
-            multiclass_logreg_from_arrays(np.ones((4, 2)), labels, 2)
+@pytest.mark.parametrize("family, labels, error, message", [
+    *((family, np.zeros(k), IndexError, f"{k} labels for 4 rows")
+      for family in ("binary", "multiclass") for k in (3, 5)),
+    # a column once built a binary problem whose value broadcast it against every row
+    ("binary", np.zeros((4, 1)), IndexError, "labels have shape (4, 1), expected (4,)"),
+    ("multiclass", np.zeros((4, 1)), IndexError, "labels have shape (4, 1), expected (4,)"),
+    # once truncated to the classes [0, 1, 0, 1]
+    ("multiclass", [0, 1.7, 0.2, 1], ValueError, "multiclass labels must be integers"),
+    # once numpy's OverflowError, which names no argument
+    ("multiclass", [0, np.inf, 0, 1], ValueError, "multiclass labels must be integers"),
+], ids=["binary-3", "binary-5", "multiclass-3", "multiclass-5", "binary-column", "multiclass-column",
+        "multiclass-fraction", "multiclass-infinite"])
+def test_logreg_needs_one_label_per_row(family, labels, error, message):
+    build = {"binary": binary_logreg_from_arrays,
+             "multiclass": lambda X, y: multiclass_logreg_from_arrays(X, y, 2)}[family]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(np.ones((4, 2)), labels)
 
 
 # multiclass_golden_problem(), captured while the Hessian kernel was a loop of
@@ -1185,8 +1198,8 @@ class TestRowBlocks:
 
     def test_walk_yields_nothing_over_zero_rows(self):
         X = np.zeros((0, 3))
-        assert list(objectives._walk(X, None, 24)) == []
-        assert list(objectives._walk(np.ones((4, 3)), np.zeros(0, np.intp), 24)) == []
+        assert list(objectives._walk(X, None)) == []
+        assert list(objectives._walk(np.ones((4, 3)), np.zeros(0, np.intp))) == []
         assert scale_columns_unit(X).shape == (0, 3)
 
     def test_multiclass_hessian_forms_z_one_row_block_at_a_time(self):
